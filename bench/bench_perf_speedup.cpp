@@ -28,7 +28,6 @@
 #include "src/netlist/dut.hpp"
 #include "src/sim/vos_dut.hpp"
 #include "src/sta/synthesis_report.hpp"
-#include "src/util/lanes.hpp"
 #include "src/util/parallel.hpp"
 
 namespace {
@@ -226,73 +225,6 @@ void BM_DispatchThreadPool(benchmark::State& state) {
 }
 BENCHMARK(BM_DispatchThreadPool);
 
-/// Wall-clock of one full Table-3 mul8 levelized sweep at the given
-/// lane width, single-threaded, repeated until the leg accumulates
-/// ~0.3 s so the ratio is stable on a shared machine.
-double time_mul8_sweep_s(const DutNetlist& dut,
-                         const std::vector<OperatingTriad>& triads,
-                         std::size_t lane_width) {
-  CharacterizeConfig cfg;
-  cfg.num_patterns = bench::pattern_budget();
-  cfg.threads = 1;
-  cfg.engine = EngineKind::kLevelized;
-  cfg.lane_width = lane_width;
-
-  using clock = std::chrono::steady_clock;
-  const auto run_once = [&] {
-    const auto t0 = clock::now();
-    benchmark::DoNotOptimize(characterize_dut(dut, lib(), triads, cfg));
-    return std::chrono::duration<double>(clock::now() - t0).count();
-  };
-  double total = run_once();  // warm-up + first sample
-  std::size_t reps = 1;
-  while (total < 0.3) {
-    total += run_once();
-    ++reps;
-  }
-  return total / static_cast<double>(reps);
-}
-
-/// The wide-lane A/B the CI gate parses: the Table-3 mul8 sweep at 64
-/// lanes vs the widest accelerated width on the same single thread.
-/// Auto dispatch deliberately defaults to 64 (lanes.hpp — per-lane
-/// event walks dominate these sweeps, so wide words sit near parity),
-/// so the A/B requests the wide width explicitly. run_benches.sh fails
-/// the build if a SIMD build cannot deliver wide lane words
-/// (WIDE_LANES_PER_PASS != WIDE_WIDTH — a broken dispatch would pass
-/// every correctness test and quietly ship only the scalar engine) or
-/// WIDE_SPEEDUP falls below its regression floor.
-void report_wide_speedup() {
-  const std::size_t width = lanes::max_supported_lane_width();
-  std::printf("SIMD_COMPILED %s\n", lanes::simd_compiled_name());
-  std::printf("LANE_WIDTH_AUTO %zu\n", lanes::resolve_lane_width(0));
-  std::printf("WIDE_WIDTH %zu\n", width);
-  {
-    // Prove the dispatch chain delivers the wide engine, not just the
-    // templated fast path: an explicit lane_width request must come
-    // back as that many lanes per pass.
-    TimingSimConfig cfg;
-    cfg.engine = EngineKind::kLevelized;
-    cfg.lane_width = width;
-    const auto probe = make_engine(rca8().netlist, lib(), stressed(), cfg);
-    std::printf("WIDE_LANES_PER_PASS %zu\n", probe->lanes_per_pass());
-  }
-  const DutNetlist dut = build_circuit("mul8-array");
-  const std::vector<OperatingTriad> triads = make_circuit_triads(
-      dut, synthesize_report(dut.netlist, lib()).critical_path_ns);
-  const double t64 = time_mul8_sweep_s(dut, triads, 64);
-  if (width == 64) {
-    // Nothing wider to compare against: the portable baseline races
-    // itself by definition.
-    std::printf("WIDE_SPEEDUP 1.00\n");
-    return;
-  }
-  const double tw = time_mul8_sweep_s(dut, triads, width);
-  std::printf("WIDE_T64_MS %.2f\nWIDE_T%zu_MS %.2f\n", t64 * 1e3, width,
-              tw * 1e3);
-  std::printf("WIDE_SPEEDUP %.2f\n", t64 / tw);
-}
-
 /// Observers-off hot-path cost check (DESIGN.md §13). The SimObserver
 /// support costs one `!observers_.empty()` branch per dispatch site; a
 /// true A/B against a binary compiled without the branch cannot live
@@ -338,7 +270,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  report_wide_speedup();
   report_provenance_overhead();
   return 0;
 }

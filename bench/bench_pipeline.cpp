@@ -32,7 +32,6 @@
 #include "src/runtime/triad_ladder.hpp"
 #include "src/seq/seq_dut.hpp"
 #include "src/seq/seq_report.hpp"
-#include "src/util/lanes.hpp"
 #include "src/util/rng.hpp"
 
 int main() {
@@ -168,42 +167,6 @@ int main() {
                " cannot justify; the measured per-stage error rate —"
                " not the characterized BER table — rejects rungs past"
                " the quality floor.\n";
-
-  // ---- Per-width clocked sweep timing: the pipe2-mul8 43-triad sweep
-  // on the levelized batched step_cycle path at 64 lanes vs the widest
-  // accelerated lane width (explicitly requested — auto defaults to
-  // 64, lanes.hpp). Results are bit-exact across widths
-  // (tests/test_lanes_wide.cpp), so this is a pure wall-clock A/B.
-  {
-    const std::size_t width = lanes::max_supported_lane_width();
-    const SeqDut mul = build_seq_circuit("pipe2-mul8");
-    const auto triads =
-        make_dut_triads(seq_critical_path_ns(mul, lib));
-    CharacterizeConfig cfg = bench_config();
-    cfg.engine = EngineKind::kLevelized;
-    double sink = 0.0;
-    const auto time_width = [&](std::size_t w) {
-      cfg.lane_width = w;
-      const auto t0 = clock::now();
-      for (const TriadResult& r : characterize_seq_dut(mul, lib, triads, cfg))
-        sink += r.ber;
-      return std::chrono::duration<double>(clock::now() - t0).count();
-    };
-    time_width(64);  // warm-up (touches caches and the thread pool)
-    const double t64 = time_width(64);
-    std::cout << "\nSEQ_SIMD_COMPILED " << lanes::simd_compiled_name()
-              << "\nSEQ_WIDE_WIDTH " << width << "\nSEQ_WIDE_T64_MS "
-              << format_double(t64 * 1e3, 2);
-    if (width != 64) {
-      const double tw = time_width(width);
-      std::cout << "\nSEQ_WIDE_T" << width << "_MS "
-                << format_double(tw * 1e3, 2) << "\nSEQ_WIDE_SPEEDUP "
-                << format_double(tw > 0.0 ? t64 / tw : 0.0, 2);
-    } else {
-      std::cout << "\nSEQ_WIDE_SPEEDUP 1.00";
-    }
-    if (sink < 0.0) std::cout << "";  // keep the sweeps observable
-  }
 
   // ---- Observers-off noise-floor probe on the clocked batched path
   // (same methodology as bench_perf_speedup: two interleaved min-of-k

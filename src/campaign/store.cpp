@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -79,10 +80,20 @@ std::string CampaignCellKey::to_string() const {
 }
 
 CampaignStore::CampaignStore(std::string path) : path_(std::move(path)) {
-  std::ifstream in(path_);
+  std::ifstream in(path_, std::ios::binary);
   if (!in) return;  // a fresh store: the file appears on first insert
   std::string line;
+  std::uintmax_t complete_bytes = 0;  // through the last '\n'
+  bool torn = false;
   while (std::getline(in, line)) {
+    // getline hits end-of-file only on a line without its '\n': the
+    // torn tail of an append cut short by a crash. It is dropped and
+    // cut off below, or the next insert would be glued onto it.
+    if (in.eof()) {
+      torn = true;
+      break;
+    }
+    complete_bytes += line.size() + 1;
     const auto cell = parse_jsonl(line);
     if (cell.has_value()) {
       cells_.insert_or_assign(cell->key.to_string(), *cell);
@@ -90,6 +101,13 @@ CampaignStore::CampaignStore(std::string path) : path_(std::move(path)) {
       manifest_line_ = line;  // last manifest wins, like cells
     }
   }
+  if (!torn) return;
+  in.close();
+  std::error_code ec;
+  std::filesystem::resize_file(path_, complete_bytes, ec);
+  if (ec)
+    throw std::runtime_error("campaign store: cannot cut the torn tail of " +
+                             path_ + ": " + ec.message());
 }
 
 const std::string& CampaignStore::manifest_line() const {

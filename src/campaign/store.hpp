@@ -72,7 +72,9 @@ class CampaignStore {
   /// In-memory store (no persistence) — used by examples and tests.
   CampaignStore() = default;
   /// Backed by `path`: loads every parseable line (last occurrence of a
-  /// key wins, malformed lines are skipped), appends on insert.
+  /// key wins, malformed lines are skipped), appends on insert. A last
+  /// line without its newline (an append cut short by a crash) is
+  /// dropped and cut off the file, so the next append starts clean.
   explicit CampaignStore(std::string path);
 
   const std::string& path() const noexcept { return path_; }

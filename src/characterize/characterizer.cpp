@@ -10,7 +10,6 @@
 #include "src/sim/vos_dut.hpp"
 #include "src/util/bits.hpp"
 #include "src/util/contracts.hpp"
-#include "src/util/lanes.hpp"
 #include "src/util/parallel.hpp"
 
 namespace vosim {
@@ -84,11 +83,7 @@ ProvenanceSummary combine_stage_summaries(
 /// is purely functional: the previous pattern's settled values), so
 /// segment-parallel results are bit-identical to the sequential chain.
 /// Nothing in the pass depends on the DUT being an adder — the same
-/// code serves multipliers and MAC trees. Templated on the lane word:
-/// characterize_dut dispatches on the resolved lane width, and every
-/// instantiation produces bit-identical statistics (the per-lane commit
-/// order and FP accumulation order are width-invariant).
-template <class LW>
+/// code serves multipliers and MAC trees.
 std::vector<TriadResult> characterize_levelized_sweep(
     const DutNetlist& dut, const CellLibrary& lib,
     const std::vector<OperatingTriad>& triads,
@@ -134,10 +129,11 @@ std::vector<TriadResult> characterize_levelized_sweep(
   const std::size_t npis = dut.netlist.primary_inputs().size();
 
   // Segment the stream across the pool; each segment is large enough
-  // to amortize its simulator construction and to fill at least a
-  // couple of lane words at the widest instantiations.
-  constexpr std::size_t kChunk = LevelizedSimulatorT<LW>::kLanes;
-  const std::size_t min_seg = std::max<std::size_t>(256, 2 * kChunk);
+  // to amortize its simulator construction. The segment boundaries fix
+  // the floating-point merge order of the per-segment partials, so
+  // min_seg is part of the result, not just a tuning knob.
+  constexpr std::size_t kChunk = LevelizedSimulator::kLanes;
+  constexpr std::size_t min_seg = 256;
   const unsigned workers =
       config.threads == 0 ? hardware_parallelism() : config.threads;
   const std::size_t nseg = std::clamp<std::size_t>(
@@ -166,7 +162,7 @@ std::vector<TriadResult> characterize_levelized_sweep(
         TimingSimConfig sim_cfg;
         sim_cfg.variation_sigma = config.variation_sigma;
         sim_cfg.variation_seed = config.variation_seed;
-        LevelizedSimulatorT<LW> eng(dut.netlist, lib, ref, sim_cfg);
+        LevelizedSimulator eng(dut.netlist, lib, ref, sim_cfg);
 
         std::vector<std::uint8_t> in(npis, 0);
         pins.fill_inputs({pats.data() + (begin - 1) * nops, nops},
@@ -296,7 +292,6 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
   sim_cfg.variation_sigma = config.variation_sigma;
   sim_cfg.variation_seed = config.variation_seed;
   sim_cfg.engine = EngineKind::kLevelized;
-  sim_cfg.lane_width = config.lane_width;
   // Constructed above the largest threshold, then pinned exactly.
   const OperatingTriad norm{tau[ref_t] * 1e-3 + setup_ns, 1.0, 0.0};
 
@@ -442,19 +437,8 @@ std::vector<TriadResult> characterize_dut(
   // Provenance needs observer dispatch, which the multi-threshold
   // sweep pass does not do — route those sweeps to the per-triad loop.
   if (config.engine == EngineKind::kLevelized && config.streaming_state &&
-      !config.provenance) {
-    switch (lanes::resolve_lane_width(config.lane_width)) {
-      case 512:
-        return characterize_levelized_sweep<lanes::Word512>(
-            dut, lib, triads, config, pats);
-      case 256:
-        return characterize_levelized_sweep<lanes::Word256>(
-            dut, lib, triads, config, pats);
-      default:
-        return characterize_levelized_sweep<lanes::Word>(dut, lib, triads,
-                                                         config, pats);
-    }
-  }
+      !config.provenance)
+    return characterize_levelized_sweep(dut, lib, triads, config, pats);
 
   std::vector<TriadResult> results(triads.size());
   std::vector<std::unique_ptr<ErrorProvenance>> provs(
@@ -471,7 +455,6 @@ std::vector<TriadResult> characterize_dut(
         sim_cfg.variation_sigma = config.variation_sigma;
         sim_cfg.variation_seed = config.variation_seed;
         sim_cfg.engine = config.engine;
-        sim_cfg.lane_width = config.lane_width;
         VosDutSim sim(dut, lib, op, sim_cfg);
         if (config.provenance) {
           provs[t] = std::make_unique<ErrorProvenance>(dut);
@@ -577,7 +560,6 @@ std::vector<TriadResult> characterize_seq_dut(
         sim_cfg.variation_sigma = config.variation_sigma;
         sim_cfg.variation_seed = config.variation_seed;
         sim_cfg.engine = config.engine;
-        sim_cfg.lane_width = config.lane_width;
         SeqSim sim(seq, lib, triads[t], sim_cfg);
         if (config.provenance) {
           // One ErrorProvenance per stage, labelled "s<k>:" so culprit

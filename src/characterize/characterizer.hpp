@@ -44,11 +44,6 @@ struct CharacterizeConfig {
   EngineKind engine = EngineKind::kEvent;
   /// Patterns streamed per apply_batch call in the sweep hot loop.
   std::size_t batch_size = 256;
-  /// Levelized lane width: 64, 256, 512, or 0 = auto (resolved by
-  /// lanes::resolve_lane_width, see TimingSimConfig::lane_width). The
-  /// grid fast paths template on it; results are bit-exact across
-  /// widths.
-  std::size_t lane_width = 0;
   /// Sequential levelized fast path only: a capture threshold whose
   /// first 64-cycle probe word already shows an op-error rate at or
   /// above this fraction is far past the error-onset knee (register

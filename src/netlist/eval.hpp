@@ -22,10 +22,9 @@ std::vector<std::uint8_t> evaluate_logic(const Netlist& netlist,
 /// Lane-parallel evaluation of one cell function: bit k of the result
 /// is cell_truth(kind) applied to bit k of each input word. Lane-wise
 /// identical to the truth tables (SimEngine.PackedEvalMatchesTruthTables
-/// checks every kind against every minterm). Templated on the lane word
-/// so the 64-, 256- and 512-lane engines share one definition.
-template <class W = lanes::Word>
-constexpr W eval_cell_packed(CellKind kind, W a, W b, W c) {
+/// checks every kind against every minterm).
+constexpr lanes::Word eval_cell_packed(CellKind kind, lanes::Word a,
+                                       lanes::Word b, lanes::Word c) {
   switch (kind) {
     case CellKind::kInv: return ~a;
     case CellKind::kBuf: return a;
@@ -39,10 +38,10 @@ constexpr W eval_cell_packed(CellKind kind, W a, W b, W c) {
     case CellKind::kOai21: return ~((a | b) & c);
     case CellKind::kAo21: return (a & b) | c;
     case CellKind::kMaj3: return (a & b) | (c & (a | b));
-    case CellKind::kTieLo: return W{};
-    case CellKind::kTieHi: return ~W{};
+    case CellKind::kTieLo: return 0;
+    case CellKind::kTieHi: return ~lanes::Word{0};
   }
-  return W{};
+  return 0;
 }
 
 /// Lane-parallel evaluate_logic: pi_words[i] holds one input pattern

@@ -1,4 +1,4 @@
-// Per-run manifest: which tool/engine/lane-width/shard produced a
+// Per-run manifest: which tool/engine/lane width/shard produced a
 // store or a daemon, plus an FNV-1a hash of the launch configuration.
 //
 // The manifest is written as the first line of a file-backed campaign
@@ -22,6 +22,8 @@ inline constexpr int kStoreVersion = 9;
 struct RunManifest {
   std::string tool;              ///< CLI subcommand or "serve"
   std::string engine = "event";  ///< backend engine token
+  /// Levelized lanes per pass: always 64 in what this version writes,
+  /// still parsed so stores stamped with another width stay readable.
   std::uint64_t lane_width = 64;
   std::string shard = "0/1";     ///< "index/count"
   /// Canonical launch configuration (hashed, never serialized).

@@ -40,7 +40,7 @@ namespace vosim {
 /// Summary of one levelized packed pass (a lane word of patterns or
 /// cycles), emitted via SimObserver::on_lane_word.
 struct LaneWordSummary {
-  /// Lanes evaluated in this pass (<= the engine's lanes_per_pass()).
+  /// Lanes evaluated in this pass (<= 64, one lane word).
   std::size_t lanes = 0;
   /// Lanes whose sampled output word differs from the settled one.
   std::size_t failing_lanes = 0;

@@ -276,24 +276,15 @@ void SeqSim::step_cycle_batch(std::span<const std::uint64_t> operands,
     return;
   }
   const std::size_t stages = engines_.size();
-  // Chunk at the engines' native pass width (64 for the event backend
-  // and the 64-lane levelized engine, 256/512 for the wide levelized
-  // instantiations) so every packed pass runs full. The golden
-  // reference composition stays on 64-bit lane words
-  // (evaluate_logic_packed), so it walks a wide chunk in kWordLanes
-  // sub-chunks.
-  const std::size_t pass =
-      std::max(lanes::kWordLanes, engines_[0]->lanes_per_pass());
+  // Chunk at one lane word (64 cycles): every levelized pass runs
+  // full, and the golden reference composition evaluates the chunk as
+  // one packed evaluate_logic word.
   std::size_t done = 0;
   while (done < count) {
-    const std::size_t chunk = std::min(pass, count - done);
+    const std::size_t chunk = std::min(lanes::kWordLanes, count - done);
     batch_golden_.resize(chunk);
-    for (std::size_t g0 = 0; g0 < chunk; g0 += lanes::kWordLanes) {
-      const std::size_t gsub = std::min(lanes::kWordLanes, chunk - g0);
-      golden_output_batch(
-          operands.subspan((done + g0) * nops, gsub * nops), gsub,
-          batch_golden_.data() + g0);
-    }
+    golden_output_batch(operands.subspan(done * nops, chunk * nops), chunk,
+                        batch_golden_.data());
 
     // Stage by stage: stage k's cycle-c bank latches stage k-1's sample
     // from cycle c-1 (cycle 0 latches the carried stage_sampled_), so a

@@ -10,7 +10,6 @@
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-#include "src/util/lanes.hpp"
 
 namespace vosim {
 
@@ -109,7 +108,6 @@ CampaignServer::CampaignServer(const CellLibrary& lib, ServeConfig config)
       store_(config_.store_path) {
   manifest_.tool = "serve";
   manifest_.engine = "levelized";
-  manifest_.lane_width = lanes::resolve_lane_width(0);
   manifest_.config = "socket=" + config_.socket_path +
                      "|store=" + config_.store_path +
                      "|jobs=" + std::to_string(config_.jobs);

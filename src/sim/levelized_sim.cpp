@@ -4,10 +4,6 @@
 #include <bit>
 #include <cmath>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 #include "src/netlist/eval.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/probe.hpp"
@@ -26,13 +22,9 @@ namespace {
 /// kWindowOnly drops the totals: the cycle-mode callers (step_cycle /
 /// step_cycle_batch) define totals == window ("nothing is simulated
 /// past the edge") and overwrite them, so tracking both is pure waste
-/// there. Templated on the lane word: the SIMD sweeps below run the
-/// same 4-lane nibble kernel over each 64-bit sub-word, so one
-/// definition serves the 64-, 256- and 512-lane engines.
-template <class LW, bool kWindowOnly>
+/// there.
+template <bool kWindowOnly>
 struct SingleThresholdAcct {
-  static constexpr std::size_t kLanes = lanes::lane_count_v<LW>;
-
   double tclk_ps;
   std::size_t nlanes;  ///< word sweeps stop here (1 for scalar passes)
   double* win_e;
@@ -59,164 +51,29 @@ struct SingleThresholdAcct {
     return false;
   }
 
-#if defined(__AVX2__)
-  /// Vectorized in-window single-flip commits: every lane in `m`
-  /// commits exactly once at t_in[k] + delay (the caller proved STA
-  /// arrival < Tclk, so the window test is statically true). Per-lane
-  /// arithmetic is exactly commit()'s — one IEEE add per accumulator,
-  /// one max — and vectorization only changes which lanes run
-  /// together, never a lane's own operation sequence, so the results
-  /// are bit-identical to the scalar loop. Inactive lanes are masked
-  /// to += 0.0 / max-with-0.0 no-ops (the accumulators are sums of
-  /// non-negative terms, never -0.0, and settle >= 0); their t_in may
-  /// be uninitialized but never escapes the mask.
-  void commit_flips_simd(const LW& m, const double* t_in, double delay,
-                         double energy, double* tout) {
-    const __m256d vd = _mm256_set1_pd(delay);
-    const __m256d ve = _mm256_set1_pd(energy);
-    const __m256i lanebit = _mm256_setr_epi64x(1, 2, 4, 8);
-    for (std::size_t sub = 0; sub < lanes::subword_count_v<LW>; ++sub) {
-      const std::uint64_t ms = lanes::subword(m, sub);
-      if (ms == 0) continue;
-      const std::size_t off0 = sub * lanes::kWordLanes;
-      for (std::size_t base = 0; base < lanes::kWordLanes; base += 4) {
-        const auto nib = static_cast<long long>((ms >> base) & 0xF);
-        if (nib == 0) continue;
-        const std::size_t off = off0 + base;
-        const __m256i sel = _mm256_cmpeq_epi64(
-            _mm256_and_si256(_mm256_set1_epi64x(nib), lanebit), lanebit);
-        const __m256d mask = _mm256_castsi256_pd(sel);
-        const __m256d tc = _mm256_and_pd(
-            mask, _mm256_add_pd(_mm256_loadu_pd(t_in + off), vd));
-        const __m256d em = _mm256_and_pd(mask, ve);
-        _mm256_storeu_pd(
-            win_e + off,
-            _mm256_add_pd(_mm256_loadu_pd(win_e + off), em));
-        _mm256_storeu_pd(
-            settle + off,
-            _mm256_max_pd(_mm256_loadu_pd(settle + off), tc));
-        _mm256_storeu_pd(
-            tout + off,
-            _mm256_blendv_pd(_mm256_loadu_pd(tout + off), tc, mask));
-        if constexpr (!kWindowOnly)
-          _mm256_storeu_pd(
-              tot_e + off,
-              _mm256_add_pd(_mm256_loadu_pd(tot_e + off), em));
-      }
-    }
-    lanes::for_each_lane(m, [&](std::size_t k) {
-      ++win_t[k];
-      if constexpr (!kWindowOnly) ++tot_t[k];
-    });
-  }
-
-  /// Vectorized two-changed-input single commits for an in-window
-  /// gate: every lane in `m` has exactly inputs i and j changed
-  /// (pulse-free) and a changed output, so it commits once — at the
-  /// first input event when that already yields the settled value,
-  /// else at the second (two_changed_lane's commit branch, same
-  /// min/max/select arithmetic, so bit-identical results). wi/wj are
-  /// the gate subset words W[1<<i] / W[1<<j], `settled` the settled
-  /// output word.
-  void commit_two_simd(const LW& m, const double* ti, const double* tj,
-                       const LW& wi, const LW& wj, const LW& settled,
-                       double delay, double energy, double* tout) {
-    const __m256d vd = _mm256_set1_pd(delay);
-    const __m256d ve = _mm256_set1_pd(energy);
-    const __m256i lanebit = _mm256_setr_epi64x(1, 2, 4, 8);
-    const __m256i one64 = _mm256_set1_epi64x(1);
-    for (std::size_t sub = 0; sub < lanes::subword_count_v<LW>; ++sub) {
-      const std::uint64_t ms = lanes::subword(m, sub);
-      if (ms == 0) continue;
-      const std::size_t off0 = sub * lanes::kWordLanes;
-      const __m256i vwi = _mm256_set1_epi64x(
-          static_cast<long long>(lanes::subword(wi, sub)));
-      const __m256i vwj = _mm256_set1_epi64x(
-          static_cast<long long>(lanes::subword(wj, sub)));
-      const __m256i vst = _mm256_set1_epi64x(
-          static_cast<long long>(lanes::subword(settled, sub)));
-      for (std::size_t base = 0; base < lanes::kWordLanes; base += 4) {
-        const auto nib = static_cast<long long>((ms >> base) & 0xF);
-        if (nib == 0) continue;
-        const std::size_t off = off0 + base;
-        const __m256i am = _mm256_cmpeq_epi64(
-            _mm256_and_si256(_mm256_set1_epi64x(nib), lanebit), lanebit);
-        const __m256d amd = _mm256_castsi256_pd(am);
-        const __m256d vti = _mm256_loadu_pd(ti + off);
-        const __m256d vtj = _mm256_loadu_pd(tj + off);
-        // sel: the second (j) input flipped first, so the mid state has
-        // input i still stale (two_changed_lane's swap branch).
-        const __m256i sel = _mm256_castpd_si256(
-            _mm256_cmp_pd(vtj, vti, _CMP_LT_OQ));
-        const __m256i sh = _mm256_add_epi64(
-            _mm256_set1_epi64x(static_cast<long long>(base)),
-            _mm256_setr_epi64x(0, 1, 2, 3));
-        const __m256i bi =
-            _mm256_and_si256(_mm256_srlv_epi64(vwi, sh), one64);
-        const __m256i bj =
-            _mm256_and_si256(_mm256_srlv_epi64(vwj, sh), one64);
-        const __m256i bs =
-            _mm256_and_si256(_mm256_srlv_epi64(vst, sh), one64);
-        const __m256i mid = _mm256_blendv_epi8(bj, bi, sel);
-        const __m256d use_first =
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(mid, bs));
-        const __m256d tf = _mm256_min_pd(vti, vtj);
-        const __m256d ts = _mm256_max_pd(vti, vtj);
-        const __m256d tc = _mm256_and_pd(
-            amd,
-            _mm256_add_pd(_mm256_blendv_pd(ts, tf, use_first), vd));
-        const __m256d em = _mm256_and_pd(amd, ve);
-        _mm256_storeu_pd(
-            win_e + off,
-            _mm256_add_pd(_mm256_loadu_pd(win_e + off), em));
-        _mm256_storeu_pd(
-            settle + off,
-            _mm256_max_pd(_mm256_loadu_pd(settle + off), tc));
-        _mm256_storeu_pd(
-            tout + off,
-            _mm256_blendv_pd(_mm256_loadu_pd(tout + off), tc, amd));
-        if constexpr (!kWindowOnly)
-          _mm256_storeu_pd(
-              tot_e + off,
-              _mm256_add_pd(_mm256_loadu_pd(tot_e + off), em));
-      }
-    }
-    lanes::for_each_lane(m, [&](std::size_t k) {
-      ++win_t[k];
-      if constexpr (!kWindowOnly) ++tot_t[k];
-    });
-  }
-#endif  // __AVX2__
-
   /// Word commit at t = 0 (primary-input launch commits): in-window by
   /// definition, and settle = max(settle, 0) is a no-op. The
-  /// branchless per-sub-word sweep auto-vectorizes; inactive lanes
-  /// contribute bitwise-identity no-ops — += 0.0 (the accumulators are
-  /// sums of non-negative terms, never -0.0) and a tout self-assign —
-  /// so each lane holds exactly what per-lane commit() calls would
-  /// produce.
-  void commit_word_zero(const LW& m, double energy, double* tout) {
-    for (std::size_t sub = 0; sub * lanes::kWordLanes < nlanes; ++sub) {
-      const std::uint64_t ms = lanes::subword(m, sub);
-      const std::size_t k0 = sub * lanes::kWordLanes;
-      const std::size_t lim = std::min(lanes::kWordLanes, nlanes - k0);
-      double* __restrict we = win_e + k0;
-      double* __restrict to = tout + k0;
-      std::uint32_t* __restrict wt = win_t + k0;
-      for (std::size_t k = 0; k < lim; ++k) {
-        const bool a = ((ms >> k) & 1ULL) != 0;
-        we[k] += a ? energy : 0.0;
-        to[k] = a ? 0.0 : to[k];
-        wt[k] += static_cast<std::uint32_t>(a);
-      }
-      if constexpr (!kWindowOnly) {
-        double* __restrict te = tot_e + k0;
-        std::uint32_t* __restrict tt = tot_t + k0;
-        for (std::size_t k = 0; k < lim; ++k) {
-          const bool a = ((ms >> k) & 1ULL) != 0;
-          te[k] += a ? energy : 0.0;
-          tt[k] += static_cast<std::uint32_t>(a);
-        }
+  /// branchless lane sweep auto-vectorizes; inactive lanes contribute
+  /// bitwise-identity no-ops — += 0.0 (the accumulators are sums of
+  /// non-negative terms, never -0.0) and a tout self-assign — so each
+  /// lane holds exactly what per-lane commit() calls would produce.
+  void commit_word_zero(lanes::Word m, double energy, double* tout) {
+    double* __restrict we = win_e;
+    double* __restrict to = tout;
+    std::uint32_t* __restrict wt = win_t;
+    for (std::size_t k = 0; k < nlanes; ++k) {
+      const bool a = ((m >> k) & 1ULL) != 0;
+      we[k] += a ? energy : 0.0;
+      to[k] = a ? 0.0 : to[k];
+      wt[k] += static_cast<std::uint32_t>(a);
+    }
+    if constexpr (!kWindowOnly) {
+      double* __restrict te = tot_e;
+      std::uint32_t* __restrict tt = tot_t;
+      for (std::size_t k = 0; k < nlanes; ++k) {
+        const bool a = ((m >> k) & 1ULL) != 0;
+        te[k] += a ? energy : 0.0;
+        tt[k] += static_cast<std::uint32_t>(a);
       }
     }
   }
@@ -228,15 +85,14 @@ struct SingleThresholdAcct {
 /// XOR-difference per primary output yields per-threshold sampled
 /// words (a net's sampled value at τ is its stale value XOR the parity
 /// of its commits before τ).
-template <class LW>
 struct MultiThresholdAcct {
   static constexpr bool kWordCommit = false;  // every commit is bucketed
-  static constexpr std::size_t kLanes = lanes::lane_count_v<LW>;
+  static constexpr std::size_t kLanes = lanes::kWordLanes;
 
   std::span<const double> thresholds_ps;
   double* ediff;              // (nthr+1) × kLanes, bucket-major
   std::uint32_t* tdiff;       // (nthr+1) × kLanes
-  LW* sdiff;                  // nPO × (nthr+1)
+  lanes::Word* sdiff;         // nPO × (nthr+1)
   double* tot_e;              // per lane
   std::uint32_t* tot_t;       // per lane
   double* settle;             // per lane
@@ -263,11 +119,10 @@ struct MultiThresholdAcct {
 
 }  // namespace
 
-template <class LW>
-LevelizedSimulatorT<LW>::LevelizedSimulatorT(const Netlist& netlist,
-                                             const CellLibrary& lib,
-                                             const OperatingTriad& op,
-                                             const TimingSimConfig& config)
+LevelizedSimulator::LevelizedSimulator(const Netlist& netlist,
+                                       const CellLibrary& lib,
+                                       const OperatingTriad& op,
+                                       const TimingSimConfig& config)
     : netlist_(netlist), op_(op) {
   VOSIM_EXPECTS(netlist.finalized());
   VOSIM_EXPECTS(op.tclk_ns > 0.0);
@@ -326,17 +181,17 @@ LevelizedSimulatorT<LW>::LevelizedSimulatorT(const Netlist& netlist,
     cycle_safe_[gid] =
         arrival_ps_[netlist.gate(gid).out] < tclk_ps_ ? 1 : 0;
 
-  settled_w_.assign(netlist.num_nets(), LW{});
-  stale_w_.assign(netlist.num_nets(), LW{});
-  sampled_w_.assign(netlist.num_nets(), LW{});
+  settled_w_.assign(netlist.num_nets(), Word{});
+  stale_w_.assign(netlist.num_nets(), Word{});
+  sampled_w_.assign(netlist.num_nets(), Word{});
   time_ps_ = std::make_unique_for_overwrite<double[]>(
       netlist.num_nets() * kLanes);
-  pulsing_w_.assign(netlist.num_nets(), LW{});
+  pulsing_w_.assign(netlist.num_nets(), Word{});
   pulse_start_ps_ = std::make_unique_for_overwrite<double[]>(
       netlist.num_nets() * kLanes);
   pulse_end_ps_ = std::make_unique_for_overwrite<double[]>(
       netlist.num_nets() * kLanes);
-  pulsing2_w_.assign(netlist.num_nets(), LW{});
+  pulsing2_w_.assign(netlist.num_nets(), Word{});
   pulse2_start_ps_ = std::make_unique_for_overwrite<double[]>(
       netlist.num_nets() * kLanes);
   pulse2_end_ps_ = std::make_unique_for_overwrite<double[]>(
@@ -352,8 +207,7 @@ LevelizedSimulatorT<LW>::LevelizedSimulatorT(const Netlist& netlist,
   reset(zeros);
 }
 
-template <class LW>
-bool LevelizedSimulatorT<LW>::retarget_tclk_ps(double tclk_ps) {
+bool LevelizedSimulator::retarget_tclk_ps(double tclk_ps) {
   VOSIM_EXPECTS(tclk_ps > 0.0);
   tclk_ps_ = tclk_ps;
   op_.tclk_ns = tclk_ps * 1e-3;
@@ -365,32 +219,28 @@ bool LevelizedSimulatorT<LW>::retarget_tclk_ps(double tclk_ps) {
   return true;
 }
 
-template <class LW>
-void LevelizedSimulatorT<LW>::reset(std::span<const std::uint8_t> inputs) {
+void LevelizedSimulator::reset(std::span<const std::uint8_t> inputs) {
   VOSIM_EXPECTS(inputs.size() == netlist_.primary_inputs().size());
   state_ = evaluate_logic(netlist_, inputs);
   sampled_state_ = state_;
 }
 
-template <class LW>
-StepResult LevelizedSimulatorT<LW>::step(
-    std::span<const std::uint8_t> inputs) {
+StepResult LevelizedSimulator::step(std::span<const std::uint8_t> inputs) {
   const auto pis = netlist_.primary_inputs();
   VOSIM_EXPECTS(inputs.size() == pis.size());
   for (std::size_t j = 0; j < pis.size(); ++j)
-    settled_w_[pis[j]] = inputs[j] ? lanes::bit<LW>(0) : LW{};
+    settled_w_[pis[j]] = inputs[j] ? lanes::bit(0) : Word{};
   StepResult result;
   run_lanes(1, {&result, 1});
   return result;
 }
 
-template <class LW>
-StepResult LevelizedSimulatorT<LW>::step_cycle(
+StepResult LevelizedSimulator::step_cycle(
     std::span<const std::uint8_t> inputs) {
   const auto pis = netlist_.primary_inputs();
   VOSIM_EXPECTS(inputs.size() == pis.size());
   for (std::size_t j = 0; j < pis.size(); ++j)
-    settled_w_[pis[j]] = inputs[j] ? lanes::bit<LW>(0) : LW{};
+    settled_w_[pis[j]] = inputs[j] ? lanes::bit(0) : Word{};
   StepResult result;
   run_lanes(1, {&result, 1}, /*cycle_mode=*/true);
   // Nothing is simulated past the edge in cycle mode.
@@ -399,8 +249,7 @@ StepResult LevelizedSimulatorT<LW>::step_cycle(
   return result;
 }
 
-template <class LW>
-void LevelizedSimulatorT<LW>::step_batch(
+void LevelizedSimulator::step_batch(
     std::span<const std::uint8_t> inputs, std::size_t count,
     std::span<StepResult> results) {
   const auto pis = netlist_.primary_inputs();
@@ -420,7 +269,7 @@ void LevelizedSimulatorT<LW>::step_batch(
   while (done < count) {
     const std::size_t lanes = std::min(kLanes, count - done);
     for (std::size_t j = 0; j < npis; ++j) {
-      LW w{};
+      Word w{};
       for (std::size_t k = 0; k < lanes; ++k)
         if (inputs[(done + k) * npis + j]) lanes::set_lane(w, k);
       settled_w_[pis[j]] = w;
@@ -430,8 +279,7 @@ void LevelizedSimulatorT<LW>::step_batch(
   }
 }
 
-template <class LW>
-void LevelizedSimulatorT<LW>::step_cycle_batch(
+void LevelizedSimulator::step_cycle_batch(
     std::span<const std::uint8_t> inputs, std::size_t count,
     std::span<StepResult> results) {
   const auto pis = netlist_.primary_inputs();
@@ -448,7 +296,7 @@ void LevelizedSimulatorT<LW>::step_cycle_batch(
   while (done < count) {
     const std::size_t lanes = std::min(kLanes, count - done);
     for (std::size_t j = 0; j < npis; ++j) {
-      LW w{};
+      Word w{};
       for (std::size_t k = 0; k < lanes; ++k)
         if (inputs[(done + k) * npis + j]) lanes::set_lane(w, k);
       settled_w_[pis[j]] = w;
@@ -463,8 +311,7 @@ void LevelizedSimulatorT<LW>::step_cycle_batch(
   }
 }
 
-template <class LW>
-void LevelizedSimulatorT<LW>::step_batch_sweep(
+void LevelizedSimulator::step_batch_sweep(
     std::span<const std::uint8_t> inputs, std::size_t count,
     std::span<const double> thresholds_ps, std::span<StepResult> results) {
   const auto pis = netlist_.primary_inputs();
@@ -485,7 +332,7 @@ void LevelizedSimulatorT<LW>::step_batch_sweep(
   while (done < count) {
     const std::size_t lanes = std::min(kLanes, count - done);
     for (std::size_t j = 0; j < npis; ++j) {
-      LW w{};
+      Word w{};
       for (std::size_t k = 0; k < lanes; ++k)
         if (inputs[(done + k) * npis + j]) lanes::set_lane(w, k);
       settled_w_[pis[j]] = w;
@@ -496,11 +343,9 @@ void LevelizedSimulatorT<LW>::step_batch_sweep(
   }
 }
 
-template <class LW>
 template <bool kCycleMode, class Acct>
-void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
-                                             Acct& acct) {
-  const LW used = lanes::mask<LW>(lanes);
+void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
+  const Word used = lanes::mask(lanes);
 
   // Primary inputs: lane k's stale value is lane k-1's value (lane 0
   // continues from the carried state); input transitions commit at
@@ -511,22 +356,22 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
   // settled(k-1) coincides with the cycle-mode recurrence stale(k) =
   // sampled(k-1): this block serves both modes unchanged.
   for (const NetId pi : netlist_.primary_inputs()) {
-    const LW settled = settled_w_[pi] & used;
+    const Word settled = settled_w_[pi] & used;
     settled_w_[pi] = settled;
-    const LW stale = lanes::shift1_in(settled, state_[pi]) & used;
+    const Word stale = lanes::shift1_in(settled, state_[pi]) & used;
     stale_w_[pi] = stale;
-    pulsing_w_[pi] = LW{};
-    pulsing2_w_[pi] = LW{};
+    pulsing_w_[pi] = Word{};
+    pulsing2_w_[pi] = Word{};
     const double energy = net_energy_fj_[pi];
     double* t = &time_ps_[static_cast<std::size_t>(pi) * kLanes];
-    const LW m = settled ^ stale;
+    const Word m = settled ^ stale;
     if constexpr (Acct::kWordCommit) {
       // Every launch commit is in-window, so the sampled word is just
       // the settled word.
       if (lanes::any(m)) acct.commit_word_zero(m, energy, t);
       sampled_w_[pi] = settled;
     } else {
-      LW sampled = stale;
+      Word sampled = stale;
       lanes::for_each_lane(m, [&](std::size_t k) {
         t[k] = 0.0;
         if (acct.commit(pi, k, 0.0, energy))
@@ -536,8 +381,8 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
     }
   }
 
-  // One levelized pass. Values: packed kLanes-lane evaluation per
-  // gate. Timing: each lane with input activity runs a miniature event
+  // One levelized pass. Values: packed 64-lane evaluation per gate.
+  // Timing: each lane with input activity runs a miniature event
   // simulation of just this gate over its ≤6 input events (one flip
   // per changed input at its final transition time, a flip-and-return
   // pair per pulsing input), with the event engine's inertial rule —
@@ -570,23 +415,19 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
   // dispatch loops, which keeps the commit sequence (and therefore
   // the floating-point energy accumulation) of any one lane identical
   // whether it was reached by streaming masks or by the cycle scan.
-  // The per-lane bodies are also shared across lane widths (they act
-  // on single lanes through lane_bit/toggle_lane/assign_lane), which
-  // is what makes the 256/512-lane engines bit-exact against the
-  // 64-lane one.
   for (const GateId gid : netlist_.topo_order()) {
     const Gate& g = netlist_.gate(gid);
     const NetId out = g.out;
     const int n = g.num_inputs;
     const unsigned full = (1u << n) - 1u;
 
-    LW in_settled[3] = {};
-    LW in_stale[3] = {};
-    LW in_changed[3] = {};
-    LW in_pulsing[3] = {};
-    LW in_pulsing2[3] = {};
-    LW any_pulse{};
-    LW any_changed{};
+    Word in_settled[3] = {};
+    Word in_stale[3] = {};
+    Word in_changed[3] = {};
+    Word in_pulsing[3] = {};
+    Word in_pulsing2[3] = {};
+    Word any_pulse{};
+    Word any_changed{};
     for (int i = 0; i < n; ++i) {
       const NetId in = g.in[i];
       in_settled[i] = settled_w_[in];
@@ -605,17 +446,17 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
     // lanes (cycle mode; empty under the streaming invariant) — commit
     // for commit what the full dispatch would do on such a gate.
     if (!lanes::any((any_changed | any_pulse) & used)) {
-      const LW settled =
+      const Word settled =
           eval_cell_packed(g.kind, in_settled[0], in_settled[1],
                            in_settled[2]) &
           used;
       settled_w_[out] = settled;
       const auto state0 = static_cast<std::uint8_t>(state_[out] & 1);
       const bool word_recurrence = !kCycleMode || cycle_safe_[gid] != 0;
-      LW sampled;
-      LW m_catch;
+      Word sampled;
+      Word m_catch;
       if (word_recurrence) {
-        const LW stale = lanes::shift1_in(settled, state0) & used;
+        const Word stale = lanes::shift1_in(settled, state0) & used;
         stale_w_[out] = stale;
         sampled = stale;
         m_catch = (settled ^ stale) & used;
@@ -624,7 +465,7 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
         // possible commit is the in-window catch-up), so the stale
         // chain is the settled word shifted by one cycle.
         sampled = settled;
-        const LW stale = lanes::shift1_in(settled, state0) & used;
+        const Word stale = lanes::shift1_in(settled, state0) & used;
         stale_w_[out] = stale;
         m_catch = (settled ^ stale) & used;
       }
@@ -641,8 +482,8 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
         });
       }
       sampled_w_[out] = sampled;
-      pulsing_w_[out] = LW{};
-      pulsing2_w_[out] = LW{};
+      pulsing_w_[out] = Word{};
+      pulsing2_w_[out] = Word{};
       continue;
     }
 
@@ -661,17 +502,17 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
     }
 
     // W[s]: packed gate value with the inputs in subset s still stale.
-    LW W[8];
+    Word W[8];
     for (unsigned s = 0; s <= full; ++s) {
-      const LW wa =
-          n > 0 ? ((s & 1u) ? in_stale[0] : in_settled[0]) : LW{};
-      const LW wb =
-          n > 1 ? ((s & 2u) ? in_stale[1] : in_settled[1]) : LW{};
-      const LW wc =
-          n > 2 ? ((s & 4u) ? in_stale[2] : in_settled[2]) : LW{};
+      const Word wa =
+          n > 0 ? ((s & 1u) ? in_stale[0] : in_settled[0]) : Word{};
+      const Word wb =
+          n > 1 ? ((s & 2u) ? in_stale[1] : in_settled[1]) : Word{};
+      const Word wc =
+          n > 2 ? ((s & 4u) ? in_stale[2] : in_settled[2]) : Word{};
       W[s] = eval_cell_packed(g.kind, wa, wb, wc) & used;
     }
-    const LW settled = W[0];
+    const Word settled = W[0];
     settled_w_[out] = settled;
     const auto state0 = static_cast<std::uint8_t>(state_[out] & 1);
 
@@ -683,9 +524,9 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
     // dispatch even in cycle mode. Only gates reachable past the edge
     // pay the serial ascending lane scan.
     const bool word_recurrence = !kCycleMode || cycle_safe_[gid] != 0;
-    LW stale;
-    LW changed;
-    LW sampled;
+    Word stale;
+    Word changed;
+    Word sampled;
     if (word_recurrence) {
       stale = lanes::shift1_in(settled, state0) & used;
       stale_w_[out] = stale;
@@ -695,14 +536,14 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
       // Built lane by lane in the cycle scan below; lanes without input
       // activity sample their settled value (their only possible commit
       // is the catch-up, which always lands inside the window).
-      stale = LW{};
-      changed = LW{};
+      stale = Word{};
+      changed = Word{};
       sampled = settled;
     }
 
-    LW pulsing{};
-    LW pulsing2{};
-    LW committed{};  // lanes whose output committed a flip
+    Word pulsing{};
+    Word pulsing2{};
+    Word committed{};  // lanes whose output committed a flip
     const double delay = gate_delay_ps_[gid];
     const double energy = net_energy_fj_[out];
     const std::uint16_t truth = cell_truth(g.kind);
@@ -713,9 +554,9 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
     double* pout2_s = &pulse2_start_ps_[base_out];
     double* pout2_e = &pulse2_end_ps_[base_out];
 
-    const LW ch0 = in_changed[0];
-    const LW ch1 = in_changed[1];
-    const LW ch2 = in_changed[2];
+    const Word ch0 = in_changed[0];
+    const Word ch1 = in_changed[1];
+    const Word ch2 = in_changed[2];
 
     // Single-pulse classification. A lane whose only input activity is
     // one surviving pulse on input i (no changed inputs, no second
@@ -727,8 +568,8 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
     // Both reproduce pulse_lane bit-exactly; at deep over-scaling,
     // where glitch fanout makes the generic walk the dominant cost,
     // most pulse-fed lanes fall into these two classes.
-    LW thru[3] = {};
-    LW pulse_skip{};
+    Word thru[3] = {};
+    Word pulse_skip{};
     // Changed+pulse pairs: lanes whose only activity is one changed
     // input j (no bounce) plus one surviving pulse on unchanged input
     // i. Their generic walk has exactly three events with values drawn
@@ -739,65 +580,61 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
     // i complemented, with j stale resp. settled).
     int cp_j[6];
     int cp_i[6];
-    LW cp_m[6];
-    LW cp_est[6];
-    LW cp_ese[6];
+    Word cp_m[6];
+    Word cp_est[6];
+    Word cp_ese[6];
     int ncp = 0;
-    LW cp_all{};
+    Word cp_all{};
     // Pure bounce class: one changed input j carrying its own return
     // pulse, every other input quiet (bounce_lane below).
-    LW bn[3] = {};
-    LW bn_all{};
+    Word bn[3] = {};
+    Word bn_all{};
     int bc_j[6];
     int bc_l[6];
-    LW bc_m[6];
+    Word bc_m[6];
     int nbc = 0;
-    LW bc_all{};
+    Word bc_all{};
     if (lanes::any(any_pulse)) {
-      const LW quiet = ~(ch0 | ch1 | ch2);
-      // Per-input activity words and their "every input but X" ORs.
-      // The classification below needs them as straight-line word ops,
-      // not `for (t) if (t != i)` loops: GCC 12's loop vectorizer
-      // miscompiles that masked-loop form over multi-sub-word lane
-      // words at -O3 (wrong lane masks on the 256/512-bit engines,
-      // caught by tests/test_lanes_wide.cpp), and with n <= 3 and the
-      // activity arrays zero-filled past n the loop-free form is
-      // smaller anyway.
-      const LW pp0 = in_pulsing[0] | in_pulsing2[0];
-      const LW pp1 = in_pulsing[1] | in_pulsing2[1];
-      const LW pp2 = in_pulsing[2] | in_pulsing2[2];
-      const LW pp[3] = {pp0, pp1, pp2};
-      const LW pp_ex[3] = {pp1 | pp2, pp0 | pp2, pp0 | pp1};
-      const LW ch_ex[3] = {ch1 | ch2, ch0 | ch2, ch0 | ch1};
-      const LW cpp[3] = {pp0 | ch0, pp1 | ch1, pp2 | ch2};
-      const LW cpp_ex[3] = {cpp[1] | cpp[2], cpp[0] | cpp[2],
+      const Word quiet = ~(ch0 | ch1 | ch2);
+      // Per-input activity words and their "every input but X" ORs,
+      // as straight-line word ops: with n <= 3 and the activity arrays
+      // zero-filled past n this is smaller than a `for (t) if (t != i)`
+      // loop.
+      const Word pp0 = in_pulsing[0] | in_pulsing2[0];
+      const Word pp1 = in_pulsing[1] | in_pulsing2[1];
+      const Word pp2 = in_pulsing[2] | in_pulsing2[2];
+      const Word pp[3] = {pp0, pp1, pp2};
+      const Word pp_ex[3] = {pp1 | pp2, pp0 | pp2, pp0 | pp1};
+      const Word ch_ex[3] = {ch1 | ch2, ch0 | ch2, ch0 | ch1};
+      const Word cpp[3] = {pp0 | ch0, pp1 | ch1, pp2 | ch2};
+      const Word cpp_ex[3] = {cpp[1] | cpp[2], cpp[0] | cpp[2],
                             cpp[0] | cpp[1]};
       // Packed evaluation with input i complemented and input js (or
       // none, js < 0) at its stale word: the value the gate shows
       // during an excursion of input i.
       const auto eval_comp = [&](int i, int js) {
-        LW wa = js == 0 ? in_stale[0] : in_settled[0];
-        LW wb = n > 1 ? (js == 1 ? in_stale[1] : in_settled[1]) : LW{};
-        LW wc = n > 2 ? (js == 2 ? in_stale[2] : in_settled[2]) : LW{};
+        Word wa = js == 0 ? in_stale[0] : in_settled[0];
+        Word wb = n > 1 ? (js == 1 ? in_stale[1] : in_settled[1]) : Word{};
+        Word wc = n > 2 ? (js == 2 ? in_stale[2] : in_settled[2]) : Word{};
         if (i == 0) wa = ~wa;
         if (i == 1) wb = ~wb;
         if (i == 2) wc = ~wc;
         return eval_cell_packed(g.kind, wa, wb, wc);
       };
       for (int i = 0; i < n; ++i) {
-        const LW only =
+        const Word only =
             in_pulsing[i] & ~in_pulsing2[i] & quiet & used & ~pp_ex[i];
         if (!lanes::any(only)) continue;
-        const LW sens = (eval_comp(i, -1) ^ settled) & only;
+        const Word sens = (eval_comp(i, -1) ^ settled) & only;
         thru[i] = sens;
         pulse_skip |= only & ~sens;
       }
       for (int j = 0; lanes::any(any_changed) && j < n; ++j) {
-        const LW chonly = in_changed[j] & ~pp[j] & used & ~ch_ex[j];
+        const Word chonly = in_changed[j] & ~pp[j] & used & ~ch_ex[j];
         if (!lanes::any(chonly)) continue;
         for (int i = 0; i < n; ++i) {
           if (i == j) continue;
-          const LW m =
+          const Word m =
               chonly & in_pulsing[i] & ~in_pulsing2[i] & ~pp_ex[i];
           if (!lanes::any(m)) continue;
           cp_j[ncp] = j;
@@ -810,7 +647,7 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
         }
       }
       for (int j = 0; lanes::any(any_changed) && j < n; ++j) {
-        const LW m =
+        const Word m =
             in_changed[j] & in_pulsing[j] & ~in_pulsing2[j] & used &
             ~cpp_ex[j];
         bn[j] = m;
@@ -821,11 +658,11 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
       // active. All four reachable gate values are subset words, so
       // the walk needs no extra packed evaluations (bc_lane below).
       for (int j = 0; lanes::any(any_changed) && j < n; ++j) {
-        LW mj = in_changed[j] & in_pulsing[j] & ~in_pulsing2[j] & used;
+        Word mj = in_changed[j] & in_pulsing[j] & ~in_pulsing2[j] & used;
         if (!lanes::any(mj)) continue;
         for (int l = 0; l < n; ++l) {
           if (l == j) continue;
-          LW m = mj & in_changed[l] & ~pp[l];
+          Word m = mj & in_changed[l] & ~pp[l];
           if (n == 3) m &= ~cpp[3 - j - l];
           if (!lanes::any(m)) continue;
           bc_j[nbc] = j;
@@ -836,7 +673,7 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
         }
       }
     }
-    const LW thru_all = thru[0] | thru[1] | thru[2];
+    const Word thru_all = thru[0] | thru[1] | thru[2];
 
     // -- shared per-lane bodies -------------------------------------------
 
@@ -1092,7 +929,7 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
     // trails the flip it returns from), toggling the gate between two
     // packed values — W[1<<j] (j stale) and the settled word. Same
     // inertial walk and tail as pulse_lane, commit for commit.
-    const auto bounce_lane = [&](std::size_t k, int j, const LW& w_jst) {
+    const auto bounce_lane = [&](std::size_t k, int j, const Word& w_jst) {
       const double et[3] = {in_time[j][k], in_ps[j][k], in_pe[j][k]};
       const unsigned a = static_cast<unsigned>(lanes::lane_bit(w_jst, k));
       const unsigned b = static_cast<unsigned>(lanes::lane_bit(settled, k));
@@ -1236,9 +1073,9 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
     // are at most three commits, so the second-pulse branches of the
     // generic tail can never fire and are dropped.
     const auto changed_pulse_lane = [&](std::size_t k, int j, int i,
-                                        const LW& w_jst,
-                                        const LW& w_jst_ic,
-                                        const LW& w_jse_ic) {
+                                        const Word& w_jst,
+                                        const Word& w_jst_ic,
+                                        const Word& w_jse_ic) {
       // Ascending-time event order with pulse_lane's tie-breaking: the
       // generic walk builds events in ascending input index and sorts
       // with strict comparisons, so ties keep build order. With one
@@ -1341,39 +1178,15 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
       // cycle mode): lanes are order-free, so each changed-input class
       // is swept as a packed mask (pulse-free lanes only; pulse-fed
       // lanes take the generic walk).
-      const LW pairs = (ch0 & ch1) | (ch0 & ch2) | (ch1 & ch2);
-      const LW three = ch0 & ch1 & ch2 & ~any_pulse & used;
-      const LW two = pairs & ~(ch0 & ch1 & ch2) & ~any_pulse & used;
-      const LW one = (ch0 ^ ch1 ^ ch2) & ~pairs & ~any_pulse & used;
-
-      // SIMD eligibility: single-threshold accounting, a full lane
-      // word, and an arrival-bounded gate (cycle_safe_ — every commit
-      // provably in-window, so the per-lane window test vanishes and
-      // whole commit classes become branchless vector sweeps). Partial
-      // words, unsafe gates and the sweep accounting keep the scalar
-      // loops; both produce bit-identical per-lane values.
-      bool simd_gate = false;
-      (void)simd_gate;
-#if defined(__AVX2__)
-      if constexpr (Acct::kWordCommit)
-        simd_gate = acct.nlanes == kLanes && cycle_safe_[gid] != 0;
-#endif
+      const Word pairs = (ch0 & ch1) | (ch0 & ch2) | (ch1 & ch2);
+      const Word three = ch0 & ch1 & ch2 & ~any_pulse & used;
+      const Word two = pairs & ~(ch0 & ch1 & ch2) & ~any_pulse & used;
+      const Word one = (ch0 ^ ch1 ^ ch2) & ~pairs & ~any_pulse & used;
 
       // Exactly one changed input: a sensitized lane commits once at
       // t + delay; a non-sensitized lane does nothing at all.
       for (int i = 0; i < n; ++i) {
-        LW m = one & in_changed[i] & (W[1u << i] ^ settled);
-        if (!lanes::any(m)) continue;
-#if defined(__AVX2__)
-        if constexpr (Acct::kWordCommit) {
-          if (simd_gate) {
-            acct.commit_flips_simd(m, in_time[i], delay, energy, tout);
-            sampled ^= m;
-            committed |= m;
-            continue;
-          }
-        }
-#endif
+        const Word m = one & in_changed[i] & (W[1u << i] ^ settled);
         lanes::for_each_lane(m, [&](std::size_t k) {
           commit_flip(k, in_time[i][k] + delay);
         });
@@ -1381,28 +1194,7 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
 
       for (int i = 0; n >= 2 && i < n - 1; ++i) {
         for (int j = i + 1; j < n; ++j) {
-          LW m = two & in_changed[i] & in_changed[j];
-          if (!lanes::any(m)) continue;
-#if defined(__AVX2__)
-          if constexpr (Acct::kWordCommit) {
-            if (simd_gate) {
-              // Changed-output lanes commit exactly once, vectorized;
-              // unchanged-output lanes (possible glitch pulse, with
-              // its pulse bookkeeping) stay scalar. Each lane is in
-              // exactly one group, so per-lane commit order is
-              // untouched.
-              const LW mc = m & changed;
-              if (lanes::any(mc)) {
-                acct.commit_two_simd(mc, in_time[i], in_time[j],
-                                     W[1u << i], W[1u << j], settled,
-                                     delay, energy, tout);
-                sampled ^= mc;
-                committed |= mc;
-              }
-              m &= ~changed;
-            }
-          }
-#endif
+          const Word m = two & in_changed[i] & in_changed[j];
           lanes::for_each_lane(m, [&](std::size_t k) {
             two_changed_lane(k, i, j);
           });
@@ -1457,7 +1249,7 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
       // changed input and provably no commits, so — like lanes without
       // input activity — their sampled value is settled (catch-up) and
       // they can skip the serial scan entirely.
-      const LW active = (ch0 | ch1 | ch2 | any_pulse) & used & ~pulse_skip;
+      const Word active = (ch0 | ch1 | ch2 | any_pulse) & used & ~pulse_skip;
       lanes::for_each_lane(active, [&](std::size_t k) {
         const std::uint8_t sb =
             k == 0 ? state0 : lanes::lane_bit(sampled, k - 1);
@@ -1514,7 +1306,7 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
       });
       // Inactive lanes: stale(k) = sampled(k-1) is final now; the
       // changed ones take their catch-up commit (sampled stays settled).
-      const LW stale_word = lanes::shift1_in(sampled, state0) & used;
+      const Word stale_word = lanes::shift1_in(sampled, state0) & used;
       lanes::for_each_lane((settled ^ stale_word) & ~active & used,
                            [&](std::size_t k) { catch_up_lane(k); });
       stale_w_[out] = stale_word;
@@ -1526,8 +1318,7 @@ void LevelizedSimulatorT<LW>::run_lanes_impl(std::size_t lanes,
   }
 }
 
-template <class LW>
-void LevelizedSimulatorT<LW>::carry_state(std::size_t lanes,
+void LevelizedSimulator::carry_state(std::size_t lanes,
                                           bool truncate) {
   const std::size_t last = lanes - 1;
   for (NetId n = 0; n < static_cast<NetId>(netlist_.num_nets()); ++n) {
@@ -1538,8 +1329,7 @@ void LevelizedSimulatorT<LW>::carry_state(std::size_t lanes,
   }
 }
 
-template <class LW>
-void LevelizedSimulatorT<LW>::run_lanes(std::size_t lanes,
+void LevelizedSimulator::run_lanes(std::size_t lanes,
                                         std::span<StepResult> results,
                                         bool cycle_mode) {
   acc_win_e_.assign(kLanes, 0.0);
@@ -1548,7 +1338,7 @@ void LevelizedSimulatorT<LW>::run_lanes(std::size_t lanes,
   if (cycle_mode) {
     // Window-only accounting: the cycle callers define totals ==
     // window and overwrite them.
-    SingleThresholdAcct<LW, true> acct{tclk_ps_,           lanes,
+    SingleThresholdAcct<true> acct{tclk_ps_,           lanes,
                                        acc_win_e_.data(),  acc_settle_.data(),
                                        acc_win_t_.data(),  nullptr,
                                        nullptr};
@@ -1556,7 +1346,7 @@ void LevelizedSimulatorT<LW>::run_lanes(std::size_t lanes,
   } else {
     acc_tot_e_.assign(kLanes, 0.0);
     acc_tot_t_.assign(kLanes, 0);
-    SingleThresholdAcct<LW, false> acct{tclk_ps_,           lanes,
+    SingleThresholdAcct<false> acct{tclk_ps_,           lanes,
                                         acc_win_e_.data(),  acc_settle_.data(),
                                         acc_win_t_.data(),  acc_tot_e_.data(),
                                         acc_tot_t_.data()};
@@ -1591,8 +1381,7 @@ void LevelizedSimulatorT<LW>::run_lanes(std::size_t lanes,
   carry_state(lanes, /*truncate=*/cycle_mode);
 }
 
-template <class LW>
-void LevelizedSimulatorT<LW>::dispatch_observers(
+void LevelizedSimulator::dispatch_observers(
     std::size_t lanes, std::span<const StepResult> results) {
   const std::size_t nnets = netlist_.num_nets();
   if (obs_level_.empty()) {
@@ -1630,7 +1419,7 @@ void LevelizedSimulatorT<LW>::dispatch_observers(
         std::max(sum.slack_consumed_ps,
                  std::max(0.0, results[k].settle_time_ps - tclk_ps_));
   }
-  const LW used = lanes::mask<LW>(lanes);
+  const Word used = lanes::mask(lanes);
   for (const GateId gid : netlist_.topo_order()) {
     const NetId out = netlist_.gate(gid).out;
     if (!lanes::any((sampled_w_[out] ^ settled_w_[out]) & used)) continue;
@@ -1643,8 +1432,7 @@ void LevelizedSimulatorT<LW>::dispatch_observers(
   for (SimObserver* o : observers_) o->on_lane_word(*this, sum);
 }
 
-template <class LW>
-void LevelizedSimulatorT<LW>::run_lanes_sweep(
+void LevelizedSimulator::run_lanes_sweep(
     std::size_t lanes, std::span<const double> thresholds_ps,
     std::span<StepResult> results) {
   const std::size_t nthr = thresholds_ps.size();
@@ -1653,12 +1441,12 @@ void LevelizedSimulatorT<LW>::run_lanes_sweep(
 
   sweep_ediff_.assign((nthr + 1) * kLanes, 0.0);
   sweep_tdiff_.assign((nthr + 1) * kLanes, 0);
-  sweep_sdiff_.assign(npo * (nthr + 1), LW{});
+  sweep_sdiff_.assign(npo * (nthr + 1), Word{});
   sweep_tot_e_.assign(kLanes, 0.0);
   sweep_tot_t_.assign(kLanes, 0);
   sweep_settle_.assign(kLanes, 0.0);
 
-  MultiThresholdAcct<LW> acct{thresholds_ps,       sweep_ediff_.data(),
+  MultiThresholdAcct acct{thresholds_ps,       sweep_ediff_.data(),
                               sweep_tdiff_.data(), sweep_sdiff_.data(),
                               sweep_tot_e_.data(), sweep_tot_t_.data(),
                               sweep_settle_.data(), po_index_.data()};
@@ -1678,7 +1466,7 @@ void LevelizedSimulatorT<LW>::run_lanes_sweep(
     }
   }
   for (std::size_t p = 0; p < npo; ++p) {
-    LW run = stale_w_[pos[p]];
+    Word run = stale_w_[pos[p]];
     for (std::size_t j = 0; j < nthr; ++j) {
       run ^= sweep_sdiff_[p * (nthr + 1) + j];
       sweep_sdiff_[p * (nthr + 1) + j] = run;
@@ -1709,9 +1497,5 @@ void LevelizedSimulatorT<LW>::run_lanes_sweep(
   }
   carry_state(lanes);
 }
-
-template class LevelizedSimulatorT<lanes::Word>;
-template class LevelizedSimulatorT<lanes::Word256>;
-template class LevelizedSimulatorT<lanes::Word512>;
 
 }  // namespace vosim

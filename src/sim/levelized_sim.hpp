@@ -1,27 +1,15 @@
 // Bit-parallel levelized timing simulation: the fast SimEngine backend.
 //
 // The netlist is levelized once (the topological order computed by
-// Netlist::finalize) and every pass evaluates up to kLanes patterns at
-// a time, one pattern per bit of a packed lane word per net. The
-// engine is templated on the lane word (DESIGN.md §7): 64 lanes
-// (uint64_t, the portable baseline), 256 lanes (lanes::Word256,
-// AVX2-sized) or 512 lanes (lanes::Word512, AVX-512-sized) per pass,
-// with make_engine picking the widest width the build and CPU support.
-// Timing errors are modeled without an event queue: each gate runs a
-// per-lane miniature event simulation over its own input transitions
+// Netlist::finalize) and every pass evaluates up to 64 patterns at a
+// time, one pattern per bit of a packed lanes::Word per net. Timing
+// errors are modeled without an event queue: each gate runs a per-lane
+// miniature event simulation over its own input transitions
 // (data-dependent times bounded by the STA arrival model,
 // src/sta/sta.hpp) and forwards at most a first flip plus one return
 // pulse downstream. A lane whose transitions all exceed Tclk latches
 // its stale lane value (the previous pattern's settled value),
 // reproducing the paper's VOS timing-error semantics.
-//
-// The per-lane serial walks (edge-crossing gates in cycle mode, pulse
-// event walks, at-edge truncation) stay scalar at every width by
-// design: only the word-level masks and the whole-word dispatch widen,
-// so each lane executes exactly the operation sequence the u64 engine
-// would — the wide engines are bit-exact against the 64-lane one
-// (pinned by tests/test_lanes_wide.cpp), not merely statistically
-// close.
 //
 // Divergences from the event-driven reference (DESIGN.md §7): a net
 // forwards at most one flip plus two pulses per operation (longer
@@ -44,31 +32,28 @@
 namespace vosim {
 
 /// Levelized bit-parallel simulator bound to one netlist, library and
-/// triad, templated on the lane word. Same streaming-state semantics
-/// as TimingSimulator: lane k's stale value is lane k-1's settled
-/// value (lane 0 continues from the state left by the previous
-/// reset/step/step_batch). In cycle-batch mode (step_cycle_batch) lane
-/// k is instead clock cycle k and launches from lane k-1's *sampled*
-/// (at-edge truncated) value — DESIGN.md §10.
-template <class LaneWord>
-class LevelizedSimulatorT final : public SimEngine {
+/// triad. Same streaming-state semantics as TimingSimulator: lane k's
+/// stale value is lane k-1's settled value (lane 0 continues from the
+/// state left by the previous reset/step/step_batch). In cycle-batch
+/// mode (step_cycle_batch) lane k is instead clock cycle k and
+/// launches from lane k-1's *sampled* (at-edge truncated) value —
+/// DESIGN.md §10.
+class LevelizedSimulator final : public SimEngine {
  public:
-  /// The packed lane word type of this instantiation.
-  using Word = LaneWord;
+  using Word = lanes::Word;
 
   /// Patterns (or, in cycle-batch mode, cycles) evaluated per packed
   /// pass — one per bit of a lane word.
-  static constexpr std::size_t kLanes = lanes::lane_count_v<LaneWord>;
+  static constexpr std::size_t kLanes = lanes::kWordLanes;
 
-  LevelizedSimulatorT(const Netlist& netlist, const CellLibrary& lib,
-                      const OperatingTriad& op,
-                      const TimingSimConfig& config = {});
+  LevelizedSimulator(const Netlist& netlist, const CellLibrary& lib,
+                     const OperatingTriad& op,
+                     const TimingSimConfig& config = {});
 
   // -- SimEngine ---------------------------------------------------------
   EngineKind kind() const noexcept override { return EngineKind::kLevelized; }
   const Netlist& netlist() const noexcept override { return netlist_; }
   const OperatingTriad& triad() const noexcept override { return op_; }
-  std::size_t lanes_per_pass() const noexcept override { return kLanes; }
 
   void reset(std::span<const std::uint8_t> inputs) override;
   StepResult step(std::span<const std::uint8_t> inputs) override;
@@ -86,7 +71,7 @@ class LevelizedSimulatorT final : public SimEngine {
   void step_batch(std::span<const std::uint8_t> inputs, std::size_t count,
                   std::span<StepResult> results) override;
 
-  /// Native kLanes-cycles-per-pass clocked batch: bit-exact with
+  /// Native 64-cycles-per-pass clocked batch: bit-exact with
   /// `count` sequential step_cycle() calls (outputs, per-cycle energy,
   /// commit order), but the packed lanes stay alive across cycles —
   /// lane k of every net launches from lane k-1's sampled (truncated)
@@ -196,9 +181,9 @@ class LevelizedSimulatorT final : public SimEngine {
   std::vector<std::uint8_t> sampled_state_;  // sampled at last op's edge
 
   // Per-pass scratch, indexed by net (lane words) / net*kLanes (times).
-  std::vector<LaneWord> settled_w_;
-  std::vector<LaneWord> stale_w_;
-  std::vector<LaneWord> sampled_w_;
+  std::vector<Word> settled_w_;
+  std::vector<Word> stale_w_;
+  std::vector<Word> sampled_w_;
   // Transition time per net per lane. Deliberately *uninitialized*
   // (make_unique_for_overwrite): every read is guarded by a
   // current-pass mask bit (in_changed / pulsing) whose lane was written
@@ -213,10 +198,10 @@ class LevelizedSimulatorT final : public SimEngine {
   // (pulsing2_w_) captures four-commit chatter exactly; longer chatter
   // merges its tail into the second pulse. Pulses are propagated
   // downstream and sampled when the capture edge falls inside them.
-  std::vector<LaneWord> pulsing_w_;
+  std::vector<Word> pulsing_w_;
   std::unique_ptr<double[]> pulse_start_ps_;  // uninitialized, see above
   std::unique_ptr<double[]> pulse_end_ps_;
-  std::vector<LaneWord> pulsing2_w_;
+  std::vector<Word> pulsing2_w_;
   std::unique_ptr<double[]> pulse2_start_ps_;
   std::unique_ptr<double[]> pulse2_end_ps_;
 
@@ -241,27 +226,11 @@ class LevelizedSimulatorT final : public SimEngine {
   std::vector<std::int32_t> po_index_;
   std::vector<double> sweep_ediff_;        // (nthr+1) × kLanes
   std::vector<std::uint32_t> sweep_tdiff_;  // (nthr+1) × kLanes
-  std::vector<LaneWord> sweep_sdiff_;       // nPO × (nthr+1)
+  std::vector<Word> sweep_sdiff_;           // nPO × (nthr+1)
   std::vector<double> sweep_tot_e_;         // per lane
   std::vector<std::uint32_t> sweep_tot_t_;  // per lane
   std::vector<double> sweep_settle_;        // per lane
 };
-
-// The three lane widths are always compiled (the wide words degrade to
-// scalar sub-word loops without SIMD flags), so any width can be
-// forced on any host; make_engine's auto dispatch picks the widest
-// accelerated one (lanes::resolve_lane_width).
-extern template class LevelizedSimulatorT<lanes::Word>;
-extern template class LevelizedSimulatorT<lanes::Word256>;
-extern template class LevelizedSimulatorT<lanes::Word512>;
-
-/// The 64-lane instantiation — the portable baseline and the name the
-/// rest of the codebase grew up with.
-using LevelizedSimulator = LevelizedSimulatorT<lanes::Word>;
-/// 256-lane (AVX2-sized) instantiation.
-using LevelizedSimulator256 = LevelizedSimulatorT<lanes::Word256>;
-/// 512-lane (AVX-512-sized) instantiation.
-using LevelizedSimulator512 = LevelizedSimulatorT<lanes::Word512>;
 
 }  // namespace vosim
 

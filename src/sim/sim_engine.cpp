@@ -65,17 +65,7 @@ std::unique_ptr<SimEngine> make_engine(const Netlist& netlist,
     case EngineKind::kEvent:
       return std::make_unique<TimingSimulator>(netlist, lib, op, config);
     case EngineKind::kLevelized:
-      switch (lanes::resolve_lane_width(config.lane_width)) {
-        case 512:
-          return std::make_unique<LevelizedSimulator512>(netlist, lib, op,
-                                                         config);
-        case 256:
-          return std::make_unique<LevelizedSimulator256>(netlist, lib, op,
-                                                         config);
-        default:
-          return std::make_unique<LevelizedSimulator>(netlist, lib, op,
-                                                      config);
-      }
+      return std::make_unique<LevelizedSimulator>(netlist, lib, op, config);
   }
   throw std::invalid_argument("unknown EngineKind");
 }

@@ -8,11 +8,11 @@
 //   kEvent      event-driven simulation with inertial delays — the
 //               accuracy reference (src/sim/event_sim.hpp).
 //   kLevelized  bit-parallel levelized simulation — one topological
-//               pass evaluates a lane word of packed patterns (64 in
-//               a uint64_t by default, 256/512 in wide lane words),
-//               with per-lane transition times bounded by the STA
-//               arrival model (src/sim/levelized_sim.hpp). An order
-//               of magnitude faster on full-grid sweeps.
+//               pass evaluates 64 packed patterns (one per bit of a
+//               uint64_t lane word), with per-lane transition times
+//               bounded by the STA arrival model
+//               (src/sim/levelized_sim.hpp). An order of magnitude
+//               faster on full-grid sweeps.
 //
 // DESIGN.md §7 documents the levelized error model and when the two
 // backends diverge (glitches, inertial pulse filtering).
@@ -73,14 +73,6 @@ struct TimingSimConfig {
   /// Backend built by make_engine() and the engine-generic wrappers
   /// (VosDutSim, characterize_dut, AdaptiveVosUnit).
   EngineKind engine = EngineKind::kEvent;
-  /// Lanes per levelized pass: 64, 256, 512, or 0 = auto (resolved by
-  /// lanes::resolve_lane_width against the --lane-width override and
-  /// the VOSIM_LANE_WIDTH environment variable; plain auto is 64).
-  /// Ignored by the event backend. All widths are bit-exact against
-  /// each other; wider words only pay off on low-activity workloads
-  /// (lanes.hpp, DESIGN.md §7), which is why auto does not chase the
-  /// widest compiled SIMD tier (CMake option VOSIM_SIMD).
-  std::size_t lane_width = 0;
 };
 
 /// One committed transition (for waveform dumps).
@@ -127,13 +119,6 @@ class SimEngine {
   virtual EngineKind kind() const noexcept = 0;
   virtual const Netlist& netlist() const noexcept = 0;
   virtual const OperatingTriad& triad() const noexcept = 0;
-
-  /// Patterns/cycles this engine evaluates per internal pass (1 for
-  /// the event backend, the lane count for the levelized backends).
-  /// Callers that chunk work — SeqSim's cycle batching, the
-  /// characterizer's streaming segments — size their chunks as a
-  /// multiple of this so no pass runs partially filled.
-  virtual std::size_t lanes_per_pass() const noexcept { return 1; }
 
   /// Applies input values and lets the circuit settle completely
   /// (no sampling, no energy accounting).

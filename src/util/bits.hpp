@@ -18,7 +18,7 @@ inline constexpr int max_word_bits = 63;
 
 /// Mask with the low `n` bits set. Precondition: 0 <= n <= 64.
 /// Forwards to lanes::mask — the single home of the mask/popcount
-/// helpers, which also defines the 256/512-lane wide versions.
+/// helpers.
 constexpr std::uint64_t mask_n(int n) {
   return lanes::mask(static_cast<std::size_t>(n));
 }

@@ -4,19 +4,8 @@
 // (batched sequential simulation, DESIGN.md §10).
 //
 // Everything that packs, masks, or iterates lanes goes through this
-// header. Three lane words exist (DESIGN.md §7):
-//
-//   Word            64 lanes, plain uint64_t — the portable baseline
-//   Word256        256 lanes, 4×uint64_t sub-words (AVX2-sized)
-//   Word512        512 lanes, 8×uint64_t sub-words (AVX-512-sized)
-//
-// The wide words are plain sub-word arrays with element-wise bitwise
-// operators: built with -mavx2/-mavx512f the compiler lowers them to
-// single vector ops, and built without any SIMD flags they are still
-// correct (just scalar), so every instantiation can be compiled — and
-// forced via --lane-width / VOSIM_LANE_WIDTH — on every host. The
-// runtime dispatch below picks the widest width that is both compiled
-// in and supported by the CPU.
+// header. There is one lane word, a plain uint64_t with 64 lanes
+// (DESIGN.md §7 records why wider words were removed).
 #ifndef VOSIM_UTIL_LANES_HPP
 #define VOSIM_UTIL_LANES_HPP
 
@@ -24,173 +13,47 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
-#include <type_traits>
 
 namespace vosim::lanes {
 
-/// The default lane word. All per-net simulator state (settled / stale
-/// / sampled values, pulse flags) is stored as one lane word per net.
+/// The lane word. All per-net simulator state (settled / stale /
+/// sampled values, pulse flags) is stored as one lane word per net.
 using Word = std::uint64_t;
 
 /// Number of lanes a Word carries (one bit per lane).
 inline constexpr std::size_t kWordLanes = 64;
 
-/// Wide lane word: NSub uint64_t sub-words, lane k living in bit
-/// (k % 64) of sub-word (k / 64). Bitwise operators are element-wise
-/// loops the compiler auto-vectorizes when the matching ISA is enabled.
-template <std::size_t NSub>
-struct alignas(8 * NSub) WideWord {
-  static_assert(NSub >= 2 && (NSub & (NSub - 1)) == 0,
-                "sub-word count must be a power of two >= 2");
-  std::uint64_t s[NSub];
-
-  constexpr WideWord& operator&=(const WideWord& o) {
-    for (std::size_t i = 0; i < NSub; ++i) s[i] &= o.s[i];
-    return *this;
-  }
-  constexpr WideWord& operator|=(const WideWord& o) {
-    for (std::size_t i = 0; i < NSub; ++i) s[i] |= o.s[i];
-    return *this;
-  }
-  constexpr WideWord& operator^=(const WideWord& o) {
-    for (std::size_t i = 0; i < NSub; ++i) s[i] ^= o.s[i];
-    return *this;
-  }
-  friend constexpr WideWord operator&(WideWord a, const WideWord& b) {
-    return a &= b;
-  }
-  friend constexpr WideWord operator|(WideWord a, const WideWord& b) {
-    return a |= b;
-  }
-  friend constexpr WideWord operator^(WideWord a, const WideWord& b) {
-    return a ^= b;
-  }
-  friend constexpr WideWord operator~(WideWord a) {
-    for (std::size_t i = 0; i < NSub; ++i) a.s[i] = ~a.s[i];
-    return a;
-  }
-  friend constexpr bool operator==(const WideWord&,
-                                   const WideWord&) = default;
-};
-
-/// 256-lane word (AVX2-sized) — 4 uint64_t sub-words.
-using Word256 = WideWord<4>;
-/// 512-lane word (AVX-512-sized) — 8 uint64_t sub-words.
-using Word512 = WideWord<8>;
-
-/// Lane traits: lane and sub-word counts of a lane word type.
-template <class W>
-struct LaneTraits;
-template <>
-struct LaneTraits<Word> {
-  static constexpr std::size_t kLanes = kWordLanes;
-  static constexpr std::size_t kSubwords = 1;
-};
-template <std::size_t NSub>
-struct LaneTraits<WideWord<NSub>> {
-  static constexpr std::size_t kLanes = NSub * kWordLanes;
-  static constexpr std::size_t kSubwords = NSub;
-};
-
-template <class W>
-inline constexpr std::size_t lane_count_v = LaneTraits<W>::kLanes;
-template <class W>
-inline constexpr std::size_t subword_count_v = LaneTraits<W>::kSubwords;
-
-/// Sub-word `i` of a lane word (the whole word for plain Word).
-constexpr std::uint64_t subword(Word w, std::size_t) { return w; }
-template <std::size_t N>
-constexpr std::uint64_t subword(const WideWord<N>& w, std::size_t i) {
-  assert(i < N);
-  return w.s[i];
+/// Word with only lane `k` set. Precondition: k < kWordLanes.
+constexpr Word bit(std::size_t k) {
+  assert(k < kWordLanes);
+  return Word{1} << k;
 }
 
-/// Replaces sub-word `i` of a lane word.
-constexpr void set_subword(Word& w, std::size_t, std::uint64_t v) {
-  w = v;
-}
-template <std::size_t N>
-constexpr void set_subword(WideWord<N>& w, std::size_t i,
-                           std::uint64_t v) {
-  assert(i < N);
-  w.s[i] = v;
-}
-
-/// Word with only lane `k` set. Precondition: k < lane_count_v<W>.
-template <class W = Word>
-constexpr W bit(std::size_t k) {
-  assert(k < lane_count_v<W>);
-  if constexpr (std::is_same_v<W, Word>) {
-    return Word{1} << k;
-  } else {
-    W r{};
-    r.s[k / kWordLanes] = std::uint64_t{1} << (k % kWordLanes);
-    return r;
-  }
-}
-
-/// Mask selecting the low `n` lanes. Precondition: n <= lane_count_v<W>.
-template <class W = Word>
-constexpr W mask(std::size_t n) {
-  assert(n <= lane_count_v<W>);
-  if constexpr (std::is_same_v<W, Word>) {
-    return n >= kWordLanes ? ~Word{0} : ((Word{1} << n) - Word{1});
-  } else {
-    W r{};
-    for (std::size_t i = 0; i < subword_count_v<W>; ++i) {
-      const std::size_t lo = i * kWordLanes;
-      r.s[i] = n >= lo + kWordLanes ? ~std::uint64_t{0}
-               : n > lo ? ((std::uint64_t{1} << (n - lo)) - 1)
-                        : std::uint64_t{0};
-    }
-    return r;
-  }
+/// Mask selecting the low `n` lanes. Precondition: n <= kWordLanes.
+constexpr Word mask(std::size_t n) {
+  assert(n <= kWordLanes);
+  return n >= kWordLanes ? ~Word{0} : ((Word{1} << n) - Word{1});
 }
 
 /// Number of set lanes in `w`.
 constexpr int popcount(Word w) { return std::popcount(w); }
-template <std::size_t N>
-constexpr int popcount(const WideWord<N>& w) {
-  int c = 0;
-  for (std::size_t i = 0; i < N; ++i) c += std::popcount(w.s[i]);
-  return c;
-}
 
-/// Value of lane `k` of `w` as 0/1. Precondition: k < lane_count_v<W>.
+/// Value of lane `k` of `w` as 0/1. Precondition: k < kWordLanes.
 constexpr std::uint8_t lane_bit(Word w, std::size_t k) {
   assert(k < kWordLanes);
   return static_cast<std::uint8_t>((w >> k) & Word{1});
 }
-template <std::size_t N>
-constexpr std::uint8_t lane_bit(const WideWord<N>& w, std::size_t k) {
-  assert(k < N * kWordLanes);
-  return static_cast<std::uint8_t>((w.s[k / kWordLanes] >>
-                                    (k % kWordLanes)) &
-                                   std::uint64_t{1});
-}
 
-/// Toggles lane `k` of `w` in place (single-sub-word op on wide words,
-/// cheaper than w ^= bit<W>(k) for the per-lane serial walks).
+/// Toggles lane `k` of `w` in place.
 constexpr void toggle_lane(Word& w, std::size_t k) {
   assert(k < kWordLanes);
   w ^= Word{1} << k;
 }
-template <std::size_t N>
-constexpr void toggle_lane(WideWord<N>& w, std::size_t k) {
-  assert(k < N * kWordLanes);
-  w.s[k / kWordLanes] ^= std::uint64_t{1} << (k % kWordLanes);
-}
 
-/// Sets lane `k` of `w` in place (see toggle_lane).
+/// Sets lane `k` of `w` in place.
 constexpr void set_lane(Word& w, std::size_t k) {
   assert(k < kWordLanes);
   w |= Word{1} << k;
-}
-template <std::size_t N>
-constexpr void set_lane(WideWord<N>& w, std::size_t k) {
-  assert(k < N * kWordLanes);
-  w.s[k / kWordLanes] |= std::uint64_t{1} << (k % kWordLanes);
 }
 
 /// Sets lane `k` of `w` to `v` in place.
@@ -199,49 +62,14 @@ constexpr void assign_lane(Word& w, std::size_t k, bool v) {
   const Word b = Word{1} << k;
   w = v ? (w | b) : (w & ~b);
 }
-template <std::size_t N>
-constexpr void assign_lane(WideWord<N>& w, std::size_t k, bool v) {
-  assert(k < N * kWordLanes);
-  assign_lane(w.s[k / kWordLanes], k % kWordLanes, v);
-}
 
 /// True iff any lane of `w` is set.
 constexpr bool any(Word w) { return w != Word{0}; }
-template <std::size_t N>
-constexpr bool any(const WideWord<N>& w) {
-  std::uint64_t o = 0;
-  for (std::size_t i = 0; i < N; ++i) o |= w.s[i];
-  return o != 0;
-}
 
 /// Whole-word shift up by one lane, shifting `low` into lane 0: the
 /// stale-value recurrence stale(k) = settled(k-1) of streaming mode.
 constexpr Word shift1_in(Word w, std::uint8_t low) {
   return (w << 1) | Word{static_cast<std::uint64_t>(low & 1)};
-}
-template <std::size_t N>
-constexpr WideWord<N> shift1_in(const WideWord<N>& w, std::uint8_t low) {
-  // No loop-carried dependency: sub-word i reads sub-word i-1's top
-  // bit directly, so the loop vectorizes instead of serializing on a
-  // carry chain.
-  WideWord<N> r{};
-  r.s[0] = (w.s[0] << 1) | static_cast<std::uint64_t>(low & 1);
-  for (std::size_t i = 1; i < N; ++i)
-    r.s[i] = (w.s[i] << 1) | (w.s[i - 1] >> (kWordLanes - 1));
-  return r;
-}
-
-/// a AND NOT b, lane-wise.
-template <class W>
-constexpr W andn(const W& a, const W& b) {
-  return a & ~b;
-}
-
-/// Lane-wise select: lane k of the result is a(k) where m(k)=1, else
-/// b(k).
-template <class W>
-constexpr W select(const W& m, const W& a, const W& b) {
-  return (a & m) | (b & ~m);
 }
 
 /// Calls `fn(k)` for each set lane `k` of `w`, in ascending lane order.
@@ -255,67 +83,6 @@ constexpr void for_each_lane(Word w, Fn&& fn) {
     w &= w - Word{1};
   }
 }
-template <std::size_t N, class Fn>
-constexpr void for_each_lane(const WideWord<N>& w, Fn&& fn) {
-  for (std::size_t i = 0; i < N; ++i) {
-    std::uint64_t ws = w.s[i];
-    const std::size_t base = i * kWordLanes;
-    while (ws != 0) {
-      fn(base + static_cast<std::size_t>(std::countr_zero(ws)));
-      ws &= ws - 1;
-    }
-  }
-}
-
-// ---- Runtime lane-width selection (lanes.cpp) -----------------------
-//
-// A lane width is 64, 256 or 512 (lanes per simulator pass). Width
-// resolution precedence, first valid wins:
-//   1. an explicit per-engine request (TimingSimConfig::lane_width)
-//   2. the process-wide override (--lane-width via
-//      set_lane_width_override)
-//   3. the VOSIM_LANE_WIDTH environment variable ("64"/"256"/"512")
-//   4. auto: 64
-// Explicit requests are honored even beyond what the build or CPU can
-// accelerate — every instantiation is compiled portably, wider words
-// just lower to scalar sub-word loops. Auto deliberately stays at 64
-// rather than the widest accelerated width: on the deep over-scaling
-// sweeps this simulator exists for, per-lane serial event walks
-// dominate wall-clock (the packed word recurrence is a minority of the
-// profile), so 256/512-lane words measure at or below parity with the
-// 64-lane engine (DESIGN.md §7). Wide words are a measured, bit-exact
-// opt-in for low-activity workloads, not a default.
-
-/// True iff `width` is a valid lane width (64, 256 or 512).
-constexpr bool is_lane_width(std::size_t width) {
-  return width == 64 || width == 256 || width == 512;
-}
-
-/// Widest lane width the build was compiled to accelerate: 512 with
-/// AVX-512F, 256 with AVX2, else 64.
-std::size_t max_compiled_lane_width() noexcept;
-
-/// Widest lane width that is compiled in AND supported by this CPU.
-std::size_t max_supported_lane_width() noexcept;
-
-/// Name of the widest compiled SIMD tier: "avx512", "avx2" or "none".
-const char* simd_compiled_name() noexcept;
-
-/// Sets (width 64/256/512) or clears (width 0) the process-wide lane
-/// width override. Invalid widths are ignored.
-void set_lane_width_override(std::size_t width) noexcept;
-
-/// Current process-wide override, 0 if none.
-std::size_t lane_width_override() noexcept;
-
-/// Resolves a lane-width request (0 = auto) against the override, the
-/// VOSIM_LANE_WIDTH environment variable and the host capabilities.
-/// Always returns 64, 256 or 512.
-std::size_t resolve_lane_width(std::size_t requested) noexcept;
-
-/// Parses "auto"/"64"/"256"/"512" into a width (auto -> 0). Returns
-/// false on anything else.
-bool parse_lane_width(std::string_view text, std::size_t& width) noexcept;
 
 }  // namespace vosim::lanes
 

@@ -198,6 +198,51 @@ TEST(CampaignStore, LoadOnStartSkipsGarbageAndKeepsLastWrite) {
   std::remove(path.c_str());
 }
 
+TEST(CampaignStore, TornTailIsCutBeforeTheNextAppend) {
+  const std::string path = temp_path("store_torn_tail.jsonl");
+  std::remove(path.c_str());
+  CampaignCell first = sample_cell();
+  CampaignCell second = sample_cell();
+  second.key.backend = "exact";
+  CampaignCell sobel = sample_cell();
+  sobel.key.workload = "sobel";
+  sobel.quality = 31.5;
+  CampaignCell blur = sample_cell();
+  blur.key.workload = "blur";
+  blur.quality = 44.25;
+  {
+    CampaignStore store(path);
+    store.insert(first);
+    store.insert(second);
+  }
+  // A kill -9 mid-append: sobel's line stops before "quality" and
+  // never gets its newline.
+  {
+    const std::string line = CampaignStore::to_jsonl(sobel);
+    std::ofstream f(path, std::ios::app);
+    f << line.substr(0, line.find("\"quality\""));
+  }
+  {
+    CampaignStore resumed(path);
+    EXPECT_EQ(resumed.size(), 2u);
+    resumed.insert(blur);
+  }
+  CampaignStore reopened(path);
+  EXPECT_EQ(reopened.size(), 3u);
+  EXPECT_FALSE(reopened.find(sobel.key).has_value());
+  const auto hit = reopened.find(blur.key);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->quality, blur.quality);
+  // Every line on disk is whole again.
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(text.back(), '\n');
+  std::remove(path.c_str());
+}
+
 // ----------------------------------------------------------------- pareto
 CampaignCell point(double energy, double norm) {
   CampaignCell cell;

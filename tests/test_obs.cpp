@@ -136,7 +136,7 @@ TEST(Manifest, RoundTripsThroughJsonl) {
   obs::RunManifest m;
   m.tool = "campaign";
   m.engine = "levelized";
-  m.lane_width = 256;
+  m.lane_width = 256;  // a width older stores were stamped with
   m.shard = "2/4";
   m.config = "campaign --workloads=fir";
   const std::string line = m.to_jsonl();

@@ -43,23 +43,9 @@ TEST(SimEngine, FactoryBuildsSelectedBackend) {
   const AdderNetlist rca = build_rca(4);
   TimingSimConfig cfg;
   cfg.engine = EngineKind::kLevelized;
-  // An explicit lane_width beats the --lane-width override and the
-  // VOSIM_LANE_WIDTH environment variable (dispatch precedence), so
-  // the concrete instantiation is deterministic here.
-  cfg.lane_width = 64;
   const auto lev = make_engine(rca.netlist, lib(), {1.0, 1.0, 0.0}, cfg);
   EXPECT_EQ(lev->kind(), EngineKind::kLevelized);
   EXPECT_NE(dynamic_cast<LevelizedSimulator*>(lev.get()), nullptr);
-  EXPECT_EQ(lev->lanes_per_pass(), 64u);
-  cfg.lane_width = 256;
-  const auto lev256 = make_engine(rca.netlist, lib(), {1.0, 1.0, 0.0}, cfg);
-  EXPECT_NE(dynamic_cast<LevelizedSimulator256*>(lev256.get()), nullptr);
-  EXPECT_EQ(lev256->lanes_per_pass(), 256u);
-  cfg.lane_width = 512;
-  const auto lev512 = make_engine(rca.netlist, lib(), {1.0, 1.0, 0.0}, cfg);
-  EXPECT_NE(dynamic_cast<LevelizedSimulator512*>(lev512.get()), nullptr);
-  EXPECT_EQ(lev512->lanes_per_pass(), 512u);
-  cfg.lane_width = 0;
   cfg.engine = EngineKind::kEvent;
   const auto ev = make_engine(rca.netlist, lib(), {1.0, 1.0, 0.0}, cfg);
   EXPECT_EQ(ev->kind(), EngineKind::kEvent);
@@ -342,7 +328,6 @@ TEST(SimEngine, StaArrivalBoundsSettleTimes) {
   cfg.variation_sigma = 0.05;
   cfg.variation_seed = 11;
   cfg.engine = EngineKind::kLevelized;
-  cfg.lane_width = 64;  // pin the instantiation for the cast below
   VosDutSim sim(rca, lib(), op, cfg);
   const LevelizedSimulator& eng =
       dynamic_cast<const LevelizedSimulator&>(sim.engine());

@@ -1,5 +1,5 @@
-// Unit tests for src/util: RNG, bit helpers, statistics, tables,
-// parallel_for and contract macros.
+// Unit tests for src/util: RNG, bit and lane-word helpers, statistics,
+// tables, parallel_for and contract macros.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,9 +7,11 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "src/util/bits.hpp"
 #include "src/util/contracts.hpp"
+#include "src/util/lanes.hpp"
 #include "src/util/parallel.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
@@ -194,6 +196,80 @@ TEST(Bits, ExactAddMatchesArithmetic) {
   EXPECT_EQ(exact_add(5, 6, 8, true), 12u);
   EXPECT_THROW(exact_add(0x100, 0, 8), ContractViolation);
   EXPECT_THROW(exact_add(0, 0, 0), ContractViolation);
+}
+
+// ---------------------------------------------------------------- lanes
+// The lane-word helpers against a per-lane reference: lane k is bit k
+// of the uint64_t.
+TEST(Lanes, HelpersMatchPerLaneReference) {
+  constexpr std::size_t n = lanes::kWordLanes;
+  Rng rng(12345);
+  const lanes::Word a = rng.bits(64);
+
+  int pop = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto want = static_cast<std::uint8_t>((a >> k) & 1u);
+    ASSERT_EQ(want, lanes::lane_bit(a, k)) << k;
+    pop += want;
+  }
+  EXPECT_EQ(pop, lanes::popcount(a));
+
+  // bit / mask shapes.
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1},
+                              std::size_t{62}, std::size_t{63}}) {
+    const lanes::Word one = lanes::bit(k);
+    EXPECT_EQ(1, lanes::popcount(one)) << k;
+    EXPECT_EQ(1, lanes::lane_bit(one, k)) << k;
+  }
+  for (const std::size_t c : {std::size_t{0}, std::size_t{1},
+                              std::size_t{63}, std::size_t{64}}) {
+    const lanes::Word lo = lanes::mask(c);
+    EXPECT_EQ(static_cast<int>(c), lanes::popcount(lo)) << c;
+    for (std::size_t k = 0; k < n; ++k)
+      ASSERT_EQ(k < c ? 1 : 0, lanes::lane_bit(lo, k)) << c << " " << k;
+  }
+
+  // shift1_in is the streaming stale recurrence: out(k) = in(k-1),
+  // out(0) = low.
+  for (const std::uint8_t low : {std::uint8_t{0}, std::uint8_t{1}}) {
+    const lanes::Word sh = lanes::shift1_in(a, low);
+    ASSERT_EQ(low, lanes::lane_bit(sh, 0));
+    for (std::size_t k = 1; k < n; ++k)
+      ASSERT_EQ(lanes::lane_bit(a, k - 1), lanes::lane_bit(sh, k)) << k;
+  }
+
+  // toggle/set/assign touch exactly one lane.
+  lanes::Word t = a;
+  lanes::toggle_lane(t, 63);
+  lanes::toggle_lane(t, 5);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::uint8_t flip = (k == 63 || k == 5) ? 1 : 0;
+    ASSERT_EQ(lanes::lane_bit(a, k) ^ flip, lanes::lane_bit(t, k)) << k;
+  }
+  lanes::Word st = a;
+  lanes::set_lane(st, 60);
+  lanes::assign_lane(st, 61, false);
+  lanes::assign_lane(st, 62, true);
+  for (std::size_t k = 0; k < n; ++k) {
+    std::uint8_t want = lanes::lane_bit(a, k);
+    if (k == 60 || k == 62) want = 1;
+    if (k == 61) want = 0;
+    ASSERT_EQ(want, lanes::lane_bit(st, k)) << k;
+  }
+
+  // for_each_lane visits exactly the set lanes, in ascending order (the
+  // cycle-batch path depends on it).
+  std::vector<std::size_t> seen;
+  lanes::for_each_lane(a, [&](std::size_t k) { seen.push_back(k); });
+  ASSERT_EQ(static_cast<std::size_t>(lanes::popcount(a)), seen.size());
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    ASSERT_EQ(1, lanes::lane_bit(a, seen[i]));
+    if (i > 0) {
+      ASSERT_LT(seen[i - 1], seen[i]);
+    }
+  }
+  EXPECT_TRUE(lanes::any(a));
+  EXPECT_FALSE(lanes::any(lanes::Word{0}));
 }
 
 // -------------------------------------------------------------------- stats

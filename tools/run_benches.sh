@@ -36,15 +36,6 @@
 #                    it). bench_pipeline's SEQ_BER_DEV_PP (cross-engine
 #                    step_cycle BER deviation over the error-onset
 #                    band) is gated by VOSIM_MAX_BER_DEV_PP too.
-#   VOSIM_MIN_WIDE_SPEEDUP
-#                    floor for the wide-lane-word vs 64-lane wall-clock
-#                    ratio printed by bench_perf_speedup (default 0.4 —
-#                    a regression tripwire, not an aspiration: the
-#                    deep-VOS sweep is dominated by per-lane event
-#                    walks, so wide words sit near parity at large
-#                    pattern counts and below it at small ones). A SIMD
-#                    build whose auto dispatch reports 64-lane words
-#                    fails unconditionally (silent fallback).
 #   VOSIM_MIN_FLEET_TPS
 #                    floor for FLEET_THROUGHPUT (chips/sec of the fleet
 #                    serving phase) printed by bench_fleet (default 20
@@ -210,16 +201,12 @@ for name in ${benches[@]+"${benches[@]}"}; do
     seq_dev=$(sed -n 's/^SEQ_BER_DEV_PP //p' "${log}" | tail -n 1)
     cl_savings=$(sed -n 's/^CLOSED_LOOP_SAVINGS_PCT //p' "${log}" | tail -n 1)
     seq_speedup=$(sed -n 's/^SEQ_LEVELIZED_SPEEDUP //p' "${log}" | tail -n 1)
-    seq_lane_width=$(sed -n 's/^SEQ_WIDE_WIDTH //p' "${log}" | tail -n 1)
-    seq_wide=$(sed -n 's/^SEQ_WIDE_SPEEDUP //p' "${log}" | tail -n 1)
     if [ -n "${seq_dev}" ] && [ -n "${cl_savings}" ] && \
        [ -n "${seq_speedup}" ]; then
       engine_fields=",
   \"seq_levelized_speedup\": ${seq_speedup},
   \"seq_ber_dev_pp\": ${seq_dev},
-  \"closed_loop_savings_pct\": ${cl_savings},
-  \"seq_wide_width\": ${seq_lane_width:-64},
-  \"seq_wide_speedup\": ${seq_wide:-1.00}"
+  \"closed_loop_savings_pct\": ${cl_savings}"
       max_dev="${VOSIM_MAX_BER_DEV_PP:-2.0}"
       min_savings="${VOSIM_MIN_CLOSED_LOOP_SAVINGS_PCT:-10}"
       min_seq_speedup="${VOSIM_MIN_SEQ_ENGINE_SPEEDUP:-10}"
@@ -300,52 +287,13 @@ for name in ${benches[@]+"${benches[@]}"}; do
       status=1
     fi
   fi
-  # bench_perf_speedup ends with the wide-lane A/B: the Table-3 mul8
-  # sweep at 64 lanes vs the widest accelerated lane width. Three
-  # checks: a build that compiled SIMD acceleration must report a wide
-  # width (> 64) at all, an explicit wide request must actually deliver
-  # that many lanes per pass (a broken CPUID/dispatch path would
-  # otherwise pass every correctness test and quietly ship only the
-  # scalar engine), and the wide/64 wall-clock ratio must stay above a
-  # coarse floor. The floor is a regression tripwire, not a performance
-  # claim: at deep over-scaling the sweep is dominated by per-lane
-  # serial event walks (width-invariant work), so wide words hover near
-  # parity — which is also why auto dispatch defaults to 64 — see
-  # DESIGN.md §7 for the measured breakdown.
+  # bench_perf_speedup ends with the observers-off noise-floor probe:
+  # the SimObserver dispatch guard must stay a single branch (DESIGN.md
+  # §13).
   if [ "${name}" = "bench_perf_speedup" ] && [ "${status}" -eq 0 ]; then
-    simd_compiled=$(sed -n 's/^SIMD_COMPILED //p' "${log}" | tail -n 1)
-    wide_width=$(sed -n 's/^WIDE_WIDTH //p' "${log}" | tail -n 1)
-    wide_lpp=$(sed -n 's/^WIDE_LANES_PER_PASS //p' "${log}" | tail -n 1)
-    wide_speedup=$(sed -n 's/^WIDE_SPEEDUP //p' "${log}" | tail -n 1)
-    if [ -n "${simd_compiled}" ] && [ -n "${wide_width}" ] && \
-       [ -n "${wide_speedup}" ]; then
-      engine_fields=",
-  \"simd_compiled\": \"${simd_compiled}\",
-  \"wide_width\": ${wide_width},
-  \"wide_speedup\": ${wide_speedup}"
-      if [ "${simd_compiled}" != "none" ] && [ "${wide_width}" = "64" ]; then
-        echo "FAIL ${name}: SIMD build (${simd_compiled}) reports no wide lane width" >&2
-        status=1
-      fi
-      if [ "${wide_lpp:-0}" != "${wide_width}" ]; then
-        echo "FAIL ${name}: requested ${wide_width}-lane engine delivered ${wide_lpp:-?} lanes/pass" >&2
-        status=1
-      fi
-      min_wide="${VOSIM_MIN_WIDE_SPEEDUP:-0.4}"
-      if ! awk -v s="${wide_speedup}" -v m="${min_wide}" \
-           'BEGIN{exit !(s >= m)}'; then
-        echo "FAIL ${name}: wide-lane speedup ${wide_speedup}x < ${min_wide}x floor" >&2
-        status=1
-      fi
-    else
-      echo "FAIL ${name}: missing SIMD_COMPILED/WIDE_WIDTH/WIDE_SPEEDUP in log" >&2
-      status=1
-    fi
-    # Observers-off noise-floor gate: the SimObserver dispatch guard
-    # must stay a single branch (DESIGN.md §13).
     prov_oh=$(sed -n 's/^PROVENANCE_OVERHEAD_PCT //p' "${log}" | tail -n 1)
     if [ -n "${prov_oh}" ]; then
-      engine_fields="${engine_fields},
+      engine_fields=",
   \"provenance_overhead_pct\": ${prov_oh}"
       max_oh="${VOSIM_MAX_PROVENANCE_OVERHEAD_PCT:-2}"
       if ! awk -v o="${prov_oh}" -v m="${max_oh}" \

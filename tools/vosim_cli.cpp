@@ -54,7 +54,6 @@
 #include <string>
 
 #include "src/util/args.hpp"
-#include "src/util/lanes.hpp"
 #include "src/vosim.hpp"
 
 namespace {
@@ -88,10 +87,6 @@ int usage(const std::string& program) {
       << "         --metric mse|hamming|whamming --out FILE\n"
       << "         --engine event|levelized (simulation backend;\n"
       << "           levelized = bit-parallel, ~10x+ faster sweeps)\n"
-      << "         --lane-width 64|256|512|auto (levelized lanes per\n"
-      << "           pass; auto = 64 — wide words are bit-exact but\n"
-      << "           only pay off on low-activity workloads, see\n"
-      << "           DESIGN.md)\n"
       << "         --list-circuits (print the whole circuit registry\n"
       << "           with operand widths and gate counts, then exit)\n"
       << "         --trace FILE (Chrome-trace span timeline; load in\n"
@@ -269,8 +264,8 @@ void parse_shard(const ArgParser& args, CampaignConfig& cfg) {
 }
 
 /// The run manifest stamped into campaign stores and --metrics-json
-/// files: what produced this data, with which engine/lane width/shard,
-/// hashed over the full canonical invocation.
+/// files: what produced this data, with which engine/shard, hashed
+/// over the full canonical invocation.
 obs::RunManifest make_manifest(const ArgParser& args,
                                const std::string& command) {
   obs::RunManifest m;
@@ -280,7 +275,6 @@ obs::RunManifest make_manifest(const ArgParser& args,
   const bool levelized_tool = command == "campaign" ||
                               command == "fleet" || command == "serve";
   m.engine = args.get("engine", levelized_tool ? "levelized" : "event");
-  m.lane_width = lanes::resolve_lane_width(0);
   m.shard = args.get("shard", "0/1");
   m.config = args.canonical();
   return m;
@@ -655,23 +649,11 @@ int run_command(const ArgParser& args) {
   return usage(args.program());
 }
 
-/// Telemetry envelope around the dispatch: lane-width override first
-/// (the manifest records the resolved width), then an optional trace
-/// session and a manifest + metrics-snapshot dump. Both files are
-/// written even when the command throws, so a failed run still leaves
-/// its telemetry behind.
+/// Telemetry envelope around the dispatch: an optional trace session
+/// and a manifest + metrics-snapshot dump. Both files are written even
+/// when the command throws, so a failed run still leaves its telemetry
+/// behind.
 int run(const ArgParser& args) {
-  // Process-wide levelized lane-width override: beats VOSIM_LANE_WIDTH
-  // and the 64-lane auto default everywhere downstream (make_engine,
-  // the characterizer fast paths), but loses to an explicit
-  // TimingSimConfig::lane_width request.
-  if (args.has("lane-width")) {
-    std::size_t width = 0;
-    if (!lanes::parse_lane_width(args.get("lane-width", "auto"), width))
-      throw std::invalid_argument(
-          "bad --lane-width (expected 64|256|512|auto)");
-    lanes::set_lane_width_override(width);
-  }
   const std::string trace_path = args.get("trace", "");
   const std::string metrics_path = args.get("metrics-json", "");
   if (!trace_path.empty()) obs::start_trace();
