@@ -3,74 +3,78 @@
 // exact adder, the timing simulator or the statistical VOS model —
 // "mapping error-resilient applications onto approximate operator
 // models" (paper Sections I and IV).
+//
+// The adder takes whole operand vectors. A kernel issues its additions
+// as passes of mutually independent additions, one vector per pass,
+// and every backend performs a pass's additions in element order. The
+// kernel alone fixes the operation schedule, so every backend runs the
+// same one (DESIGN.md §9).
 #ifndef VOSIM_APPS_APPROX_ARITH_HPP
 #define VOSIM_APPS_APPROX_ARITH_HPP
 
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <vector>
 
 #include "src/model/vos_model.hpp"
 #include "src/sim/vos_dut.hpp"
 
 namespace vosim {
 
-/// An n-bit adder returning the (n+1)-bit sum. The kernel masks or
-/// saturates as it needs.
-using AdderFn = std::function<std::uint64_t(std::uint64_t, std::uint64_t)>;
-
-/// A streaming n-bit adder: element-wise `out[i] = a[i] + b[i]` over
-/// equal-length spans. Kernels whose additions are independent within a
-/// pass use this to stream whole operand vectors through a clocked
-/// pipeline back-to-back (one add per cycle, no per-call round trip).
+/// An n-bit adder over equal-length operand vectors: out[i] = a[i] +
+/// b[i], each sum (n+1) bits wide; the kernel masks or saturates as it
+/// needs. The additions happen in element order. `out` may alias `a`
+/// or `b`.
 using BatchAdderFn = std::function<void(
     std::span<const std::uint64_t>, std::span<const std::uint64_t>,
     std::span<std::uint64_t>)>;
 
 /// Exact reference adder.
-AdderFn exact_adder_fn(int width);
+BatchAdderFn exact_adder_fn(int width);
 
-/// Statistical VOS model as an adder; `rng` must outlive the function.
-AdderFn model_adder_fn(const VosAdderModel& model, Rng& rng);
+/// Statistical VOS model as an adder: one model draw per element, in
+/// element order. `rng` must outlive the function.
+BatchAdderFn model_adder_fn(const VosAdderModel& model, Rng& rng);
 
 /// A gate-level VOS simulation as an adder (sampled, possibly faulty
-/// outputs); `sim` must be a two-operand DUT and outlive the function.
-/// The engine behind `sim` (event-driven or levelized) is whatever it
-/// was built with, so kernels run identically on either backend.
-AdderFn sim_adder_fn(VosDutSim& sim);
+/// outputs): the vectors stream through VosDutSim::apply_batch in
+/// fixed chunks of whole 64-lane words, so scratch stays bounded by the
+/// chunk. Simulator state carries across calls, so this is bit-exact
+/// with one apply() per element. `sim` must be a two-operand DUT and
+/// outlive the function; its engine (event-driven or levelized) is
+/// whatever it was built with.
+BatchAdderFn sim_batch_adder_fn(VosDutSim& sim);
 
 class SeqSim;
 
-/// A clocked (registered) pipeline simulation as an adder: each call is
-/// one clock cycle, and because a single-stage pipeline's result
-/// registers at the very next edge, the captured output IS this call's
-/// sum. `sim` must wrap a two-operand single-stage SeqDut (see
-/// wrap_as_pipeline) and outlive the function. This is the campaign's
-/// sim-seq backend: truncating clocked semantics, per-flop setup
-/// margin, register energy — the sequential view of the same adder.
-AdderFn seq_adder_fn(SeqSim& sim);
-
-/// The streaming view of the same clocked adder: the operand vectors
-/// latch back-to-back through SeqSim::step_cycle_batch, one element per
-/// cycle on the packed-lane path. Error patterns follow the streamed
-/// schedule (each add launches from the previous element's at-edge
-/// state), exactly as the registered datapath would see them.
+/// A clocked (registered) pipeline simulation as an adder: one clock
+/// cycle per element through SeqSim::step_cycle_batch, in the same
+/// chunks. Because a single-stage pipeline's result registers at the
+/// very next edge, the captured output IS the element's sum, and each
+/// add launches from the previous element's at-edge state, exactly as
+/// the registered datapath would see it. `sim` must wrap a two-operand
+/// single-stage SeqDut (see wrap_as_pipeline) and outlive the function.
+/// This is the campaign's sim-seq backend: truncating clocked
+/// semantics, per-flop setup margin, register energy.
 BatchAdderFn seq_batch_adder_fn(SeqSim& sim);
 
-/// Subtraction a-b via two's complement (two routed additions); result
-/// masked to `width` bits (wraps like hardware).
-std::uint64_t approx_sub(const AdderFn& add, int width, std::uint64_t a,
-                         std::uint64_t b);
+/// Element-wise subtraction a-b via two's complement: two passes
+/// (a + ~b, then + 1), results masked to `width` bits (wraps like
+/// hardware). `out` may alias `a` or `b`.
+void approx_sub(const BatchAdderFn& add, int width,
+                std::span<const std::uint64_t> a,
+                std::span<const std::uint64_t> b,
+                std::span<std::uint64_t> out);
 
-/// Shift-and-add multiplication: every partial-product accumulation goes
-/// through the routed adder. Result masked to `width` bits.
-std::uint64_t approx_mul(const AdderFn& add, int width, std::uint64_t x,
-                         std::uint64_t y);
-
-/// Adds with saturation at 2^width - 1 instead of wrap-around.
-std::uint64_t approx_add_sat(const AdderFn& add, int width, std::uint64_t a,
-                             std::uint64_t b);
+/// Element-wise shift-and-add multiplication: pass i adds x << i into
+/// the accumulators of the elements whose y has bit i set, so every
+/// partial-product accumulation goes through the routed adder and each
+/// element performs popcount(y) additions. Results masked to `width`
+/// bits. `out` may alias `x` or `y`.
+void approx_mul(const BatchAdderFn& add, int width,
+                std::span<const std::uint64_t> x,
+                std::span<const std::uint64_t> y,
+                std::span<std::uint64_t> out);
 
 }  // namespace vosim
 

@@ -1,39 +1,31 @@
 #include "src/apps/dot.hpp"
 
-#include <algorithm>
-
 #include "src/util/bits.hpp"
 #include "src/util/contracts.hpp"
 
 namespace vosim {
 
-std::uint64_t approx_dot(const AdderFn& add, std::span<const std::uint8_t> x,
-                         std::span<const std::uint8_t> y, int acc_bits) {
+std::vector<std::uint64_t> approx_dot(
+    const BatchAdderFn& add, const std::vector<std::vector<std::uint8_t>>& x,
+    const std::vector<std::vector<std::uint8_t>>& y, int acc_bits) {
   VOSIM_EXPECTS(x.size() == y.size());
   VOSIM_EXPECTS(acc_bits >= 16 && acc_bits <= max_word_bits);
+  const std::size_t pairs = x.size();
+  const std::size_t length = pairs == 0 ? 0 : x.front().size();
+  for (std::size_t p = 0; p < pairs; ++p)
+    VOSIM_EXPECTS(x[p].size() == length && y[p].size() == length);
   const std::uint64_t m = mask_n(acc_bits);
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const std::uint64_t prod = approx_mul(add, acc_bits, x[i], y[i]);
-    acc = add(acc, prod) & m;
-  }
-  return acc;
-}
-
-std::uint64_t approx_sad(const AdderFn& add, std::span<const std::uint8_t> x,
-                         std::span<const std::uint8_t> y, int acc_bits) {
-  VOSIM_EXPECTS(x.size() == y.size());
-  VOSIM_EXPECTS(acc_bits >= 12 && acc_bits <= max_word_bits);
-  const std::uint64_t m = mask_n(acc_bits);
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const std::uint64_t hi = std::max(x[i], y[i]);
-    const std::uint64_t lo = std::min(x[i], y[i]);
-    // Subtract at the operand width: an 8-bit subtractor keeps carry
-    // chains short, whereas a full-accumulator-width two's complement
-    // would always excite a maximum-length chain and melt under VOS.
-    const std::uint64_t diff = approx_sub(add, 8, hi, lo);
-    acc = add(acc, diff) & m;
+  std::vector<std::uint64_t> acc(pairs, 0);
+  std::vector<std::uint64_t> xs(pairs);
+  std::vector<std::uint64_t> prod(pairs);
+  for (std::size_t i = 0; i < length; ++i) {
+    for (std::size_t p = 0; p < pairs; ++p) {
+      xs[p] = x[p][i];
+      prod[p] = y[p][i];
+    }
+    approx_mul(add, acc_bits, xs, prod, prod);
+    add(acc, prod, acc);
+    for (std::uint64_t& v : acc) v &= m;
   }
   return acc;
 }

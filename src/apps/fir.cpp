@@ -32,39 +32,7 @@ FixedSignal make_test_signal(std::size_t length, int sample_bits,
   return sig;
 }
 
-FixedSignal fir_lowpass5(const FixedSignal& input, const AdderFn& add) {
-  constexpr int acc_bits = 16;
-  const std::uint64_t m = mask_n(acc_bits);
-  FixedSignal out;
-  out.sample_bits = input.sample_bits;
-  out.samples.resize(input.samples.size(), 0);
-
-  const auto n = input.samples.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    // Clamped-edge convolution with taps {1,4,6,4,1}.
-    auto sample = [&](long k) {
-      const long idx =
-          std::min<long>(std::max<long>(k, 0), static_cast<long>(n) - 1);
-      return input.samples[static_cast<std::size_t>(idx)];
-    };
-    const auto si = static_cast<long>(i);
-    std::uint64_t acc = 0;
-    // tap weight 1: x[i-2], x[i+2]
-    acc = add(acc, sample(si - 2) & m) & m;
-    acc = add(acc, sample(si + 2) & m) & m;
-    // tap weight 4: x[i-1]<<2, x[i+1]<<2
-    acc = add(acc, (sample(si - 1) << 2) & m) & m;
-    acc = add(acc, (sample(si + 1) << 2) & m) & m;
-    // tap weight 6 = 4 + 2: (x[i]<<2) + (x[i]<<1)
-    acc = add(acc, (sample(si) << 2) & m) & m;
-    acc = add(acc, (sample(si) << 1) & m) & m;
-    out.samples[i] = (acc >> 4) & mask_n(input.sample_bits);
-  }
-  return out;
-}
-
-FixedSignal fir_lowpass5(const FixedSignal& input,
-                         const BatchAdderFn& add) {
+FixedSignal fir_lowpass5(const FixedSignal& input, const BatchAdderFn& add) {
   constexpr int acc_bits = 16;
   const std::uint64_t m = mask_n(acc_bits);
   FixedSignal out;
@@ -77,8 +45,8 @@ FixedSignal fir_lowpass5(const FixedSignal& input,
         std::min<long>(std::max<long>(k, 0), static_cast<long>(n) - 1);
     return input.samples[static_cast<std::size_t>(idx)];
   };
-  // One term vector per accumulation pass, mirroring the scalar
-  // clamped-edge convolution with taps {1,4,6,4,1}.
+  // One term vector per accumulation pass of the clamped-edge
+  // convolution with taps {1,4,6,4,1}.
   std::vector<std::uint64_t> acc(n, 0);
   std::vector<std::uint64_t> term(n);
   const auto pass = [&](auto&& term_of) {

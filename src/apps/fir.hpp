@@ -20,19 +20,12 @@ struct FixedSignal {
 FixedSignal make_test_signal(std::size_t length, int sample_bits,
                              std::uint64_t seed);
 
-/// Symmetric low-pass FIR (taps 1,4,6,4,1, /16). All multiply-accumulate
-/// steps run through `add` at 16-bit width; output is rescaled to the
+/// Symmetric low-pass FIR (taps 1,4,6,4,1, /16) issued as six
+/// whole-signal passes, one per tap term: pass k adds every sample's
+/// k-th term into its 16-bit accumulator through `add`, so only the
+/// six passes serialize. Edges clamp; the output is rescaled to the
 /// input's sample width.
-FixedSignal fir_lowpass5(const FixedSignal& input, const AdderFn& add);
-
-/// Streaming variant for clocked pipelines: the same filter issued as
-/// six whole-signal passes (one per tap term). Within a pass every
-/// sample's addition is independent, so each pass streams the full
-/// signal through the adder back-to-back; only the six accumulation
-/// passes serialize. Add count and masking match the scalar variant;
-/// under timing errors the error pattern follows the streamed schedule.
-FixedSignal fir_lowpass5(const FixedSignal& input,
-                         const BatchAdderFn& add);
+FixedSignal fir_lowpass5(const FixedSignal& input, const BatchAdderFn& add);
 
 /// Signal-to-noise ratio of `test` against `reference` (dB, +inf when
 /// identical): the reference signal is the "signal", their difference

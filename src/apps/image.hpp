@@ -35,14 +35,18 @@ GrayImage make_synthetic_scene(int width, int height, std::uint64_t seed);
 /// +infinity for identical images.
 double psnr_db(const GrayImage& reference, const GrayImage& test);
 
-/// 3x3 Gaussian blur (kernel 1-2-1 / 2-4-2 / 1-2-1, /16). All pixel
-/// accumulation runs through `add` at 16-bit width. Border pixels are
-/// copied through.
-GrayImage gaussian_blur3(const GrayImage& src, const AdderFn& add);
+/// 3x3 Gaussian blur (kernel 1-2-1 / 2-4-2 / 1-2-1, /16). Interior
+/// rows are processed in bands of a few rows; within a band, one pass
+/// per kernel tap adds that tap's weighted pixel into every band
+/// pixel's 16-bit accumulator through `add` (nine passes, in
+/// row-major tap order). Border pixels are copied through.
+GrayImage gaussian_blur3(const GrayImage& src, const BatchAdderFn& add);
 
-/// Sobel gradient magnitude (|gx| + |gy|, saturated to 255), with all
-/// additions/subtractions routed through `add` at 16-bit width.
-GrayImage sobel_magnitude(const GrayImage& src, const AdderFn& add);
+/// Sobel gradient magnitude (|gx| + |gy|, saturated to 255), all
+/// additions and subtractions routed through `add` at 16-bit width, in
+/// the same bands. Per band: two passes for each of the four lobes
+/// (gx+, gx-, gy+, gy-), two for |gx|, two for |gy|, one for the sum.
+GrayImage sobel_magnitude(const GrayImage& src, const BatchAdderFn& add);
 
 }  // namespace vosim
 

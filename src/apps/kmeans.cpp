@@ -14,15 +14,14 @@ namespace {
 
 constexpr int acc_bits = 16;
 
-/// Manhattan distance through the routed adder: |dx| + |dy|, with the
-/// subtractions done at coordinate width (8 bits).
-std::uint64_t manhattan(const AdderFn& add, const Point2D& p,
-                        const Point2D& c) {
-  const std::uint64_t dx =
-      p.x >= c.x ? approx_sub(add, 8, p.x, c.x) : approx_sub(add, 8, c.x, p.x);
-  const std::uint64_t dy =
-      p.y >= c.y ? approx_sub(add, 8, p.y, c.y) : approx_sub(add, 8, c.y, p.y);
-  return add(dx, dy) & mask_n(acc_bits);
+/// |p - q| per element through the routed adder at coordinate width
+/// (8 bits): the larger value minus the smaller.
+void abs_diff(const BatchAdderFn& add, std::vector<std::uint64_t>& p,
+              std::vector<std::uint64_t>& q, std::vector<std::uint64_t>& d) {
+  for (std::size_t i = 0; i < p.size(); ++i)
+    if (p[i] < q[i]) std::swap(p[i], q[i]);
+  d.resize(p.size());
+  approx_sub(add, 8, p, q, d);
 }
 
 }  // namespace
@@ -64,7 +63,7 @@ ClusterDataset make_cluster_dataset(int k, int points_per_cluster,
 }
 
 KmeansResult kmeans(const std::vector<Point2D>& points, int k,
-                    const AdderFn& add, int max_iterations) {
+                    const BatchAdderFn& add, int max_iterations) {
   VOSIM_EXPECTS(k >= 1);
   VOSIM_EXPECTS(points.size() >= static_cast<std::size_t>(k));
   KmeansResult res;
@@ -90,19 +89,36 @@ KmeansResult kmeans(const std::vector<Point2D>& points, int k,
   }
   res.assignment.assign(points.size(), 0);
 
+  const auto uk = static_cast<std::size_t>(k);
+  const std::size_t pairs = points.size() * uk;
+  std::vector<std::uint64_t> p(pairs);
+  std::vector<std::uint64_t> q(pairs);
+  std::vector<std::uint64_t> dx;
+  std::vector<std::uint64_t> dy;
   for (int iter = 0; iter < max_iterations; ++iter) {
     ++res.iterations;
     bool changed = false;
-    // Assignment step: routed-arithmetic distances.
+    // Assignment step: routed-arithmetic Manhattan distances of every
+    // (point, center) pair, pair j = i * k + c.
+    for (std::size_t j = 0; j < pairs; ++j) {
+      p[j] = points[j / uk].x;
+      q[j] = res.centers[j % uk].x;
+    }
+    abs_diff(add, p, q, dx);
+    for (std::size_t j = 0; j < pairs; ++j) {
+      p[j] = points[j / uk].y;
+      q[j] = res.centers[j % uk].y;
+    }
+    abs_diff(add, p, q, dy);
+    add(dx, dy, dx);
     for (std::size_t i = 0; i < points.size(); ++i) {
       int best = 0;
       std::uint64_t best_d = ~0ULL;
-      for (int c = 0; c < k; ++c) {
-        const std::uint64_t d =
-            manhattan(add, points[i], res.centers[static_cast<std::size_t>(c)]);
+      for (std::size_t c = 0; c < uk; ++c) {
+        const std::uint64_t d = dx[i * uk + c] & mask_n(acc_bits);
         if (d < best_d) {
           best_d = d;
-          best = c;
+          best = static_cast<int>(c);
         }
       }
       if (res.assignment[i] != best) {

@@ -38,11 +38,14 @@ struct KmeansResult {
 };
 
 /// Lloyd's algorithm with Manhattan distances computed through `add`
-/// (16-bit accumulators). Centroid updates use exact integer division
-/// (the control path the paper leaves precise — only the datapath is
-/// approximate). Deterministic: centers start from the first k points.
+/// (16-bit accumulators). Each iteration's assignment step is five
+/// passes over every (point, center) pair, point-major: |dx| (two
+/// passes, at coordinate width), |dy| (two), then |dx| + |dy|.
+/// Centroid updates use exact integer division (the control path the
+/// paper leaves precise — only the datapath is approximate).
+/// Deterministic: farthest-point seeding from the first point.
 KmeansResult kmeans(const std::vector<Point2D>& points, int k,
-                    const AdderFn& add, int max_iterations = 32);
+                    const BatchAdderFn& add, int max_iterations = 32);
 
 /// Fraction of points whose cluster matches the generating blob under
 /// the best label permutation (brute-force over k! for k <= 5).

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <tuple>
 
 #include "src/characterize/characterizer.hpp"
@@ -71,13 +73,6 @@ std::size_t baseline_index(const std::vector<OperatingTriad>& triads) {
     if (relaxation_rank(triads[i]) > relaxation_rank(triads[best]))
       best = i;
   return best;
-}
-
-/// The workload's input data must be identical across backends and
-/// triads (deviation and Pareto compare cells at fixed stimuli), so it
-/// derives from the campaign seed and the workload only.
-std::uint64_t data_seed(std::uint64_t seed, const std::string& workload) {
-  return content_seed(seed, "data|" + workload);
 }
 
 CircuitContext make_context(const CellLibrary& lib,
@@ -176,6 +171,11 @@ void prepare_context(const CellLibrary& lib, const CampaignConfig& config,
 }
 
 }  // namespace
+
+std::uint64_t workload_data_seed(std::uint64_t campaign_seed,
+                                 const std::string& workload) {
+  return content_seed(campaign_seed, "data|" + workload);
+}
 
 const char* arith_backend_name(ArithBackend backend) {
   switch (backend) {
@@ -369,7 +369,7 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
         QualityResult q;
         double register_energy_fj = 0.0;  // sim-seq: bank clock/latch
         std::string culprits;  // provenance mode, sim backends only
-        const std::uint64_t dseed = data_seed(config.seed, wl.name);
+        const std::uint64_t dseed = workload_data_seed(config.seed, wl.name);
         // The chip's die corner — pure content, so any shard or
         // thread schedule reconstructs the same die. Chip 0 is the
         // nominal die and leaves every config untouched.
@@ -399,7 +399,7 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
               prov = std::make_unique<ErrorProvenance>(ctx.dut);
               sim.engine().attach_observer(prov.get());
             }
-            q = wl.run(sim_adder_fn(sim), dseed);
+            q = wl.run(sim_batch_adder_fn(sim), dseed);
             if (prov != nullptr) {
               culprits = prov->summary().top_culprits_string(
                   config.top_culprits);
@@ -428,12 +428,7 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
                 sim.stage_engine(k).attach_observer(provs[k].get());
               }
             }
-            // Stream-capable kernels latch whole operand vectors
-            // through the packed-lane batch path; dependency-bound
-            // ones fall back to one scalar step_cycle per add.
-            q = wl.run_batch != nullptr
-                    ? wl.run_batch(seq_batch_adder_fn(sim), dseed)
-                    : wl.run(seq_adder_fn(sim), dseed);
+            q = wl.run(seq_batch_adder_fn(sim), dseed);
             if (!provs.empty()) {
               // Stage culprits share one top-K budget per cell; names
               // carry the "s<k>:" stage prefix.
@@ -504,32 +499,24 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
   // cells rebase separately (a registered design's guard-banded
   // baseline pays its flops too). On a fleet grid each chip is its own
   // die corner, so savings compare against that chip's own
-  // guard-banded baseline, not the nominal die's.
-  const auto is_seq = [](const CampaignCell& cell) {
-    return cell.key.backend == "sim-seq";
+  // guard-banded baseline, not the nominal die's. One pass picks each
+  // (circuit, class, chip) group's most relaxed cell (the first in
+  // outcome order on ties) and a second assigns its energy, so the
+  // cost grows with the grid, never with its square.
+  using RebaseGroup = std::tuple<std::string_view, bool, std::uint64_t>;
+  const auto group_of = [](const CampaignCell& cell) {
+    return RebaseGroup(cell.key.circuit, cell.key.backend == "sim-seq",
+                       cell.key.chip);
   };
-  std::set<std::uint64_t> rebase_chips;
-  for (const CampaignCell& cell : outcome.cells)
-    rebase_chips.insert(cell.key.chip);
-  for (const std::string& circuit : config.circuits) {
-    for (const bool seq_class : {false, true}) {
-      for (const std::uint64_t chip : rebase_chips) {
-        const CampaignCell* base = nullptr;
-        for (const CampaignCell& cell : outcome.cells)
-          if (cell.key.circuit == circuit &&
-              is_seq(cell) == seq_class && cell.key.chip == chip &&
-              (base == nullptr || relaxation_rank(cell.key.triad) >
-                                      relaxation_rank(base->key.triad)))
-            base = &cell;
-        if (base == nullptr) continue;
-        const double baseline = base->energy_per_op_fj;
-        for (CampaignCell& cell : outcome.cells)
-          if (cell.key.circuit == circuit &&
-              is_seq(cell) == seq_class && cell.key.chip == chip)
-            cell.baseline_fj = baseline;
-      }
-    }
+  std::map<RebaseGroup, std::size_t> base;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const auto [it, fresh] = base.try_emplace(group_of(cells[i]), i);
+    if (!fresh && relaxation_rank(cells[i].key.triad) >
+                      relaxation_rank(cells[it->second].key.triad))
+      it->second = i;
   }
+  for (CampaignCell& cell : cells)
+    cell.baseline_fj = cells[base.at(group_of(cell))].energy_per_op_fj;
   return outcome;
 }
 

@@ -116,6 +116,13 @@ struct CampaignOutcome {
   std::size_t computed = 0;  ///< cells executed this run
 };
 
+/// The seed a campaign derives a workload's input data from. It
+/// depends on the campaign seed and the workload only — never on
+/// backend, triad or chip — so every cell of a workload sees the same
+/// stimuli and quality is comparable across the grid.
+std::uint64_t workload_data_seed(std::uint64_t campaign_seed,
+                                 const std::string& workload);
+
 /// Runs the campaign; throws std::invalid_argument on unknown
 /// workloads/backends, malformed circuit specs, or a circuit that
 /// cannot back a requested backend (model/sim need an adder of the

@@ -75,7 +75,7 @@ std::string CampaignCellKey::to_string() const {
   os << workload << '|' << circuit << '|' << backend << '|'
      << num(triad.tclk_ns) << ',' << num(triad.vdd_v) << ','
      << num(triad.vbb_v) << '|' << seed << '|' << train_patterns << '|'
-     << characterize_patterns << '|' << chip;
+     << characterize_patterns << '|' << chip << '|' << store_version;
   return os.str();
 }
 
@@ -171,6 +171,7 @@ std::string CampaignStore::to_jsonl(const CampaignCell& cell) {
      << ",\"train_patterns\":" << cell.key.train_patterns
      << ",\"characterize_patterns\":" << cell.key.characterize_patterns
      << ",\"chip\":" << cell.key.chip
+     << ",\"store_version\":" << cell.key.store_version
      << ",\"metric\":\"" << cell.metric << "\""
      << ",\"quality\":" << num(cell.quality)
      << ",\"normalized\":" << num(cell.normalized)
@@ -213,6 +214,15 @@ std::optional<CampaignCell> CampaignStore::parse_jsonl(
     if (!u64_field(line, "chip", cell.key.chip)) return std::nullopt;
   } else {
     cell.key.chip = 0;
+  }
+  // Lines written before cells carried their store version are
+  // version 9; a present-but-garbled version rejects the line.
+  std::string version_raw;
+  if (raw_field(line, "store_version", version_raw)) {
+    if (!u64_field(line, "store_version", cell.key.store_version))
+      return std::nullopt;
+  } else {
+    cell.key.store_version = 9;
   }
   // Optional provenance field (absent on provenance-free runs and on
   // every pre-provenance store).

@@ -2,7 +2,7 @@
 //
 // Every finished campaign cell is appended to a JSONL file as one
 // self-describing line keyed by the cell's content (workload, circuit,
-// backend, triad, seed, training budget). On construction the store
+// backend, triad, seed, budgets, chip, store version). On construction the store
 // loads every valid line, so a re-run of the same campaign finds its
 // finished cells by key and recomputes only the missing ones
 // (append-on-complete, load-on-start; DESIGN.md §9). The store is
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/manifest.hpp"
 #include "src/tech/operating_point.hpp"
 
 namespace vosim {
@@ -37,9 +38,13 @@ struct CampaignCellKey {
   /// Chip i's process corner is content-hashed from the fleet seed
   /// (src/fleet), so the id alone names the die.
   std::uint64_t chip = 0;
+  /// Store format that computed the cell (obs::kStoreVersion). A line
+  /// without the field predates it and reads as 9, so old cells stay
+  /// loadable but never answer a current key.
+  std::uint64_t store_version = obs::kStoreVersion;
 
   /// Canonical content key, e.g.
-  /// "fir|rca16|model|0.53,0.5,2|1|4000|2000|0".
+  /// "fir|rca16|model|0.53,0.5,2|1|4000|2000|0|10".
   std::string to_string() const;
 
   friend bool operator==(const CampaignCellKey&,

@@ -17,10 +17,12 @@ namespace {
 
 /// Wraps an adder so the workload can report how many routed additions
 /// it performed (the op count the energy join multiplies against).
-AdderFn counted(const AdderFn& add, std::uint64_t& count) {
-  return [&add, &count](std::uint64_t a, std::uint64_t b) {
-    ++count;
-    return add(a, b);
+BatchAdderFn counted(const BatchAdderFn& add, std::uint64_t& count) {
+  return [&add, &count](std::span<const std::uint64_t> a,
+                        std::span<const std::uint64_t> b,
+                        std::span<std::uint64_t> out) {
+    count += a.size();
+    add(a, b, out);
   };
 }
 
@@ -33,7 +35,7 @@ QualityResult quality(const std::string& metric, double value,
   return {metric, value, normalized_quality(metric, value), adds};
 }
 
-QualityResult run_fir(const AdderFn& add, std::uint64_t seed) {
+QualityResult run_fir(const BatchAdderFn& add, std::uint64_t seed) {
   const FixedSignal signal = make_test_signal(768, 12, seed);
   const FixedSignal reference = fir_lowpass5(signal, exact_adder_fn(16));
   std::uint64_t adds = 0;
@@ -41,23 +43,7 @@ QualityResult run_fir(const AdderFn& add, std::uint64_t seed) {
   return quality("snr_db", signal_snr_db(reference, filtered), adds);
 }
 
-QualityResult run_fir_batch(const BatchAdderFn& add,
-                            std::uint64_t seed) {
-  const FixedSignal signal = make_test_signal(768, 12, seed);
-  const FixedSignal reference = fir_lowpass5(signal, exact_adder_fn(16));
-  std::uint64_t adds = 0;
-  const BatchAdderFn counted_batch =
-      [&add, &adds](std::span<const std::uint64_t> a,
-                    std::span<const std::uint64_t> b,
-                    std::span<std::uint64_t> out) {
-        adds += a.size();
-        add(a, b, out);
-      };
-  const FixedSignal filtered = fir_lowpass5(signal, counted_batch);
-  return quality("snr_db", signal_snr_db(reference, filtered), adds);
-}
-
-QualityResult run_blur(const AdderFn& add, std::uint64_t seed) {
+QualityResult run_blur(const BatchAdderFn& add, std::uint64_t seed) {
   const GrayImage scene = make_synthetic_scene(72, 72, seed);
   const GrayImage reference = gaussian_blur3(scene, exact_adder_fn(16));
   std::uint64_t adds = 0;
@@ -65,7 +51,7 @@ QualityResult run_blur(const AdderFn& add, std::uint64_t seed) {
   return quality("psnr_db", psnr_db(reference, blurred), adds);
 }
 
-QualityResult run_sobel(const AdderFn& add, std::uint64_t seed) {
+QualityResult run_sobel(const BatchAdderFn& add, std::uint64_t seed) {
   const GrayImage scene = make_synthetic_scene(72, 72, seed);
   const GrayImage reference = sobel_magnitude(scene, exact_adder_fn(16));
   std::uint64_t adds = 0;
@@ -73,7 +59,7 @@ QualityResult run_sobel(const AdderFn& add, std::uint64_t seed) {
   return quality("psnr_db", psnr_db(reference, edges), adds);
 }
 
-QualityResult run_kmeans(const AdderFn& add, std::uint64_t seed) {
+QualityResult run_kmeans(const BatchAdderFn& add, std::uint64_t seed) {
   const ClusterDataset data = make_cluster_dataset(4, 90, seed);
   std::uint64_t adds = 0;
   const KmeansResult res = kmeans(data.points, 4, counted(add, adds));
@@ -81,25 +67,31 @@ QualityResult run_kmeans(const AdderFn& add, std::uint64_t seed) {
                  adds);
 }
 
-QualityResult run_dot(const AdderFn& add, std::uint64_t seed) {
+QualityResult run_dot(const BatchAdderFn& add, std::uint64_t seed) {
   constexpr int acc_bits = 16;
   constexpr std::size_t pairs = 32;
   constexpr std::size_t length = 24;
   Rng rng(seed);
+  std::vector<std::vector<std::uint8_t>> x(pairs);
+  std::vector<std::vector<std::uint8_t>> y(pairs);
+  for (std::size_t p = 0; p < pairs; ++p) {
+    x[p].resize(length);
+    y[p].resize(length);
+    for (auto& v : x[p]) v = static_cast<std::uint8_t>(rng.below(256));
+    for (auto& v : y[p]) v = static_cast<std::uint8_t>(rng.below(256));
+  }
   std::uint64_t adds = 0;
-  const AdderFn approx = counted(add, adds);
-  const AdderFn exact = exact_adder_fn(acc_bits);
+  const std::vector<std::uint64_t> ref =
+      approx_dot(exact_adder_fn(acc_bits), x, y, acc_bits);
+  const std::vector<std::uint64_t> out =
+      approx_dot(counted(add, adds), x, y, acc_bits);
   double rel_err = 0.0;
   for (std::size_t p = 0; p < pairs; ++p) {
-    std::vector<std::uint8_t> x(length);
-    std::vector<std::uint8_t> y(length);
-    for (auto& v : x) v = static_cast<std::uint8_t>(rng.below(256));
-    for (auto& v : y) v = static_cast<std::uint8_t>(rng.below(256));
-    const std::uint64_t ref = approx_dot(exact, x, y, acc_bits);
-    const std::uint64_t out = approx_dot(approx, x, y, acc_bits);
-    const double diff = ref >= out ? static_cast<double>(ref - out)
-                                   : static_cast<double>(out - ref);
-    rel_err += diff / static_cast<double>(std::max<std::uint64_t>(ref, 1));
+    const double diff = ref[p] >= out[p]
+                            ? static_cast<double>(ref[p] - out[p])
+                            : static_cast<double>(out[p] - ref[p]);
+    rel_err +=
+        diff / static_cast<double>(std::max<std::uint64_t>(ref[p], 1));
   }
   return quality("mred", rel_err / static_cast<double>(pairs), adds);
 }
@@ -109,7 +101,7 @@ QualityResult run_dot(const AdderFn& add, std::uint64_t seed) {
 const std::vector<Workload>& workload_registry() {
   static const std::vector<Workload> registry = {
       {"fir", "FIR low-pass filtering (signal processing)", "snr_db", 16,
-       run_fir, run_fir_batch},
+       run_fir},
       {"blur", "Gaussian 3x3 image blur (image processing)", "psnr_db", 16,
        run_blur},
       {"sobel", "Sobel edge magnitude (image processing)", "psnr_db", 16,

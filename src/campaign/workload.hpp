@@ -1,14 +1,15 @@
 // Workload registry — the application layer of the campaign subsystem.
 //
 // A Workload wraps one of the src/apps kernels behind a uniform
-// run(AdderFn, seed) -> QualityResult interface, so the campaign runner
-// can sweep every error-resilient application over the same
+// run(BatchAdderFn, seed) -> QualityResult interface, so the campaign
+// runner can sweep every error-resilient application over the same
 // circuit × triad × backend grid (the paper's Section IV story made
 // repeatable). Each workload fixes its input data from the seed, runs
-// the kernel through the routed adder, and scores the output against
-// the exact-adder reference with its own domain metric (SNR, PSNR,
-// clustering accuracy, MRED) plus a normalized [0, 1] quality score the
-// Pareto aggregation can compare across workloads.
+// its one batch kernel through the routed adder — so every backend
+// sees the same additions in the same order — and scores the output
+// against the exact-adder reference with its own domain metric (SNR,
+// PSNR, clustering accuracy, MRED) plus a normalized [0, 1] quality
+// score the Pareto aggregation can compare across workloads.
 #ifndef VOSIM_CAMPAIGN_WORKLOAD_HPP
 #define VOSIM_CAMPAIGN_WORKLOAD_HPP
 
@@ -37,13 +38,7 @@ struct Workload {
   std::string title;   ///< human description
   std::string metric;  ///< metric token of the QualityResult it emits
   int width = 16;      ///< routed adder width
-  std::function<QualityResult(const AdderFn&, std::uint64_t seed)> run;
-  /// Streaming variant for clocked backends, set only when the kernel
-  /// can restructure its additions into independent whole-vector
-  /// passes (e.g. fir). Null for dependency-bound kernels — the runner
-  /// falls back to the scalar path.
-  std::function<QualityResult(const BatchAdderFn&, std::uint64_t seed)>
-      run_batch;
+  std::function<QualityResult(const BatchAdderFn&, std::uint64_t seed)> run;
 };
 
 /// The built-in workloads: fir (SNR), blur + sobel (PSNR), kmeans

@@ -16,8 +16,12 @@
 
 namespace vosim::obs {
 
-/// Store-format revision stamped into manifests (PR 9 introduced it).
-inline constexpr int kStoreVersion = 9;
+/// Store-format revision, stamped into manifests and into every cell's
+/// key (CampaignCellKey::store_version). It moves whenever the values a
+/// cell key names change meaning — 10: every backend runs each
+/// workload's one batch schedule — so a store written before cannot
+/// answer lookups with cells computed the old way.
+inline constexpr int kStoreVersion = 10;
 
 struct RunManifest {
   std::string tool;              ///< CLI subcommand or "serve"
@@ -34,7 +38,7 @@ struct RunManifest {
   std::uint64_t config_hash() const noexcept;
 
   /// Single-line JSON object (doubles as a store header line):
-  /// {"vosim_manifest":1,"store_version":9,"tool":"campaign",
+  /// {"vosim_manifest":1,"store_version":10,"tool":"campaign",
   ///  "engine":"levelized","lane_width":64,"shard":"0/1",
   ///  "config_hash":"deadbeef01234567"}
   std::string to_jsonl() const;

@@ -225,27 +225,18 @@ void LevelizedSimulator::reset(std::span<const std::uint8_t> inputs) {
   sampled_state_ = state_;
 }
 
+// A scalar step is a one-lane batch: same PI packing, same pass, same
+// throughput counters.
 StepResult LevelizedSimulator::step(std::span<const std::uint8_t> inputs) {
-  const auto pis = netlist_.primary_inputs();
-  VOSIM_EXPECTS(inputs.size() == pis.size());
-  for (std::size_t j = 0; j < pis.size(); ++j)
-    settled_w_[pis[j]] = inputs[j] ? lanes::bit(0) : Word{};
   StepResult result;
-  run_lanes(1, {&result, 1});
+  step_batch(inputs, 1, {&result, 1});
   return result;
 }
 
 StepResult LevelizedSimulator::step_cycle(
     std::span<const std::uint8_t> inputs) {
-  const auto pis = netlist_.primary_inputs();
-  VOSIM_EXPECTS(inputs.size() == pis.size());
-  for (std::size_t j = 0; j < pis.size(); ++j)
-    settled_w_[pis[j]] = inputs[j] ? lanes::bit(0) : Word{};
   StepResult result;
-  run_lanes(1, {&result, 1}, /*cycle_mode=*/true);
-  // Nothing is simulated past the edge in cycle mode.
-  result.total_energy_fj = result.window_energy_fj;
-  result.toggles_total = result.toggles_in_window;
+  step_cycle_batch(inputs, 1, {&result, 1});
   return result;
 }
 

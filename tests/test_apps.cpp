@@ -1,9 +1,10 @@
 // Application-kernel tests: routed arithmetic helpers, image pipeline,
-// FIR filtering and dot/SAD kernels, with exact and degraded adders.
+// FIR filtering and dot kernels, with exact and degraded adders.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "src/apps/dot.hpp"
 #include "src/apps/fir.hpp"
@@ -28,111 +29,156 @@ VosAdderModel truncating_model(int width, int window) {
                        CarryChainProbTable::from_counts(width, counts));
 }
 
+/// One addition through a batch adder.
+std::uint64_t add1(const BatchAdderFn& add, std::uint64_t a,
+                   std::uint64_t b) {
+  std::uint64_t out = 0;
+  add({&a, 1}, {&b, 1}, {&out, 1});
+  return out;
+}
+
+std::uint64_t sub1(const BatchAdderFn& add, int width, std::uint64_t a,
+                   std::uint64_t b) {
+  std::uint64_t out = 0;
+  approx_sub(add, width, {&a, 1}, {&b, 1}, {&out, 1});
+  return out;
+}
+
+std::uint64_t mul1(const BatchAdderFn& add, int width, std::uint64_t x,
+                   std::uint64_t y) {
+  std::uint64_t out = 0;
+  approx_mul(add, width, {&x, 1}, {&y, 1}, {&out, 1});
+  return out;
+}
+
 // ------------------------------------------------------------ arith helpers
 TEST(ApproxArith, ExactAdderFnIsPlus) {
-  const AdderFn add = exact_adder_fn(16);
+  const BatchAdderFn add = exact_adder_fn(16);
   Rng rng(1);
-  for (int t = 0; t < 500; ++t) {
-    const std::uint64_t a = rng.bits(16);
-    const std::uint64_t b = rng.bits(16);
-    ASSERT_EQ(add(a, b), a + b);
+  std::vector<std::uint64_t> a(500);
+  std::vector<std::uint64_t> b(500);
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    a[t] = rng.bits(16);
+    b[t] = rng.bits(16);
   }
+  std::vector<std::uint64_t> sum(a.size());
+  add(a, b, sum);
+  for (std::size_t t = 0; t < a.size(); ++t) ASSERT_EQ(sum[t], a[t] + b[t]);
+  // The output may alias an operand.
+  add(a, b, a);
+  EXPECT_EQ(a, sum);
 }
 
 TEST(ApproxArith, SubViaTwosComplement) {
-  const AdderFn add = exact_adder_fn(16);
+  const BatchAdderFn add = exact_adder_fn(16);
   Rng rng(2);
-  for (int t = 0; t < 500; ++t) {
-    const std::uint64_t a = rng.bits(16);
-    const std::uint64_t b = rng.bits(16);
-    ASSERT_EQ(approx_sub(add, 16, a, b), (a - b) & mask_n(16));
+  std::vector<std::uint64_t> a(500);
+  std::vector<std::uint64_t> b(500);
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    a[t] = rng.bits(16);
+    b[t] = rng.bits(16);
   }
+  std::vector<std::uint64_t> diff(a.size());
+  approx_sub(add, 16, a, b, diff);
+  for (std::size_t t = 0; t < a.size(); ++t)
+    ASSERT_EQ(diff[t], (a[t] - b[t]) & mask_n(16));
 }
 
 TEST(ApproxArith, MulViaShiftAdd) {
-  const AdderFn add = exact_adder_fn(16);
+  const BatchAdderFn add = exact_adder_fn(16);
   Rng rng(3);
-  for (int t = 0; t < 500; ++t) {
-    const std::uint64_t a = rng.bits(8);
-    const std::uint64_t b = rng.bits(8);
-    ASSERT_EQ(approx_mul(add, 16, a, b), (a * b) & mask_n(16));
+  std::vector<std::uint64_t> a(500);
+  std::vector<std::uint64_t> b(500);
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    a[t] = rng.bits(8);
+    b[t] = rng.bits(8);
   }
+  std::vector<std::uint64_t> prod(a.size());
+  approx_mul(add, 16, a, b, prod);
+  for (std::size_t t = 0; t < a.size(); ++t)
+    ASSERT_EQ(prod[t], (a[t] * b[t]) & mask_n(16));
 }
 
-TEST(ApproxArith, SaturatingAdd) {
-  const AdderFn add = exact_adder_fn(8);
-  EXPECT_EQ(approx_add_sat(add, 8, 250, 10), 255u);
-  EXPECT_EQ(approx_add_sat(add, 8, 100, 10), 110u);
+TEST(ApproxArith, MulAddsOncePerMultiplierBit) {
+  // Shift-and-add issues one routed addition per set multiplier bit,
+  // whatever the other elements of the batch hold.
+  std::size_t adds = 0;
+  const BatchAdderFn exact = exact_adder_fn(16);
+  const BatchAdderFn counting = [&](std::span<const std::uint64_t> a,
+                                    std::span<const std::uint64_t> b,
+                                    std::span<std::uint64_t> out) {
+    adds += a.size();
+    exact(a, b, out);
+  };
+  const std::vector<std::uint64_t> x = {7, 200, 3, 0};
+  const std::vector<std::uint64_t> y = {0, 0b1011, 0b1, 0xff};
+  std::vector<std::uint64_t> prod(x.size());
+  approx_mul(counting, 16, x, y, prod);
+  EXPECT_EQ(adds, 0u + 3u + 1u + 8u);
+  EXPECT_EQ(prod, (std::vector<std::uint64_t>{0, 200 * 0b1011, 3, 0}));
 }
 
-// Width 63 is the widest the (width+1)-bit AdderFn contract supports
+// Width 63 is the widest the (width+1)-bit adder contract supports
 // (max_word_bits); width 64 still works for the masking-only helpers
 // when the adder itself wraps. Pin both boundaries.
-TEST(ApproxArith, Width63MaskingAndSaturation) {
-  const AdderFn add = exact_adder_fn(63);
+TEST(ApproxArith, Width63MaskingAndCarryOut) {
+  const BatchAdderFn add = exact_adder_fn(63);
   const std::uint64_t m = mask_n(63);
-  // Saturation at max operands: the exact 64-bit sum 2m overflows the
-  // 63-bit range, so the saturating add must clamp to m.
-  EXPECT_EQ(approx_add_sat(add, 63, m, m), m);
-  EXPECT_EQ(approx_add_sat(add, 63, m, 1), m);
-  EXPECT_EQ(approx_add_sat(add, 63, m - 1, 1), m);
-  EXPECT_EQ(approx_add_sat(add, 63, 5, 6), 11u);
+  // The adder's sum keeps the carry-out bit.
+  EXPECT_EQ(add1(add, m, m), 2 * m);
+  EXPECT_EQ(add1(add, m, 1), m + 1);
   // Subtraction wraps within the 63-bit mask.
-  EXPECT_EQ(approx_sub(add, 63, 0, 1), m);
-  EXPECT_EQ(approx_sub(add, 63, m, m), 0u);
-  EXPECT_EQ(approx_sub(add, 63, 1, m), 2u);
+  EXPECT_EQ(sub1(add, 63, 0, 1), m);
+  EXPECT_EQ(sub1(add, 63, m, m), 0u);
+  EXPECT_EQ(sub1(add, 63, 1, m), 2u);
   // Operands above the mask are masked before use, not trusted.
-  EXPECT_EQ(approx_add_sat(add, 63, ~0ULL, 0), m);
+  EXPECT_EQ(add1(add, ~0ULL, 0), m);
+  EXPECT_EQ(sub1(add, 63, ~0ULL, 0), m);
   Rng rng(17);
   for (int t = 0; t < 200; ++t) {
     const std::uint64_t a = rng.bits(63);
     const std::uint64_t b = rng.bits(63);
-    EXPECT_EQ(approx_sub(add, 63, a, b), (a - b) & m);
-    EXPECT_EQ(approx_add_sat(add, 63, a, b),
-              (a + b) > m ? m : (a + b));
+    EXPECT_EQ(sub1(add, 63, a, b), (a - b) & m);
   }
 }
 
 TEST(ApproxArith, Width63MulMasksPartialProducts) {
-  const AdderFn add = exact_adder_fn(63);
+  const BatchAdderFn add = exact_adder_fn(63);
   const std::uint64_t m = mask_n(63);
   // Max x max: the helper must mask every shifted partial product into
   // the 63-bit accumulator (native 64-bit wrap would differ).
   std::uint64_t expect = 0;
   for (int i = 0; i < 63; ++i) expect = (expect + ((m << i) & m)) & m;
-  EXPECT_EQ(approx_mul(add, 63, m, m), expect);
-  EXPECT_EQ(approx_mul(add, 63, m, 0), 0u);
-  EXPECT_EQ(approx_mul(add, 63, m, 1), m);
+  EXPECT_EQ(mul1(add, 63, m, m), expect);
+  EXPECT_EQ(mul1(add, 63, m, 0), 0u);
+  EXPECT_EQ(mul1(add, 63, m, 1), m);
   Rng rng(18);
   for (int t = 0; t < 100; ++t) {
     const std::uint64_t a = rng.bits(32);
     const std::uint64_t b = rng.bits(31);
-    EXPECT_EQ(approx_mul(add, 63, a, b), (a * b) & m);
+    EXPECT_EQ(mul1(add, 63, a, b), (a * b) & m);
   }
 }
 
 TEST(ApproxArith, Width64HelpersWrapWithAWrappingAdder) {
-  // exact_adder_fn stops at max_word_bits = 63; a plain wrapping lambda
+  // exact_adder_fn stops at max_word_bits = 63; a plain wrapping adder
   // stands in at 64, where mask_n(64) must behave as ~0 (no UB shift).
-  const AdderFn wrap = [](std::uint64_t a, std::uint64_t b) {
-    return a + b;
+  const BatchAdderFn wrap = [](std::span<const std::uint64_t> a,
+                               std::span<const std::uint64_t> b,
+                               std::span<std::uint64_t> out) {
+    for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
   };
   EXPECT_EQ(mask_n(64), ~0ULL);
-  EXPECT_EQ(approx_sub(wrap, 64, 0, 1), ~0ULL);
-  EXPECT_EQ(approx_sub(wrap, 64, 5, ~0ULL), 6u);
-  EXPECT_EQ(approx_mul(wrap, 64, ~0ULL, ~0ULL), 1u);  // (-1)^2 mod 2^64
+  EXPECT_EQ(sub1(wrap, 64, 0, 1), ~0ULL);
+  EXPECT_EQ(sub1(wrap, 64, 5, ~0ULL), 6u);
+  EXPECT_EQ(mul1(wrap, 64, ~0ULL, ~0ULL), 1u);  // (-1)^2 mod 2^64
   Rng rng(19);
   for (int t = 0; t < 200; ++t) {
     const std::uint64_t a = rng();
     const std::uint64_t b = rng();
-    EXPECT_EQ(approx_sub(wrap, 64, a, b), a - b);
-    EXPECT_EQ(approx_mul(wrap, 64, a, b), a * b);
+    EXPECT_EQ(sub1(wrap, 64, a, b), a - b);
+    EXPECT_EQ(mul1(wrap, 64, a, b), a * b);
   }
-  // At width 64 a carry-out is unrepresentable, so the saturating add
-  // cannot detect overflow: it degrades to the wrapping sum. Pin that
-  // boundary so a silent contract change is caught.
-  EXPECT_EQ(approx_add_sat(wrap, 64, ~0ULL, 1), 0u);
-  EXPECT_EQ(approx_add_sat(wrap, 64, 7, 8), 15u);
 }
 
 TEST(ApproxArith, ExactAdderFnRejectsOutOfRangeWidths) {
@@ -140,11 +186,19 @@ TEST(ApproxArith, ExactAdderFnRejectsOutOfRangeWidths) {
   EXPECT_THROW(exact_adder_fn(0), ContractViolation);
 }
 
+TEST(ApproxArith, AdderRejectsMismatchedLengths) {
+  const BatchAdderFn add = exact_adder_fn(16);
+  std::vector<std::uint64_t> a(3);
+  std::vector<std::uint64_t> b(2);
+  std::vector<std::uint64_t> out(3);
+  EXPECT_THROW(add(a, b, out), ContractViolation);
+}
+
 TEST(ApproxArith, ModelAdderFnUsesModel) {
   const VosAdderModel model = truncating_model(16, 0);  // adds become XOR
   Rng rng(4);
-  const AdderFn add = model_adder_fn(model, rng);
-  EXPECT_EQ(add(0b1100, 0b1010), 0b1100ull ^ 0b1010ull);
+  const BatchAdderFn add = model_adder_fn(model, rng);
+  EXPECT_EQ(add1(add, 0b1100, 0b1010), 0b1100ull ^ 0b1010ull);
 }
 
 // ------------------------------------------------------------------- image
@@ -178,6 +232,25 @@ TEST(ImageKernels, BlurWithExactAdderMatchesReference) {
   }
   // Borders pass through.
   EXPECT_EQ(blurred.at(0, 0), img.at(0, 0));
+}
+
+TEST(ImageKernels, BandsCoverTinyImages) {
+  // One interior pixel: a single one-pixel band.
+  GrayImage img;
+  img.width = 3;
+  img.height = 3;
+  img.pixels = {10, 20, 30, 40, 50, 60, 70, 80, 90};
+  const GrayImage blurred = gaussian_blur3(img, exact_adder_fn(16));
+  EXPECT_EQ(blurred.at(1, 1), (10 + 2 * 20 + 30 + 2 * 40 + 4 * 50 + 2 * 60 +
+                               70 + 2 * 80 + 90) / 16);
+  EXPECT_EQ(blurred.at(0, 0), img.at(0, 0));
+  // No interior at all: everything is border and passes through.
+  GrayImage thin;
+  thin.width = 2;
+  thin.height = 12;
+  thin.pixels.assign(24, 77);
+  EXPECT_EQ(gaussian_blur3(thin, exact_adder_fn(16)).pixels, thin.pixels);
+  EXPECT_EQ(sobel_magnitude(thin, exact_adder_fn(16)).pixels, thin.pixels);
 }
 
 TEST(ImageKernels, BlurSmoothsNoise) {
@@ -218,7 +291,7 @@ TEST(ImageKernels, QualityDegradesGracefullyWithWindow) {
   for (const int window : {12, 8, 6, 4}) {
     const VosAdderModel model = truncating_model(16, window);
     Rng rng(10);
-    const AdderFn add = model_adder_fn(model, rng);
+    const BatchAdderFn add = model_adder_fn(model, rng);
     const GrayImage out = gaussian_blur3(img, add);
     const double p = psnr_db(ref, out);
     EXPECT_LE(p, prev_psnr) << "window " << window;
@@ -278,49 +351,27 @@ TEST(FirKernels, SnrDegradesWithWindow) {
 // --------------------------------------------------------------------- dot
 TEST(DotKernels, ExactDotMatchesInteger) {
   Rng rng(13);
-  std::vector<std::uint8_t> x(64);
-  std::vector<std::uint8_t> y(64);
-  for (auto& v : x) v = static_cast<std::uint8_t>(rng.below(256));
-  for (auto& v : y) v = static_cast<std::uint8_t>(rng.below(256));
-  std::uint64_t expect = 0;
-  for (std::size_t i = 0; i < x.size(); ++i)
-    expect += static_cast<std::uint64_t>(x[i]) * y[i];
-  EXPECT_EQ(approx_dot(exact_adder_fn(24), x, y, 24), expect & mask_n(24));
+  std::vector<std::vector<std::uint8_t>> x(5, std::vector<std::uint8_t>(64));
+  std::vector<std::vector<std::uint8_t>> y(5, std::vector<std::uint8_t>(64));
+  for (std::size_t p = 0; p < x.size(); ++p) {
+    for (auto& v : x[p]) v = static_cast<std::uint8_t>(rng.below(256));
+    for (auto& v : y[p]) v = static_cast<std::uint8_t>(rng.below(256));
+  }
+  const std::vector<std::uint64_t> dots =
+      approx_dot(exact_adder_fn(24), x, y, 24);
+  ASSERT_EQ(dots.size(), x.size());
+  for (std::size_t p = 0; p < x.size(); ++p) {
+    std::uint64_t expect = 0;
+    for (std::size_t i = 0; i < x[p].size(); ++i)
+      expect += static_cast<std::uint64_t>(x[p][i]) * y[p][i];
+    EXPECT_EQ(dots[p], expect & mask_n(24)) << "pair " << p;
+  }
 }
 
-TEST(DotKernels, ExactSadMatchesInteger) {
-  Rng rng(14);
-  std::vector<std::uint8_t> x(64);
-  std::vector<std::uint8_t> y(64);
-  for (auto& v : x) v = static_cast<std::uint8_t>(rng.below(256));
-  for (auto& v : y) v = static_cast<std::uint8_t>(rng.below(256));
-  std::uint64_t expect = 0;
-  for (std::size_t i = 0; i < x.size(); ++i)
-    expect += static_cast<std::uint64_t>(
-        x[i] > y[i] ? x[i] - y[i] : y[i] - x[i]);
-  EXPECT_EQ(approx_sad(exact_adder_fn(20), x, y, 20), expect & mask_n(20));
-}
-
-TEST(DotKernels, ApproxSadStaysCorrelated) {
-  // Even with a small window, SAD should preserve the ordering between a
-  // matching block and a mismatched one (why block matching tolerates
-  // approximation).
-  Rng rng(15);
-  std::vector<std::uint8_t> block(64);
-  for (auto& v : block) v = static_cast<std::uint8_t>(rng.below(256));
-  std::vector<std::uint8_t> near_match = block;
-  for (std::size_t i = 0; i < 8; ++i)
-    near_match[i * 8] = static_cast<std::uint8_t>(
-        std::min(255, near_match[i * 8] + 3));
-  std::vector<std::uint8_t> mismatch(64);
-  for (auto& v : mismatch) v = static_cast<std::uint8_t>(rng.below(256));
-
-  const VosAdderModel model = truncating_model(20, 8);
-  Rng mrng(16);
-  const AdderFn add = model_adder_fn(model, mrng);
-  const std::uint64_t sad_near = approx_sad(add, block, near_match, 20);
-  const std::uint64_t sad_far = approx_sad(add, block, mismatch, 20);
-  EXPECT_LT(sad_near, sad_far);
+TEST(DotKernels, RejectsRaggedPairs) {
+  const std::vector<std::vector<std::uint8_t>> x = {{1, 2}, {3}};
+  const std::vector<std::vector<std::uint8_t>> y = {{1, 2}, {3, 4}};
+  EXPECT_THROW(approx_dot(exact_adder_fn(24), x, y, 24), ContractViolation);
 }
 
 }  // namespace

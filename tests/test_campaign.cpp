@@ -1,13 +1,17 @@
 // Campaign subsystem tests: workload registry, JSONL store round-trip
 // and resume, cache-hit identity across thread counts, Pareto
-// extraction, model-vs-gate-level quality agreement, and the
-// determinism the content-keyed cache depends on.
+// extraction, model-vs-gate-level quality agreement, the determinism
+// the content-keyed cache depends on, and the one operation schedule
+// every backend runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "src/model/prob_table.hpp"
 #include "src/netlist/dut.hpp"
 #include "src/seq/seq_dut.hpp"
+#include "src/seq/seq_sim.hpp"
 #include "src/tech/library.hpp"
 
 namespace vosim {
@@ -151,6 +156,8 @@ TEST(CampaignStore, JsonlRoundTripIsExact) {
   EXPECT_EQ(parsed->ber, cell.ber);
   EXPECT_EQ(parsed->adds, cell.adds);
   EXPECT_EQ(parsed->elapsed_s, cell.elapsed_s);
+  EXPECT_EQ(parsed->key.store_version,
+            static_cast<std::uint64_t>(obs::kStoreVersion));
 }
 
 TEST(CampaignStore, RejectsMalformedLines) {
@@ -168,6 +175,12 @@ TEST(CampaignStore, RejectsMalformedLines) {
   const auto seed_at = neg.find("\"seed\":42");
   neg.replace(seed_at, std::string("\"seed\":42").size(), "\"seed\":-1");
   EXPECT_FALSE(CampaignStore::parse_jsonl(neg).has_value());
+  // A present-but-garbled store version is corruption, not an old line.
+  std::string bad = CampaignStore::to_jsonl(sample_cell());
+  const auto v_at = bad.find("\"store_version\":");
+  ASSERT_NE(v_at, std::string::npos);
+  bad.insert(v_at + std::string("\"store_version\":").size(), "x");
+  EXPECT_FALSE(CampaignStore::parse_jsonl(bad).has_value());
 }
 
 TEST(CampaignStore, LoadOnStartSkipsGarbageAndKeepsLastWrite) {
@@ -291,28 +304,34 @@ TEST(CampaignTriads, CircuitTriadsMatchPaperForExactAdders) {
 // ------------------------------------------------------------ determinism
 TEST(CampaignDeterminism, ModelAdderStreamReproducesPerSeed) {
   const VosAdderModel model = lossy_model(16);
-  std::vector<std::uint64_t> first;
-  for (int pass = 0; pass < 2; ++pass) {
-    Rng rng(2024);
-    const AdderFn add = model_adder_fn(model, rng);
-    Rng data(5);
-    std::vector<std::uint64_t> out;
-    for (int i = 0; i < 2000; ++i)
-      out.push_back(add(data.bits(16), data.bits(16)));
-    if (pass == 0) {
-      first = out;
-    } else {
-      EXPECT_EQ(out, first);  // identical injected-error stream
-    }
-  }
-  // A different model seed must produce a different stream somewhere.
-  Rng rng(2025);
-  const AdderFn add = model_adder_fn(model, rng);
   Rng data(5);
-  std::vector<std::uint64_t> other;
-  for (int i = 0; i < 2000; ++i)
-    other.push_back(add(data.bits(16), data.bits(16)));
-  EXPECT_NE(other, first);
+  std::vector<std::uint64_t> a(2000);
+  std::vector<std::uint64_t> b(2000);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = data.bits(16);
+    b[i] = data.bits(16);
+  }
+  const auto stream = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<std::uint64_t> out(a.size());
+    model_adder_fn(model, rng)(a, b, out);
+    return out;
+  };
+  const std::vector<std::uint64_t> first = stream(2024);
+  EXPECT_EQ(stream(2024), first);  // identical injected-error stream
+  // A different model seed must produce a different stream somewhere.
+  EXPECT_NE(stream(2025), first);
+  // The model draws in element order, so two half batches replay the
+  // whole one.
+  Rng rng(2024);
+  const BatchAdderFn add = model_adder_fn(model, rng);
+  std::vector<std::uint64_t> halves(a.size());
+  const std::size_t h = a.size() / 2;
+  add(std::span(a).first(h), std::span(b).first(h),
+      std::span(halves).first(h));
+  add(std::span(a).subspan(h), std::span(b).subspan(h),
+      std::span(halves).subspan(h));
+  EXPECT_EQ(halves, first);
 }
 
 // ----------------------------------------------------------- campaign runs
@@ -361,6 +380,43 @@ TEST(CampaignRunner, ResumeRecomputesOnlyMissingCells) {
   EXPECT_EQ(third.cells.size(), 4u);
   EXPECT_EQ(third.reused, 3u);
   EXPECT_EQ(third.computed, 1u);
+  std::remove(path.c_str());
+}
+
+TEST(CampaignStore, LinesWithoutAStoreVersionAreRecomputed) {
+  // A line written before cells carried their store version reads as
+  // version 9 — computed on an older operation schedule — so it must
+  // not answer a current lookup: the resumed campaign recomputes it.
+  const std::string path = temp_path("store_version_resume.jsonl");
+  std::remove(path.c_str());
+  const CellLibrary& lib = make_fdsoi28_lvt();
+  CampaignConfig cfg = small_campaign();
+  cfg.triad_specs = {{1.0, 1.0, 0.0}};
+  {
+    CampaignStore store(path);
+    EXPECT_EQ(run_campaign(lib, cfg, store).computed, 1u);
+  }
+  std::string line;
+  {
+    std::ifstream in(path);
+    std::getline(in, line);
+  }
+  const std::string field =
+      ",\"store_version\":" + std::to_string(obs::kStoreVersion);
+  const auto at = line.find(field);
+  ASSERT_NE(at, std::string::npos);
+  line.erase(at, field.size());
+  const auto old = CampaignStore::parse_jsonl(line);
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(old->key.store_version, 9u);
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << line << '\n';
+  }
+  CampaignStore resumed(path);
+  const CampaignOutcome second = run_campaign(lib, cfg, resumed);
+  EXPECT_EQ(second.computed, 1u);
+  EXPECT_EQ(second.reused, 0u);
   std::remove(path.c_str());
 }
 
@@ -512,6 +568,33 @@ TEST(CampaignRunner, ReusedCellsAreRebasedOnTheCurrentGrid) {
   EXPECT_EQ(stressed.baseline_fj, nominal.energy_per_op_fj);
   EXPECT_EQ(nominal.baseline_fj, nominal.energy_per_op_fj);
   std::remove(path.c_str());
+}
+
+TEST(CampaignRunner, FleetCellsRebaseOnTheirOwnChip) {
+  // Every chip is its own die corner: each cell's savings baseline is
+  // its own chip's relaxed-triad energy, per energy class, never
+  // another chip's or the nominal die's.
+  const CellLibrary& lib = make_fdsoi28_lvt();
+  CampaignConfig cfg = small_campaign();
+  cfg.backends = {ArithBackend::kExact, ArithBackend::kSimSeq};
+  cfg.triad_specs = {{1.0, 0.7, 0.0}, {1.5, 1.0, 0.0}, {1.0, 0.8, 0.0}};
+  cfg.fleet.num_chips = 3;
+  CampaignStore store;
+  const CampaignOutcome outcome = run_campaign(lib, cfg, store);
+  ASSERT_EQ(outcome.cells.size(), 3u * 2u * 3u);
+  std::set<double> baselines;
+  for (const CampaignCell& cell : outcome.cells) {
+    const CampaignCell* relaxed = nullptr;
+    for (const CampaignCell& c : outcome.cells)
+      if (c.key.chip == cell.key.chip && c.key.backend == cell.key.backend &&
+          c.key.triad.vdd_v == 1.0)
+        relaxed = &c;
+    ASSERT_NE(relaxed, nullptr);
+    EXPECT_EQ(cell.baseline_fj, relaxed->energy_per_op_fj)
+        << cell.key.to_string();
+    baselines.insert(cell.baseline_fj);
+  }
+  EXPECT_EQ(baselines.size(), 3u * 2u);  // chips × energy classes
 }
 
 // ------------------------------------------------- chip axis + merge
@@ -770,6 +853,104 @@ TEST(CampaignRunner, MaxTriadsTruncatesTheGrid) {
   CampaignStore store;
   const CampaignOutcome outcome = run_campaign(lib, cfg, store);
   EXPECT_EQ(outcome.cells.size(), 2u);
+}
+
+// ------------------------------------------------------- one schedule
+/// The scalar references of the two simulator adapters: one simulator
+/// call per addition, in the order the kernel issues them.
+BatchAdderFn per_add(VosDutSim& sim) {
+  return [&sim](std::span<const std::uint64_t> a,
+                std::span<const std::uint64_t> b,
+                std::span<std::uint64_t> out) {
+    for (std::size_t i = 0; i < a.size(); ++i)
+      out[i] = sim.apply(a[i], b[i]).sampled;
+  };
+}
+
+BatchAdderFn per_cycle(SeqSim& sim) {
+  return [&sim](std::span<const std::uint64_t> a,
+                std::span<const std::uint64_t> b,
+                std::span<std::uint64_t> out) {
+    for (std::size_t i = 0; i < a.size(); ++i)
+      out[i] = sim.step_cycle(a[i], b[i]).captured;
+  };
+}
+
+CampaignConfig every_workload_on_rca16(std::vector<ArithBackend> backends,
+                                       TriadSpec triad) {
+  CampaignConfig cfg;
+  cfg.workloads = {"all"};
+  cfg.circuits = {"rca16"};
+  cfg.backends = std::move(backends);
+  cfg.triad_specs = {triad};
+  cfg.characterize_patterns = 300;
+  return cfg;
+}
+
+TEST(CampaignSchedule, RelaxedTriadIsBitIdenticalOnEveryBackend) {
+  // Every backend runs each workload's one kernel, so with no timing
+  // errors the gate-level backends reproduce the exact adder's cells.
+  const CellLibrary& lib = make_fdsoi28_lvt();
+  const CampaignConfig cfg = every_workload_on_rca16(
+      {ArithBackend::kExact, ArithBackend::kSimEvent,
+       ArithBackend::kSimLevelized, ArithBackend::kSimSeq},
+      {1.2, 1.0, 0.0});
+  CampaignStore store;
+  const CampaignOutcome outcome = run_campaign(lib, cfg, store);
+  ASSERT_EQ(outcome.cells.size(), 5u * 4u);
+  for (const CampaignCell& cell : outcome.cells) {
+    const auto exact = std::find_if(
+        outcome.cells.begin(), outcome.cells.end(),
+        [&cell](const CampaignCell& c) {
+          return c.key.workload == cell.key.workload &&
+                 c.key.backend == "exact";
+        });
+    ASSERT_NE(exact, outcome.cells.end());
+    EXPECT_EQ(cell.quality, exact->quality) << cell.key.to_string();
+    EXPECT_EQ(cell.normalized, exact->normalized) << cell.key.to_string();
+    EXPECT_EQ(cell.adds, exact->adds) << cell.key.to_string();
+  }
+}
+
+TEST(CampaignSchedule, GateLevelCellsReplayTheirPerAddLoops) {
+  // Under timing errors the result depends on the operation order. A
+  // campaign's batched gate-level cell must equal the same kernel
+  // driven through one apply() / step_cycle() per addition.
+  const CellLibrary& lib = make_fdsoi28_lvt();
+  const CampaignConfig cfg = every_workload_on_rca16(
+      {ArithBackend::kExact, ArithBackend::kSimLevelized,
+       ArithBackend::kSimSeq},
+      {0.6, 0.8, 0.0});
+  CampaignStore store;
+  const CampaignOutcome outcome = run_campaign(lib, cfg, store);
+  ASSERT_EQ(outcome.cells.size(), 5u * 3u);
+  const DutNetlist dut = build_circuit("rca16");
+  const SeqDut seq = wrap_as_pipeline(dut);
+  TimingSimConfig sim_cfg;
+  sim_cfg.engine = EngineKind::kLevelized;
+  std::map<std::string, double> exact_quality;
+  for (const CampaignCell& cell : outcome.cells)
+    if (cell.key.backend == "exact")
+      exact_quality[cell.key.workload] = cell.quality;
+  for (const CampaignCell& cell : outcome.cells) {
+    if (cell.key.backend == "exact") continue;
+    const Workload* wl = find_workload(cell.key.workload);
+    ASSERT_NE(wl, nullptr);
+    const std::uint64_t seed = workload_data_seed(cfg.seed, wl->name);
+    QualityResult ref;
+    if (cell.key.backend == "sim-levelized") {
+      VosDutSim sim(dut, lib, cell.key.triad, sim_cfg);
+      ref = wl->run(per_add(sim), seed);
+    } else {
+      SeqSim sim(seq, lib, cell.key.triad, sim_cfg);
+      ref = wl->run(per_cycle(sim), seed);
+    }
+    EXPECT_EQ(cell.quality, ref.value) << cell.key.to_string();
+    EXPECT_EQ(cell.adds, ref.adds) << cell.key.to_string();
+    // The triad really is error-producing for this workload.
+    EXPECT_NE(cell.quality, exact_quality.at(cell.key.workload))
+        << cell.key.to_string();
+  }
 }
 
 }  // namespace

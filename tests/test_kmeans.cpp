@@ -54,7 +54,7 @@ TEST(Kmeans, MildVosBarelyHurtsClustering) {
   const ClusterDataset data = make_cluster_dataset(4, 60, 5);
   const VosAdderModel model = truncating_model(16, 9);
   Rng rng(6);
-  const AdderFn add = model_adder_fn(model, rng);
+  const BatchAdderFn add = model_adder_fn(model, rng);
   const KmeansResult res = kmeans(data.points, 4, add);
   EXPECT_GE(clustering_accuracy(data, res.assignment), 0.90);
 }
@@ -63,11 +63,31 @@ TEST(Kmeans, DeepVosDegradesClustering) {
   const ClusterDataset data = make_cluster_dataset(4, 60, 7);
   const VosAdderModel model = truncating_model(16, 2);  // savage truncation
   Rng rng(8);
-  const AdderFn add = model_adder_fn(model, rng);
+  const BatchAdderFn add = model_adder_fn(model, rng);
   const KmeansResult res = kmeans(data.points, 4, add, 16);
   const double acc = clustering_accuracy(data, res.assignment);
   const KmeansResult exact = kmeans(data.points, 4, exact_adder_fn(16));
   EXPECT_LT(acc, clustering_accuracy(data, exact.assignment) + 1e-12);
+}
+
+TEST(Kmeans, AssignmentIsFivePassesOverAllPairs) {
+  // Each iteration: |dx| (two passes), |dy| (two), |dx| + |dy| (one),
+  // every pass one batch over all (point, center) pairs.
+  const ClusterDataset data = make_cluster_dataset(3, 20, 10);
+  const BatchAdderFn exact = exact_adder_fn(16);
+  std::vector<std::size_t> batches;
+  const BatchAdderFn logged = [&](std::span<const std::uint64_t> a,
+                                  std::span<const std::uint64_t> b,
+                                  std::span<std::uint64_t> out) {
+    batches.push_back(a.size());
+    exact(a, b, out);
+  };
+  const KmeansResult res = kmeans(data.points, 3, logged);
+  ASSERT_GE(res.iterations, 1);
+  EXPECT_EQ(batches.size(), 5u * static_cast<std::size_t>(res.iterations));
+  for (const std::size_t n : batches) EXPECT_EQ(n, data.points.size() * 3);
+  const KmeansResult direct = kmeans(data.points, 3, exact);
+  EXPECT_EQ(res.assignment, direct.assignment);
 }
 
 TEST(Kmeans, Validation) {

@@ -12,9 +12,11 @@
 
 #include "src/campaign/runner.hpp"
 #include "src/campaign/store.hpp"
+#include "src/netlist/dut.hpp"
 #include "src/obs/manifest.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/sim/sim_engine.hpp"
 #include "src/tech/library.hpp"
 
 namespace vosim {
@@ -84,6 +86,31 @@ TEST(Metrics, SnapshotJsonIsSingleLineWithEveryKind) {
             std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
+}
+
+TEST(Metrics, LevelizedScalarStepsAreCounted) {
+  // A scalar levelized step is a one-lane batch, so it shows in the
+  // same throughput counters as the batch paths.
+  const DutNetlist rca = build_circuit("rca8");
+  TimingSimConfig cfg;
+  cfg.engine = EngineKind::kLevelized;
+  const auto engine =
+      make_engine(rca.netlist, make_fdsoi28_lvt(), {1.0, 1.0, 0.0}, cfg);
+  const std::vector<std::uint8_t> inputs(
+      rca.netlist.primary_inputs().size(), 1);
+  obs::Counter& patterns = obs::metrics().counter("sim.levelized.patterns");
+  obs::Counter& cycles = obs::metrics().counter("sim.levelized.cycles");
+  obs::Counter& words = obs::metrics().counter("sim.levelized.lane_words");
+  const std::uint64_t p0 = patterns.value();
+  const std::uint64_t c0 = cycles.value();
+  const std::uint64_t w0 = words.value();
+  engine->step(inputs);
+  EXPECT_EQ(patterns.value() - p0, 1u);
+  EXPECT_EQ(cycles.value() - c0, 0u);
+  engine->step_cycle(inputs);
+  EXPECT_EQ(patterns.value() - p0, 1u);
+  EXPECT_EQ(cycles.value() - c0, 1u);
+  EXPECT_EQ(words.value() - w0, 2u);
 }
 
 TEST(Trace, DisabledSpansRecordNothing) {
