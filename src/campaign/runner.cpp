@@ -6,10 +6,10 @@
 #include <memory>
 #include <optional>
 #include <ostream>
-#include <set>
 #include <stdexcept>
 #include <string_view>
 #include <tuple>
+#include <unordered_set>
 
 #include "src/characterize/characterizer.hpp"
 #include "src/obs/probe.hpp"
@@ -255,6 +255,7 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
     std::size_t triad;
     ArithBackend backend;
     CampaignCellKey key;
+    std::string key_str;   ///< key.to_string(), built once
   };
   // The chip axis: the nominal die alone, or fleet members 1..N.
   std::vector<std::uint64_t> chip_ids;
@@ -267,7 +268,20 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
 
   CampaignOutcome outcome;
   std::vector<PendingCell> pending;
-  std::set<std::string> enumerated;  // dedup repeated axis entries
+  // Dedup of repeated axis entries, keyed by each cell's canonical key
+  // string: the one string the shard hash, the store lookup and the
+  // model cell's Rng seed all read (elements never move, so a
+  // reference to one stays valid as the set grows).
+  std::unordered_set<std::string> enumerated;
+  // The grid size is known up front, so each container is allocated
+  // once: a doubling outcome vector briefly holds its cells twice,
+  // which set a daemon's peak memory on large fleet grids. (A shard
+  // keeps an unknown ~1/N share, so its outcome still grows.)
+  std::size_t grid_cells = 0;
+  for (const CircuitContext& ctx : contexts) grid_cells += ctx.triads.size();
+  grid_cells *= workloads.size() * config.backends.size() * chip_ids.size();
+  enumerated.reserve(grid_cells);
+  if (config.shard_count == 1) outcome.cells.reserve(grid_cells);
   // Store-lookup accounting: these count per lookup in the loop below,
   // so a snapshot's hit/miss exactly equals reused/computed (test_obs).
   obs::Counter& hit_counter = obs::metrics().counter("campaign.cache.hit");
@@ -293,8 +307,9 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
             key.chip = chip;
             // "--workloads fir,fir" or repeated backends must not
             // compute (and report) the same cell twice.
-            const std::string key_str = key.to_string();
-            if (!enumerated.insert(key_str).second) continue;
+            const auto [entry, fresh] = enumerated.insert(key.to_string());
+            if (!fresh) continue;
+            const std::string& key_str = *entry;
             // Shard partition by content hash of the key: every shard
             // enumerates the identical grid and claims a disjoint
             // subset, independent of enumeration order or fleet size
@@ -304,14 +319,15 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
                     config.shard_index)
               continue;
             const std::size_t slot = outcome.cells.size();
-            const auto hit = store.find(key);
+            auto hit = store.find(key_str);
             if (hit.has_value()) {
-              outcome.cells.push_back(*hit);
+              outcome.cells.push_back(std::move(*hit));
               ++outcome.reused;
               hit_counter.add();
             } else {
               outcome.cells.push_back(CampaignCell{});  // filled below
-              pending.push_back({slot, w, c, t, backend, key});
+              pending.push_back(
+                  {slot, w, c, t, backend, std::move(key), key_str});
               miss_counter.add();
             }
           }
@@ -381,7 +397,7 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
             break;
           }
           case ArithBackend::kModel: {
-            Rng rng(content_seed(config.seed, p.key.to_string()));
+            Rng rng(content_seed(config.seed, p.key_str));
             q = wl.run(model_adder_fn(*ctx.models[p.triad], rng), dseed);
             break;
           }

@@ -1,26 +1,50 @@
 #include "src/campaign/store.hpp"
 
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "src/obs/manifest.hpp"
 
 namespace vosim {
 
+namespace {
+
+/// Appends jsonl::num(v). std::to_chars with a precision formats as
+/// printf's %g does and std::from_chars reads as strtod does (both
+/// correctly rounded), so these are the bytes of the snprintf/strtod
+/// rule every stored key and line was written with
+/// (tests/test_campaign.cpp checks them against it).
+void append_num(std::string& out, double v) {
+  char buf[32];  // "%.17g" of a double needs at most 24
+  char* end = std::to_chars(buf, buf + sizeof buf, v,
+                            std::chars_format::general, 15)
+                  .ptr;
+  double back = 0.0;
+  std::from_chars(buf, end, back);
+  if (back != v)
+    end = std::to_chars(buf, buf + sizeof buf, v,
+                        std::chars_format::general, 17)
+              .ptr;
+  out.append(buf, end);
+}
+
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+}  // namespace
+
 namespace jsonl {
 
 /// %.17g always round-trips; try %.15g first so common values stay
 /// readable.
 std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.15g", v);
-  if (std::strtod(buf, nullptr) != v)
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  std::string out;
+  append_num(out, v);
+  return out;
 }
 
 bool raw_field(const std::string& line, const std::string& field,
@@ -65,18 +89,26 @@ bool u64_field(const std::string& line, const std::string& field,
 
 }  // namespace jsonl
 
-using jsonl::num;
 using jsonl::num_field;
 using jsonl::raw_field;
 using jsonl::u64_field;
 
 std::string CampaignCellKey::to_string() const {
-  std::ostringstream os;
-  os << workload << '|' << circuit << '|' << backend << '|'
-     << num(triad.tclk_ns) << ',' << num(triad.vdd_v) << ','
-     << num(triad.vbb_v) << '|' << seed << '|' << train_patterns << '|'
-     << characterize_patterns << '|' << chip << '|' << store_version;
-  return os.str();
+  std::string s;
+  s.reserve(workload.size() + circuit.size() + backend.size() + 160);
+  s.append(workload).append(1, '|').append(circuit).append(1, '|')
+      .append(backend).append(1, '|');
+  append_num(s, triad.tclk_ns);
+  s += ',';
+  append_num(s, triad.vdd_v);
+  s += ',';
+  append_num(s, triad.vbb_v);
+  for (const std::uint64_t field :
+       {seed, train_patterns, characterize_patterns, chip, store_version}) {
+    s += '|';
+    append_u64(s, field);
+  }
+  return s;
 }
 
 CampaignStore::CampaignStore(std::string path) : path_(std::move(path)) {
@@ -115,13 +147,22 @@ const std::string& CampaignStore::manifest_line() const {
   return manifest_line_;
 }
 
+void CampaignStore::append_line(const std::string& line) {
+  if (!out_.is_open()) {
+    out_.open(path_, std::ios::app);
+    if (!out_)
+      throw std::runtime_error("campaign store: cannot append to " + path_);
+  }
+  out_ << line << '\n';
+  // One flush per line: a killed run keeps every line it completed.
+  if (!out_.flush())
+    throw std::runtime_error("campaign store: cannot append to " + path_);
+}
+
 void CampaignStore::write_header(const std::string& line) {
   std::lock_guard<std::mutex> lock(m_);
   if (path_.empty() || !manifest_line_.empty()) return;
-  std::ofstream out(path_, std::ios::app);
-  if (!out)
-    throw std::runtime_error("campaign store: cannot append to " + path_);
-  out << line << '\n';
+  append_line(line);
   manifest_line_ = line;
 }
 
@@ -132,8 +173,13 @@ std::size_t CampaignStore::size() const {
 
 std::optional<CampaignCell> CampaignStore::find(
     const CampaignCellKey& key) const {
+  return find(key.to_string());
+}
+
+std::optional<CampaignCell> CampaignStore::find(
+    const std::string& canonical_key) const {
   std::lock_guard<std::mutex> lock(m_);
-  const auto it = cells_.find(key.to_string());
+  const auto it = cells_.find(canonical_key);
   if (it == cells_.end()) return std::nullopt;
   return it->second;
 }
@@ -141,12 +187,7 @@ std::optional<CampaignCell> CampaignStore::find(
 void CampaignStore::insert(const CampaignCell& cell) {
   std::lock_guard<std::mutex> lock(m_);
   cells_.insert_or_assign(cell.key.to_string(), cell);
-  if (path_.empty()) return;
-  std::ofstream out(path_, std::ios::app);
-  if (!out)
-    throw std::runtime_error("campaign store: cannot append to " + path_);
-  out << to_jsonl(cell) << '\n';
-  out.flush();
+  if (!path_.empty()) append_line(to_jsonl(cell));
 }
 
 std::vector<CampaignCell> CampaignStore::cells() const {
@@ -160,29 +201,47 @@ std::vector<CampaignCell> CampaignStore::cells() const {
 std::string CampaignStore::to_jsonl(const CampaignCell& cell) {
   // Names are identifiers (registry tokens), so no string escaping is
   // needed; parse_jsonl rejects anything it did not write.
-  std::ostringstream os;
-  os << "{\"workload\":\"" << cell.key.workload << "\""
-     << ",\"circuit\":\"" << cell.key.circuit << "\""
-     << ",\"backend\":\"" << cell.key.backend << "\""
-     << ",\"tclk_ns\":" << num(cell.key.triad.tclk_ns)
-     << ",\"vdd_v\":" << num(cell.key.triad.vdd_v)
-     << ",\"vbb_v\":" << num(cell.key.triad.vbb_v)
-     << ",\"seed\":" << cell.key.seed
-     << ",\"train_patterns\":" << cell.key.train_patterns
-     << ",\"characterize_patterns\":" << cell.key.characterize_patterns
-     << ",\"chip\":" << cell.key.chip
-     << ",\"store_version\":" << cell.key.store_version
-     << ",\"metric\":\"" << cell.metric << "\""
-     << ",\"quality\":" << num(cell.quality)
-     << ",\"normalized\":" << num(cell.normalized)
-     << ",\"energy_per_op_fj\":" << num(cell.energy_per_op_fj)
-     << ",\"baseline_fj\":" << num(cell.baseline_fj)
-     << ",\"ber\":" << num(cell.ber)
-     << ",\"adds\":" << cell.adds
-     << ",\"elapsed_s\":" << num(cell.elapsed_s);
-  if (!cell.culprits.empty()) os << ",\"culprits\":\"" << cell.culprits << "\"";
-  os << "}";
-  return os.str();
+  const CampaignCellKey& k = cell.key;
+  std::string s;
+  s.reserve(k.workload.size() + k.circuit.size() + k.backend.size() +
+            cell.metric.size() + cell.culprits.size() + 400);
+  s.append("{\"workload\":\"").append(k.workload)
+      .append("\",\"circuit\":\"").append(k.circuit)
+      .append("\",\"backend\":\"").append(k.backend)
+      .append("\",\"tclk_ns\":");
+  append_num(s, k.triad.tclk_ns);
+  s.append(",\"vdd_v\":");
+  append_num(s, k.triad.vdd_v);
+  s.append(",\"vbb_v\":");
+  append_num(s, k.triad.vbb_v);
+  s.append(",\"seed\":");
+  append_u64(s, k.seed);
+  s.append(",\"train_patterns\":");
+  append_u64(s, k.train_patterns);
+  s.append(",\"characterize_patterns\":");
+  append_u64(s, k.characterize_patterns);
+  s.append(",\"chip\":");
+  append_u64(s, k.chip);
+  s.append(",\"store_version\":");
+  append_u64(s, k.store_version);
+  s.append(",\"metric\":\"").append(cell.metric).append("\",\"quality\":");
+  append_num(s, cell.quality);
+  s.append(",\"normalized\":");
+  append_num(s, cell.normalized);
+  s.append(",\"energy_per_op_fj\":");
+  append_num(s, cell.energy_per_op_fj);
+  s.append(",\"baseline_fj\":");
+  append_num(s, cell.baseline_fj);
+  s.append(",\"ber\":");
+  append_num(s, cell.ber);
+  s.append(",\"adds\":");
+  append_u64(s, cell.adds);
+  s.append(",\"elapsed_s\":");
+  append_num(s, cell.elapsed_s);
+  if (!cell.culprits.empty())
+    s.append(",\"culprits\":\"").append(cell.culprits).append(1, '"');
+  s += '}';
+  return s;
 }
 
 std::optional<CampaignCell> CampaignStore::parse_jsonl(

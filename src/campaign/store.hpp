@@ -11,6 +11,7 @@
 #define VOSIM_CAMPAIGN_STORE_HPP
 
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -87,10 +88,14 @@ class CampaignStore {
 
   /// Finished cell for this key, or nullopt.
   std::optional<CampaignCell> find(const CampaignCellKey& key) const;
+  /// The same lookup by canonical key (CampaignCellKey::to_string()),
+  /// for callers that already built it.
+  std::optional<CampaignCell> find(const std::string& canonical_key) const;
 
   /// Records a finished cell: indexes it and (when file-backed) appends
-  /// its JSONL line immediately, so a killed campaign keeps everything
-  /// completed so far. Thread-safe.
+  /// its JSONL line and flushes it, so a killed campaign keeps everything
+  /// completed so far. Thread-safe. Throws std::runtime_error when the
+  /// line cannot be written.
   void insert(const CampaignCell& cell);
 
   /// All cells in canonical key order.
@@ -113,10 +118,15 @@ class CampaignStore {
   static std::optional<CampaignCell> parse_jsonl(const std::string& line);
 
  private:
+  /// Writes one line through the append handle, opening it on first
+  /// use (after the constructor's torn-tail cut). Caller holds m_.
+  void append_line(const std::string& line);
+
   mutable std::mutex m_;
   std::string path_;
   std::string manifest_line_;
   std::map<std::string, CampaignCell> cells_;
+  std::ofstream out_;  ///< the one append handle of a file-backed store
 };
 
 /// merge_stores accounting.
@@ -148,7 +158,8 @@ MergeStats merge_stores(const std::vector<std::string>& inputs,
 /// no escapes or nesting.
 namespace jsonl {
 
-/// Shortest round-trippable decimal form of a double.
+/// Decimal form of a double: the printf "%.15g" form when it reads
+/// back as the same double, else "%.17g" (which always does).
 std::string num(double v);
 /// Extracts the raw token after `"field":` — a number, or the body of
 /// a quoted string. Returns false when the field is absent.

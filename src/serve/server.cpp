@@ -4,6 +4,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -44,16 +45,22 @@ bool write_line(int fd, const std::string& line) {
   return write_all(fd, line + "\n");
 }
 
-/// Reads until the first newline or EOF (the request is one line).
+/// A campaign stream goes out in writes of at least this many bytes
+/// (the last one carries the footer), not one send() per cell line.
+constexpr std::size_t kStreamChunkBytes = 64 * 1024;
+
+/// Reads until the first newline or EOF (the request is one line; any
+/// bytes after it are dropped).
 std::string read_request_line(int fd) {
   std::string line;
-  char c = 0;
-  while (true) {
-    const ssize_t n = ::read(fd, &c, 1);
-    if (n <= 0 || c == '\n') break;
-    line.push_back(c);
-    if (line.size() > 1 << 16)
-      break;  // a sane request is a few hundred bytes
+  char buf[4096];
+  // A sane request is a few hundred bytes.
+  while (line.size() <= 1 << 16) {
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n <= 0) break;
+    char* const nl = std::find(buf, buf + n, '\n');
+    line.append(buf, nl);
+    if (nl != buf + n) break;
   }
   return line;
 }
@@ -151,10 +158,30 @@ void CampaignServer::accept_loop() {
       if (!running_.load()) break;
       continue;  // EINTR and friends
     }
+    reap_finished();
     std::lock_guard<std::mutex> lock(conn_m_);
     connections_.emplace_back(
         [this, fd] { handle_connection(fd); });
   }
+}
+
+void CampaignServer::reap_finished() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(conn_m_);
+    for (const std::thread::id id : finished_) {
+      const auto it = std::find_if(
+          connections_.begin(), connections_.end(),
+          [id](const std::thread& t) { return t.get_id() == id; });
+      if (it == connections_.end()) continue;
+      done.push_back(std::move(*it));
+      connections_.erase(it);
+    }
+    finished_.clear();
+  }
+  // Each of these has left handle_connection; join waits out only its
+  // return.
+  for (std::thread& t : done) t.join();
 }
 
 void CampaignServer::handle_connection(int fd) {
@@ -171,6 +198,9 @@ void CampaignServer::handle_connection(int fd) {
   if (!alive) reg.counter("serve.disconnects").add();
   reg.gauge("serve.connections.active").add(-1.0);
   ::close(fd);
+  // Last step: the accept loop may join this thread from here on.
+  std::lock_guard<std::mutex> lock(conn_m_);
+  finished_.push_back(std::this_thread::get_id());
 }
 
 bool CampaignServer::dispatch(int fd, std::uint64_t& bytes) {
@@ -248,17 +278,30 @@ bool CampaignServer::dispatch(int fd, std::uint64_t& bytes) {
       // Stream the *stored* form of each cell, not the in-memory
       // post-rebase view: stored lines carry the shard-independent
       // baseline, so a served stream is byte-comparable (modulo
-      // elapsed_s) with any offline store of the same grid.
+      // elapsed_s) with any offline store of the same grid. Lines
+      // collect in one buffer that goes out in kStreamChunkBytes
+      // writes; a failed write ends the stream.
+      std::string out;
+      out.reserve(kStreamChunkBytes + 1024);
+      const auto flush = [fd, &bytes, &out] {
+        if (!write_all(fd, out)) return false;
+        bytes += out.size();
+        out.clear();
+        return true;
+      };
       for (const CampaignCell& cell : outcome.cells) {
         const auto stored = store_.find(cell.key);
-        if (!send_line(CampaignStore::to_jsonl(stored ? *stored : cell)))
+        out += CampaignStore::to_jsonl(stored ? *stored : cell);
+        out += '\n';
+        if (out.size() >= kStreamChunkBytes && !flush())
           return false;  // client went away mid-stream
       }
       std::ostringstream footer;
       footer << "{\"done\":true,\"cells\":" << outcome.cells.size()
              << ",\"reused\":" << outcome.reused
-             << ",\"computed\":" << outcome.computed << "}";
-      return send_line(footer.str());
+             << ",\"computed\":" << outcome.computed << "}\n";
+      out += footer.str();
+      return flush();
     } catch (const std::exception& e) {
       obs::metrics().counter("serve.errors").add();
       return send_line(std::string("{\"error\":\"") + e.what() + "\"}");
@@ -363,6 +406,11 @@ void CampaignServer::stop() {
   }
   for (std::thread& t : conns)
     if (t.joinable()) t.join();
+  {
+    // Every thread is joined, so no id arrives after this.
+    std::lock_guard<std::mutex> lock(conn_m_);
+    finished_.clear();
+  }
   listen_fd_ = -1;
   ::unlink(config_.socket_path.c_str());
   shutdown_requested_.store(true);  // release any wait()er

@@ -117,6 +117,9 @@ class CampaignServer {
 
  private:
   void accept_loop();
+  /// Joins the connection threads that have finished (accept_loop
+  /// calls it per new connection, so finished threads never pile up).
+  void reap_finished();
   void handle_connection(int fd);
   /// Parses and answers one request; returns false when the client
   /// went away mid-stream. `bytes` accumulates payload written.
@@ -143,7 +146,8 @@ class CampaignServer {
   std::atomic<std::uint64_t> requests_{0};
   std::thread acceptor_;
   std::mutex conn_m_;
-  std::vector<std::thread> connections_;
+  std::vector<std::thread> connections_;     ///< not yet joined
+  std::vector<std::thread::id> finished_;    ///< done, awaiting join
   std::mutex wait_m_;
   std::condition_variable wait_cv_;
   /// Watch machinery: a bounded event log (deque semantics on a

@@ -1,18 +1,29 @@
-// Campaign subsystem tests: workload registry, JSONL store round-trip
-// and resume, cache-hit identity across thread counts, Pareto
-// extraction, model-vs-gate-level quality agreement, the determinism
-// the content-keyed cache depends on, and the one operation schedule
-// every backend runs.
+// Campaign subsystem tests: workload registry, JSONL store round-trip,
+// byte-exact number format and resume (kill -9 included), cache-hit
+// identity across thread counts, Pareto extraction, model-vs-gate-level
+// quality agreement, the determinism the content-keyed cache depends
+// on, and the one operation schedule every backend runs.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cfloat>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
+#include <random>
 #include <set>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/campaign/report.hpp"
@@ -181,6 +192,72 @@ TEST(CampaignStore, RejectsMalformedLines) {
   ASSERT_NE(v_at, std::string::npos);
   bad.insert(v_at + std::string("\"store_version\":").size(), "x");
   EXPECT_FALSE(CampaignStore::parse_jsonl(bad).has_value());
+}
+
+/// The number rule stored keys and lines were first written with:
+/// printf "%.15g" when strtod reads it back as the same double, else
+/// "%.17g".
+std::string printf_num(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.15g", v);
+  if (std::strtod(buf, nullptr) != v)
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+TEST(CampaignStore, NumberFormatMatchesThePrintfRule) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double edges[] = {
+      0.0, -0.0, 0.1, 1.0 / 3.0, 60.0, -2.5, 1e-300, 5e-324, DBL_MIN,
+      DBL_MAX, -DBL_MAX, 1e15, 1e16, 1e21, 123456789012345.0,
+      std::ldexp(1.0, 53) + 1.0,  // 2^53 + 1 rounds to 2^53
+      std::ldexp(1.0, 53) + 2.0,  // 9007199254740994: 16 digits
+      0.1 + 0.2,                  // 0.30000000000000004: 17 digits
+      23.456789012345678, inf, -inf, nan, -nan};
+  for (const double v : edges)
+    EXPECT_EQ(jsonl::num(v), printf_num(v)) << std::hexfloat << v;
+  std::mt19937_64 gen(15);
+  for (int i = 0; i < 100000; ++i) {
+    double v = 0.0;
+    if (i % 2 == 0) {
+      // Any bit pattern: every exponent, subnormals, infinities, NaNs.
+      const std::uint64_t bits = gen();
+      std::memcpy(&v, &bits, sizeof v);
+    } else {
+      // A short decimal at some scale, like most stored figures.
+      v = static_cast<double>(gen() % 10000000) /
+          std::pow(10.0, static_cast<double>(gen() % 16));
+    }
+    ASSERT_EQ(jsonl::num(v), printf_num(v)) << std::hexfloat << v;
+  }
+}
+
+TEST(CampaignStore, KeyAndLineBytesAreGolden) {
+  // The key string seeds model cells' Rng and picks each cell's shard,
+  // and stores are compared byte for byte, so both forms must keep
+  // exactly these bytes.
+  CampaignCell cell = sample_cell();
+  EXPECT_EQ(cell.key.to_string(),
+            "fir|rca16|model|0.30000000000000004,0.7,2|42|4000|0|0|10");
+  EXPECT_EQ(CampaignStore::to_jsonl(cell),
+            "{\"workload\":\"fir\",\"circuit\":\"rca16\",\"backend\":"
+            "\"model\",\"tclk_ns\":0.30000000000000004,\"vdd_v\":0.7,"
+            "\"vbb_v\":2,\"seed\":42,\"train_patterns\":4000,"
+            "\"characterize_patterns\":0,\"chip\":0,\"store_version\":10,"
+            "\"metric\":\"snr_db\",\"quality\":23.456789012345677,"
+            "\"normalized\":0.39094648353909461,\"energy_per_op_fj\":12.25,"
+            "\"baseline_fj\":57.5,\"ber\":1e-17,\"adds\":4608,"
+            "\"elapsed_s\":0.25}");
+  cell.key.backend = "sim-seq";
+  cell.key.chip = 7;
+  cell.culprits = "s0:n12=40,s1:n3=2";
+  EXPECT_EQ(cell.key.to_string(),
+            "fir|rca16|sim-seq|0.30000000000000004,0.7,2|42|4000|0|7|10");
+  const std::string line = CampaignStore::to_jsonl(cell);
+  EXPECT_NE(line.find("\"chip\":7,"), std::string::npos);
+  EXPECT_EQ(line.substr(line.find("\"elapsed_s\"")),
+            "\"elapsed_s\":0.25,\"culprits\":\"s0:n12=40,s1:n3=2\"}");
 }
 
 TEST(CampaignStore, LoadOnStartSkipsGarbageAndKeepsLastWrite) {
@@ -832,6 +909,70 @@ TEST(CampaignRunner, ShardedFleetCampaignMergesBitIdentical) {
   std::remove(canon.c_str());
   std::remove(merged.c_str());
   for (const std::string& p : shard_paths) std::remove(p.c_str());
+}
+
+std::size_t count_lines(const std::string& path) {
+  const std::string text = read_file(path);
+  return static_cast<std::size_t>(
+      std::count(text.begin(), text.end(), '\n'));
+}
+
+TEST(CampaignRunner, KilledCampaignResumesToTheUninterruptedStore) {
+  // kill -9 mid-campaign, then resume: the canonical store must be
+  // byte-identical to an uninterrupted run's.
+  const CellLibrary& lib = make_fdsoi28_lvt();
+  CampaignConfig cfg;
+  cfg.backends = {ArithBackend::kExact};
+  cfg.characterize_patterns = 300;
+  cfg.fleet.num_chips = 20;  // 5 workloads x 43 triads x 20 chips
+  const std::string whole = temp_path("kill_whole.jsonl");
+  const std::string killed = temp_path("kill_killed.jsonl");
+  const std::string canon_whole = temp_path("kill_whole_canon.jsonl");
+  const std::string canon_killed = temp_path("kill_killed_canon.jsonl");
+  for (const std::string& p : {whole, killed, canon_whole, canon_killed})
+    std::remove(p.c_str());
+  {
+    CampaignStore store(whole);
+    EXPECT_EQ(run_campaign(lib, cfg, store).computed, 4300u);
+  }
+
+  // The child runs the campaign serially (jobs = 1 never touches the
+  // pool, whose workers a forked child does not have) and is killed
+  // once a few cells are on disk.
+  cfg.jobs = 1;
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    try {
+      CampaignStore store(killed);
+      run_campaign(lib, cfg, store);
+    } catch (...) {
+    }
+    ::_exit(0);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (count_lines(killed) < 3 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ::kill(pid, SIGKILL);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+      << "the campaign ended before the kill";
+
+  cfg.jobs = 0;
+  CampaignStore resumed(killed);
+  const CampaignOutcome rest = run_campaign(lib, cfg, resumed);
+  EXPECT_GE(rest.reused, 3u);  // the killed run's cells answer
+  EXPECT_GT(rest.computed, 0u);
+  EXPECT_EQ(rest.reused + rest.computed, 4300u);
+  merge_stores({whole}, canon_whole, /*strip_timing=*/true);
+  merge_stores({killed}, canon_killed, /*strip_timing=*/true);
+  EXPECT_EQ(count_lines(canon_whole), 4300u);
+  EXPECT_EQ(read_file(canon_killed), read_file(canon_whole));
+  for (const std::string& p : {whole, killed, canon_whole, canon_killed})
+    std::remove(p.c_str());
 }
 
 TEST(CampaignRunner, ShardValidation) {

@@ -1,7 +1,9 @@
 // Sweep-daemon tests: in-process CampaignServer on a Unix socket,
 // concurrent campaign requests, equivalence of the streamed cells with
-// an offline run of the same grid, malformed-request and mid-stream
-// disconnect survival, and the stats introspection verb.
+// an offline run of the same grid, streams longer than one send
+// buffer, malformed-request and mid-stream disconnect survival,
+// joining finished connection threads, and the stats introspection
+// verb.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -10,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +33,49 @@ const CellLibrary& lib() { return make_fdsoi28_lvt(); }
 std::string socket_path(const std::string& tag) {
   return "/tmp/vosim_test_" + tag + "_" +
          std::to_string(::getpid()) + ".sock";
+}
+
+/// Opens a raw client connection (for clients that misbehave).
+int connect_client(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// 1 024 exact cells (fir and dot x 4 triads x 128 chips): a stream of
+/// ~370 KB, several of the daemon's 64 KiB send buffers.
+const std::string kLongGrid =
+    "{\"cmd\":\"campaign\",\"workloads\":\"fir,dot\",\"circuits\":"
+    "\"rca16\",\"backends\":\"exact\",\"max_triads\":4,"
+    "\"patterns\":300,\"chips\":128}";
+
+CampaignConfig long_grid() {
+  CampaignConfig cfg;
+  cfg.workloads = {"fir", "dot"};
+  cfg.circuits = {"rca16"};
+  cfg.backends = {ArithBackend::kExact};
+  cfg.max_triads = 4;
+  cfg.characterize_patterns = 300;
+  cfg.fleet.num_chips = 128;
+  return cfg;
+}
+
+/// This process's mapped address space (VmSize) in MB.
+double vm_size_mb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("VmSize:", 0) == 0)
+      return std::stod(line.substr(7)) / 1024.0;  // kB
+  return 0.0;
 }
 
 TEST(CampaignServer, PingAndShutdownRoundTrip) {
@@ -199,15 +245,8 @@ TEST(CampaignServer, SurvivesClientDisconnectMidStream) {
   // a byte. The daemon is deep in run_campaign when its first stream
   // write hits the closed peer — without MSG_NOSIGNAL that's a SIGPIPE
   // and a dead daemon.
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, cfg.socket_path.c_str(),
-              cfg.socket_path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = connect_client(cfg.socket_path);
   ASSERT_GE(fd, 0);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
   const std::string req =
       "{\"cmd\":\"campaign\",\"workloads\":\"fir\",\"circuits\":"
       "\"rca16\",\"backends\":\"model\",\"max_triads\":1,"
@@ -218,19 +257,84 @@ TEST(CampaignServer, SurvivesClientDisconnectMidStream) {
 
   // The abandoned campaign still runs to completion (the store keeps
   // the cell) and the broken stream is counted, not fatal.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (obs::metrics().counter("serve.disconnects").value() == gone0 &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto disconnects_reach = [](std::uint64_t n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (obs::metrics().counter("serve.disconnects").value() < n &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+  disconnects_reach(gone0 + 1);
   EXPECT_EQ(obs::metrics().counter("serve.disconnects").value() - gone0,
             1u);
   EXPECT_EQ(server.store().size(), 1u);
+
+  // A client that reads the start of a multi-buffer stream and hangs
+  // up: a later buffer's write fails, which ends that stream and
+  // counts as a disconnect. (The ~370 KB stream outgrows the socket's
+  // send buffer, ~208 KB by Linux default, so the daemon is still
+  // writing when the client goes.)
+  const int reader = connect_client(cfg.socket_path);
+  ASSERT_GE(reader, 0);
+  const std::string long_req = kLongGrid + "\n";
+  ASSERT_EQ(::write(reader, long_req.data(), long_req.size()),
+            static_cast<ssize_t>(long_req.size()));
+  char buf[4096];
+  ASSERT_GT(::read(reader, buf, sizeof buf), 0);  // the stream began
+  ::close(reader);
+  disconnects_reach(gone0 + 2);
+  EXPECT_EQ(obs::metrics().counter("serve.disconnects").value() - gone0,
+            2u);
+  EXPECT_EQ(server.store().size(), 1u + 1024u);
 
   const auto pong = send_request(cfg.socket_path, "{\"cmd\":\"ping\"}");
   ASSERT_EQ(pong.size(), 1u);
   EXPECT_EQ(pong[0], "{\"ok\":true,\"cmd\":\"ping\"}");
   server.stop();
+}
+
+TEST(CampaignServer, LongStreamsKeepGridOrderAcrossSendBuffers) {
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("long");
+  CampaignServer server(lib(), cfg);
+  server.start();
+  const auto stream = send_request(cfg.socket_path, kLongGrid);
+  server.stop();
+  ASSERT_EQ(stream.size(), 1025u);
+  EXPECT_EQ(stream.back(),
+            "{\"done\":true,\"cells\":1024,\"reused\":0,"
+            "\"computed\":1024}");
+  std::size_t bytes = 0;
+  for (const std::string& line : stream) bytes += line.size() + 1;
+  EXPECT_GT(bytes, 4u * 64u * 1024u);
+
+  // Exactly the store's lines, in grid order: the same grid run against
+  // the daemon's store answers every cell from it, in grid order.
+  const CampaignOutcome outcome =
+      run_campaign(lib(), long_grid(), server.store());
+  ASSERT_EQ(outcome.reused, 1024u);
+  for (std::size_t i = 0; i < outcome.cells.size(); ++i) {
+    const auto stored = server.store().find(outcome.cells[i].key);
+    ASSERT_TRUE(stored.has_value());
+    ASSERT_EQ(stream[i], CampaignStore::to_jsonl(*stored)) << "cell " << i;
+  }
+}
+
+TEST(CampaignServer, FinishedConnectionThreadsAreJoined) {
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("reap");
+  CampaignServer server(lib(), cfg);
+  server.start();
+  const std::string ping = "{\"cmd\":\"ping\"}";
+  ASSERT_EQ(send_request(cfg.socket_path, ping).size(), 1u);  // warm-up
+  const double before = vm_size_mb();
+  for (int i = 0; i < 64; ++i)
+    ASSERT_EQ(send_request(cfg.socket_path, ping).size(), 1u);
+  // An unjoined finished thread keeps its 8 MB stack mapped: 64 of
+  // them would add 512 MB.
+  EXPECT_LT(vm_size_mb() - before, 64.0);
+  server.stop();
+  EXPECT_EQ(server.requests_served(), 65u);
 }
 
 TEST(CampaignServer, StatsVerbReportsManifestAndMetrics) {
