@@ -164,23 +164,18 @@ std::vector<TriadResult> characterize_levelized_sweep(
         sim_cfg.variation_seed = config.variation_seed;
         LevelizedSimulator eng(dut.netlist, lib, ref, sim_cfg);
 
-        std::vector<std::uint8_t> in(npis, 0);
-        pins.fill_inputs({pats.data() + (begin - 1) * nops, nops},
-                         in.data());
-        eng.reset(in);
+        std::vector<lanes::Word> words(npis);
+        pins.scatter_lanes({pats.data() + (begin - 1) * nops, nops}, 1,
+                           words);
+        eng.reset(words);
 
-        std::vector<std::uint8_t> bytes(kChunk * npis, 0);
         std::vector<StepResult> res(kChunk * nthr);
         std::vector<Partial>& seg = parts[s];
 
         for (std::size_t c = begin; c < end; c += kChunk) {
           const std::size_t n = std::min(kChunk, end - c);
-          std::fill(bytes.begin(), bytes.begin() + n * npis, 0);
-          for (std::size_t i = 0; i < n; ++i)
-            pins.fill_inputs({pats.data() + (c + i) * nops, nops},
-                             bytes.data() + i * npis);
-          eng.step_batch_sweep({bytes.data(), n * npis}, n, sorted_tau,
-                               res);
+          pins.scatter_lanes({pats.data() + c * nops, n * nops}, n, words);
+          eng.step_batch_sweep(words, n, sorted_tau, res);
           for (std::size_t i = 0; i < n; ++i) {
             const std::span<const std::uint64_t> ops{
                 pats.data() + (c + i) * nops, nops};
@@ -581,7 +576,7 @@ std::vector<TriadResult> characterize_seq_dut(
             config.num_patterns + sim.latency_cycles() - 1;
         // One contiguous clocked stream: the patterns plus zero-operand
         // flush cycles that drain the pipeline, batched through the
-        // engines' native cycle path (bit-exact with the scalar loop).
+        // engines' cycle path (bit-exact however the stream is split).
         std::vector<std::uint64_t> ops(cycles * nops, 0);
         std::copy(pats.begin(), pats.end(), ops.begin());
         std::vector<SeqCycleResult> rs(cycles);

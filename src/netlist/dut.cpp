@@ -59,6 +59,7 @@ std::vector<int> DutNetlist::operand_widths() const {
 DutPinMap::DutPinMap(const DutNetlist& dut) {
   const auto pis = dut.netlist.primary_inputs();
   const auto pos = dut.netlist.primary_outputs();
+  num_pis_ = pis.size();
   if (dut.inputs.empty())
     throw ContractViolation("DutPinMap: DUT '" + dut.kind +
                             "' declares no operand buses");
@@ -91,16 +92,21 @@ DutPinMap::DutPinMap(const DutNetlist& dut) {
     out_slot_.push_back(net_slot(pos, net, "output", "out"));
 }
 
-void DutPinMap::fill_inputs(std::span<const std::uint64_t> operands,
-                            std::uint8_t* inputs) const {
-  VOSIM_EXPECTS(operands.size() == in_slots_.size());
-  for (std::size_t k = 0; k < operands.size(); ++k) {
-    const auto& slots = in_slots_[k];
-    VOSIM_EXPECTS((operands[k] &
-                   ~mask_n(static_cast<int>(slots.size()))) == 0);
-    for (std::size_t i = 0; i < slots.size(); ++i)
-      inputs[slots[i]] =
-          static_cast<std::uint8_t>((operands[k] >> i) & 1ULL);
+void DutPinMap::scatter_lanes(std::span<const std::uint64_t> operands,
+                              std::size_t count,
+                              std::span<lanes::Word> pi_words) const {
+  const std::size_t nops = in_slots_.size();
+  VOSIM_EXPECTS(count <= lanes::kWordLanes);
+  VOSIM_EXPECTS(operands.size() == count * nops);
+  VOSIM_EXPECTS(pi_words.size() == num_pis_);
+  std::fill(pi_words.begin(), pi_words.end(), lanes::Word{0});
+  for (std::size_t b = 0; b < nops; ++b) {
+    const auto& slots = in_slots_[b];
+    std::uint64_t seen = 0;
+    for (std::size_t k = 0; k < count; ++k) seen |= operands[k * nops + b];
+    VOSIM_EXPECTS((seen & ~mask_n(static_cast<int>(slots.size()))) == 0);
+    lanes::scatter(operands.data() + b, nops, count, slots,
+                   pi_words.data());
   }
 }
 

@@ -19,6 +19,7 @@
 #include "src/netlist/adders.hpp"
 #include "src/netlist/multiplier.hpp"
 #include "src/netlist/netlist.hpp"
+#include "src/util/lanes.hpp"
 
 namespace vosim {
 
@@ -49,11 +50,11 @@ struct DutNetlist {
   std::vector<int> operand_widths() const;
 };
 
-/// Pin mapping of a DUT: positions of every operand bit in the
-/// primary-input vector and of the output bits in the packed
-/// primary-output word. Shared by the simulators (VosDutSim) and the
-/// characterizer's packed-lane grid fast path so operand scatter and
-/// output gather cannot diverge between them. Construction validates
+/// Pin mapping of a DUT: positions of every operand bit among the
+/// primary inputs and of the output bits in the packed primary-output
+/// word. Shared by the simulators (VosDutSim, SeqSim) and the
+/// characterizer's grid fast path so operand scatter and output gather
+/// cannot diverge between them. Construction validates
 /// the bus contracts loudly (ContractViolation with a message naming
 /// the offending bus): operand buses are limited to max_word_bits (63)
 /// bits, the output bus to 64 (it is packed into one std::uint64_t —
@@ -65,12 +66,16 @@ class DutPinMap {
  public:
   explicit DutPinMap(const DutNetlist& dut);
 
-  /// Scatters operand words into a primary-input value vector (one
-  /// entry per PI). Uncovered pins are left untouched, so a
-  /// zero-initialized buffer holds them at zero. Operand k must fit in
-  /// operand_width(k) bits.
-  void fill_inputs(std::span<const std::uint64_t> operands,
-                   std::uint8_t* inputs) const;
+  /// Scatters `count` operations into primary-input lane words, the
+  /// engines' only input form (SimEngine): lane k of pi_words[j] is PI
+  /// j's value in operation k, whose operands occupy
+  /// operands[k*num_operands(), (k+1)*num_operands()). pi_words holds
+  /// one word per PI and is overwritten; pins outside the operand
+  /// buses (e.g. a carry-in) stay zero. Operand b must fit in
+  /// operand_width(b) bits. Precondition: count <= lanes::kWordLanes.
+  void scatter_lanes(std::span<const std::uint64_t> operands,
+                     std::size_t count,
+                     std::span<lanes::Word> pi_words) const;
 
   /// Extracts the output bus word from values packed in primary-output
   /// order (bit i = primary output i).
@@ -84,9 +89,7 @@ class DutPinMap {
     return static_cast<int>(out_slot_.size());
   }
 
-  /// PI position of every bit of operand bus `i` (bit order). Exposed
-  /// so batched simulators can scatter operand bits directly instead of
-  /// going through a per-cycle fill_inputs round-trip.
+  /// PI position of every bit of operand bus `i` (bit order).
   std::span<const std::size_t> input_slots(std::size_t i) const {
     return in_slots_.at(i);
   }
@@ -98,6 +101,7 @@ class DutPinMap {
  private:
   std::vector<std::vector<std::size_t>> in_slots_;  ///< PI positions
   std::vector<std::size_t> out_slot_;               ///< PO positions
+  std::size_t num_pis_ = 0;
 };
 
 /// Wraps an already-built netlist and its buses as a DUT (the netlist

@@ -105,23 +105,8 @@ const SeqSim& ClosedLoopSeqUnit::current_sim() const {
 
 ClosedLoopCycleResult ClosedLoopSeqUnit::step_cycle(
     std::span<const std::uint64_t> operands) {
-  const std::size_t rung = controller_.rung();
-  SeqSim& sim = sim_for_rung(rung);
-
   ClosedLoopCycleResult r;
-  r.cycle = sim.step_cycle(operands);
-  r.rung = rung;
-  energy_total_fj_ += r.cycle.energy_fj;
-  ++cycles_;
-
-  r.action = controller_.observe(sim.worst_stage_op_error_rate(),
-                                 sim.stage_monitor(0).window_full());
-  if (r.action != SpeculationAction::kHold) {
-    // The DVS transition flushes the new rung's pipeline: refill from a
-    // clean state, and measure the new rung with fresh windows.
-    SeqSim& next = sim_for_rung(controller_.rung());
-    next.reset();
-  }
+  run_batch(operands, 1, {&r, 1});
   return r;
 }
 
@@ -157,8 +142,8 @@ void ClosedLoopSeqUnit::run_batch(std::span<const std::uint64_t> operands,
     last.action = controller_.observe(sim.worst_stage_op_error_rate(),
                                       sim.stage_monitor(0).window_full());
     if (last.action != SpeculationAction::kHold) {
-      // The DVS transition flushes the new rung's pipeline (see
-      // step_cycle).
+      // The DVS transition flushes the new rung's pipeline: refill from
+      // a clean state, and measure the new rung with fresh windows.
       sim_for_rung(controller_.rung()).reset();
     }
     done += n;

@@ -107,19 +107,19 @@ class ClosedLoopSeqUnit {
                     const ClosedLoopConfig& config = {},
                     const TimingSimConfig& sim_config = {});
 
+  /// One cycle: a one-cycle run_batch().
   ClosedLoopCycleResult step_cycle(std::span<const std::uint64_t> operands);
   ClosedLoopCycleResult step_cycle(std::uint64_t a, std::uint64_t b);
 
   /// Runs `count` cycles (cycle c's operands at
-  /// operands[c*num_operands(), ...), outcome in results[c]),
-  /// equivalent to `count` step_cycle() calls. Cycles that the
+  /// operands[c*num_operands(), ...), outcome in results[c]); any split
+  /// of a stream into calls gives the same results. Cycles that the
   /// controller is guaranteed to hold through — the minimum dwell and
   /// the window refill after every rung switch — are streamed through
   /// the active rung's SeqSim::step_cycle_batch in one call; the
   /// controller then observes once with the dwell advanced in bulk.
   /// Once a rung's window is full and its dwell is served, decisions
-  /// are due every cycle and the batch degenerates to scalar stepping,
-  /// exactly like the scalar loop.
+  /// are due every cycle and the chunks shrink to one cycle.
   void run_batch(std::span<const std::uint64_t> operands, std::size_t count,
                  std::span<ClosedLoopCycleResult> results);
 

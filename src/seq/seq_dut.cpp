@@ -362,9 +362,11 @@ std::uint64_t seq_settled_output(const SeqDut& seq,
   for (std::size_t k = 0; k < seq.stages.size(); ++k) {
     const DutNetlist& stage = seq.stages[k];
     const DutPinMap pins(stage);
-    std::vector<std::uint8_t> inputs(
-        stage.netlist.primary_inputs().size(), 0);
-    pins.fill_inputs(words, inputs.data());
+    std::vector<lanes::Word> pi_words(
+        stage.netlist.primary_inputs().size());
+    pins.scatter_lanes(words, 1, pi_words);
+    std::vector<std::uint8_t> inputs;
+    lanes::unpack_lane(pi_words, 0, inputs);
     const std::vector<std::uint8_t> values =
         evaluate_logic(stage.netlist, inputs);
     out = pins.gather_output(

@@ -3,30 +3,11 @@
 #include <algorithm>
 
 #include "src/netlist/eval.hpp"
-#include "src/util/bits.hpp"
 #include "src/tech/library.hpp"
 #include "src/util/contracts.hpp"
 #include "src/util/lanes.hpp"
 
 namespace vosim {
-
-namespace {
-
-/// Packs per-bus operand words back into one registered bank word
-/// (inverse of split_bank_word).
-std::uint64_t pack_bank_word(std::span<const std::uint64_t> words,
-                             std::span<const int> widths) {
-  VOSIM_EXPECTS(words.size() == widths.size());
-  std::uint64_t out = 0;
-  int shift = 0;
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    out |= words[i] << shift;
-    shift += widths[i];
-  }
-  return out;
-}
-
-}  // namespace
 
 SeqSim::SeqSim(const SeqDut& seq, const CellLibrary& lib,
                const OperatingTriad& op, const TimingSimConfig& config,
@@ -49,28 +30,25 @@ SeqSim::SeqSim(const SeqDut& seq, const CellLibrary& lib,
   clock_energy_fj_ = seq_clock_energy_fj(seq, lib, op.vdd_v);
 
   pins_.reserve(seq.stages.size());
-  stage_widths_.reserve(seq.stages.size());
   engines_.reserve(seq.stages.size());
   for (const DutNetlist& stage : seq.stages) {
     pins_.emplace_back(stage);
-    stage_widths_.push_back(stage.operand_widths());
     engines_.push_back(make_engine(stage.netlist, lib, capture, config));
   }
   if (tracing_) {
     // One bundled TraceRecorder per stage; the engines emit their
     // transitions through the observer interface and the recorders
-    // hand each cycle's trace to step_cycle.
+    // hand each cycle's trace to record_cycle_trace.
     recorders_.resize(seq.stages.size());
     for (std::size_t k = 0; k < seq.stages.size(); ++k)
       engines_[k]->attach_observer(&recorders_[k]);
   }
-  // Batch-path precomputation. bank_slot_[k][j]: the PI slot of bit j
-  // of stage k's packed bank word — split_bank_word concatenates the
-  // operand buses in order, so bank bit j of bus b (at offset Σ earlier
-  // widths) lands on pins_[k].input_slots(b)[j - offset]. stage_po_net_
-  // resolves output-bus bit i through the pin map to the net that
-  // drives it, and stage_leak_fj_ hoists the per-cycle leakage product
-  // (bit-identical to evaluating it in the loop).
+  // bank_slot_[k][j]: the PI slot of bit j of stage k's packed bank
+  // word — split_bank_word concatenates the operand buses in order, so
+  // bank bit j of bus b (at offset Σ earlier widths) lands on
+  // pins_[k].input_slots(b)[j - offset]. stage_po_net_ resolves
+  // output-bus bit i through the pin map to the net that drives it,
+  // and stage_leak_fj_ hoists the per-cycle leakage product.
   bank_slot_.resize(seq.stages.size());
   stage_po_net_.resize(seq.stages.size());
   stage_leak_fj_.reserve(seq.stages.size());
@@ -85,7 +63,6 @@ SeqSim::SeqSim(const SeqDut& seq, const CellLibrary& lib,
     stage_leak_fj_.push_back(engines_[k]->leakage_energy_fj_per_op() *
                              leakage_scale_);
   }
-  bank_.resize(seq.stages.size());
   stage_sampled_.assign(seq.stages.size(), 0);
   monitors_.reserve(seq.stages.size());
   for (std::size_t k = 0; k < seq.stages.size(); ++k)
@@ -95,11 +72,8 @@ SeqSim::SeqSim(const SeqDut& seq, const CellLibrary& lib,
 
 void SeqSim::reset() {
   for (std::size_t k = 0; k < engines_.size(); ++k) {
-    const std::size_t npis =
-        seq_.stages[k].netlist.primary_inputs().size();
-    const std::vector<std::uint8_t> zeros(npis, 0);
-    engines_[k]->reset(zeros);
-    bank_[k].assign(seq_.stages[k].num_operands(), 0);
+    pi_words_.assign(seq_.stages[k].netlist.primary_inputs().size(), 0);
+    engines_[k]->reset(pi_words_);
     // The stage drives its settled-at-zero outputs into the bank wires;
     // that is what the next capture edge would latch.
     stage_sampled_[k] = pins_[k].gather_output(pack_word(
@@ -130,21 +104,6 @@ double SeqSim::leakage_energy_fj_per_cycle() const noexcept {
   return leak * leakage_scale_;
 }
 
-std::uint64_t SeqSim::golden_output(
-    std::span<const std::uint64_t> operands) {
-  golden_words_.assign(operands.begin(), operands.end());
-  std::uint64_t out = 0;
-  for (std::size_t k = 0; k < seq_.stages.size(); ++k) {
-    const Netlist& nl = seq_.stages[k].netlist;
-    if (k > 0) golden_words_ = split_bank_word(out, stage_widths_[k]);
-    input_buf_.assign(nl.primary_inputs().size(), 0);
-    pins_[k].fill_inputs(golden_words_, input_buf_.data());
-    out = pins_[k].gather_output(
-        pack_word(evaluate_logic(nl, input_buf_), nl.primary_outputs()));
-  }
-  return out;
-}
-
 double SeqSim::worst_stage_op_error_rate() const {
   double worst = 0.0;
   for (const DoubleSamplingMonitor& m : monitors_)
@@ -157,60 +116,8 @@ void SeqSim::reset_monitor_windows() {
 }
 
 SeqCycleResult SeqSim::step_cycle(std::span<const std::uint64_t> operands) {
-  VOSIM_EXPECTS(operands.size() == seq_.num_operands());
-  const std::size_t stages = engines_.size();
-
-  // 1. Launch edge — all banks latch simultaneously: bank k takes stage
-  // k-1's sample from the previous capture edge, the input bank takes
-  // the new operands.
-  for (std::size_t k = stages; k-- > 1;)
-    bank_[k] = split_bank_word(stage_sampled_[k - 1], stage_widths_[k]);
-  bank_[0].assign(operands.begin(), operands.end());
-  golden_.push_back(golden_output(operands));
-
   SeqCycleResult r;
-  r.energy_fj = clock_energy_fj_;
-  SeqCycleTrace trace;
-  if (tracing_) {
-    trace.bank_words.reserve(stages + 1);
-    for (std::size_t k = 0; k < stages; ++k)
-      trace.bank_words.push_back(
-          pack_bank_word(bank_[k], stage_widths_[k]));
-  }
-
-  // 2. + 3. One clock period per stage, capture at Tclk − setup, and
-  // Razor shadow comparison against the stage's functional result.
-  for (std::size_t k = 0; k < stages; ++k) {
-    const Netlist& nl = seq_.stages[k].netlist;
-    input_buf_.assign(nl.primary_inputs().size(), 0);
-    pins_[k].fill_inputs(bank_[k], input_buf_.data());
-    const StepResult st = engines_[k]->step_cycle(input_buf_);
-    const std::uint64_t sampled = pins_[k].gather_output(st.sampled_outputs);
-    const std::uint64_t shadow = pins_[k].gather_output(st.settled_outputs);
-    stage_sampled_[k] = sampled;
-    monitors_[k].observe(sampled, shadow);
-    if (sampled != shadow) r.razor_flags |= 1u << k;
-    r.energy_fj += st.window_energy_fj + stage_leak_fj_[k];
-    r.max_settle_ps = std::max(r.max_settle_ps, st.settle_time_ps);
-    if (tracing_) {
-      TraceRecorder& rec = recorders_[k];
-      trace.stage_initial.emplace_back(rec.initial_values().begin(),
-                                       rec.initial_values().end());
-      trace.stage_events.push_back(rec.take_trace());
-    }
-  }
-
-  r.captured = stage_sampled_[stages - 1];
-  if (golden_.size() == latency_cycles()) {
-    r.expected = golden_.front();
-    golden_.pop_front();
-    r.output_valid = true;
-  }
-  if (tracing_) {
-    trace.bank_words.push_back(r.captured);
-    traces_.push_back(std::move(trace));
-  }
-  ++cycles_;
+  step_cycle_batch(operands, 1, {&r, 1});
   return r;
 }
 
@@ -221,46 +128,43 @@ SeqCycleResult SeqSim::step_cycle(std::uint64_t a, std::uint64_t b) {
 
 void SeqSim::golden_output_batch(std::span<const std::uint64_t> operands,
                                  std::size_t count, std::uint64_t* out) {
-  VOSIM_EXPECTS(count >= 1 && count <= lanes::kWordLanes);
-  const std::size_t nops = seq_.num_operands();
   // `out` carries the per-cycle bus word between stages: after stage k
-  // it holds stage k's golden output for every cycle of the chunk
-  // (the golden composition is zero-latency within a cycle). Operand
-  // bits scatter straight into per-PI lane words through the
-  // precomputed slot maps — no per-cycle split/fill round-trip — and
-  // each out[c] gathers through stage_po_net_ (bit-identical: the same
-  // slot composition fill_inputs/gather_output would apply).
+  // it holds stage k's golden output for every cycle of the chunk (the
+  // golden composition is zero-latency within a cycle).
   for (std::size_t k = 0; k < seq_.stages.size(); ++k) {
     const Netlist& nl = seq_.stages[k].netlist;
-    const std::size_t npis = nl.primary_inputs().size();
-    golden_pi_words_.assign(npis, 0);
-    if (k == 0) {
-      for (std::size_t c = 0; c < count; ++c)
-        for (std::size_t b = 0; b < nops; ++b) {
-          const std::uint64_t op = operands[c * nops + b];
-          const auto slots = pins_[0].input_slots(b);
-          for (std::size_t i = 0; i < slots.size(); ++i)
-            golden_pi_words_[slots[i]] |=
-                ((op >> i) & 1ULL) << c;
-        }
-    } else {
-      const auto& bs = bank_slot_[k];
-      for (std::size_t c = 0; c < count; ++c) {
-        const std::uint64_t w = out[c];
-        for (std::size_t j = 0; j < bs.size(); ++j)
-          golden_pi_words_[bs[j]] |= ((w >> j) & 1ULL) << c;
-      }
-    }
+    pi_words_.assign(nl.primary_inputs().size(), 0);
+    if (k == 0)
+      pins_[0].scatter_lanes(operands, count, pi_words_);
+    else
+      lanes::scatter(out, 1, count, bank_slot_[k], pi_words_.data());
     golden_values_.resize(nl.num_nets());
-    evaluate_logic_packed(nl, golden_pi_words_, golden_values_);
-    const auto& pn = stage_po_net_[k];
-    for (std::size_t c = 0; c < count; ++c) {
-      std::uint64_t o = 0;
-      for (std::size_t i = 0; i < pn.size(); ++i)
-        o |= ((golden_values_[pn[i]] >> c) & 1ULL) << i;
-      out[c] = o;
-    }
+    evaluate_logic_packed(nl, pi_words_, golden_values_);
+    lanes::gather(golden_values_.data(), stage_po_net_[k], count, out, 1);
   }
+}
+
+void SeqSim::record_cycle_trace(std::span<const std::uint64_t> operands,
+                                std::uint64_t captured) {
+  const std::size_t stages = engines_.size();
+  SeqCycleTrace trace;
+  trace.bank_words.reserve(stages + 1);
+  std::uint64_t in = 0;
+  int shift = 0;
+  for (std::size_t b = 0; b < operands.size(); ++b) {
+    in |= operands[b] << shift;
+    shift += pins_[0].operand_width(b);
+  }
+  trace.bank_words.push_back(in);
+  for (std::size_t k = 1; k < stages; ++k)
+    trace.bank_words.push_back(stage_sampled_[k - 1]);
+  trace.bank_words.push_back(captured);
+  for (TraceRecorder& rec : recorders_) {
+    trace.stage_initial.emplace_back(rec.initial_values().begin(),
+                                     rec.initial_values().end());
+    trace.stage_events.push_back(rec.take_trace());
+  }
+  traces_.push_back(std::move(trace));
 }
 
 void SeqSim::step_cycle_batch(std::span<const std::uint64_t> operands,
@@ -269,88 +173,62 @@ void SeqSim::step_cycle_batch(std::span<const std::uint64_t> operands,
   const std::size_t nops = seq_.num_operands();
   VOSIM_EXPECTS(operands.size() == count * nops);
   VOSIM_EXPECTS(results.size() >= count);
-  if (tracing_) {
-    // Per-cycle trace collection needs the scalar path.
-    for (std::size_t c = 0; c < count; ++c)
-      results[c] = step_cycle(operands.subspan(c * nops, nops));
-    return;
-  }
   const std::size_t stages = engines_.size();
-  // Chunk at one lane word (64 cycles): every levelized pass runs
-  // full, and the golden reference composition evaluates the chunk as
-  // one packed evaluate_logic word.
+  // Chunk at one lane word (64 cycles): every levelized pass runs full
+  // and the golden composition evaluates the chunk as one packed word.
+  // Tracing takes each stage recorder's trace per cycle, so it runs
+  // one-cycle chunks through the same path.
+  const std::size_t max_chunk = tracing_ ? 1 : lanes::kWordLanes;
   std::size_t done = 0;
   while (done < count) {
-    const std::size_t chunk = std::min(lanes::kWordLanes, count - done);
+    const std::size_t chunk = std::min(max_chunk, count - done);
+    const auto chunk_ops = operands.subspan(done * nops, chunk * nops);
     batch_golden_.resize(chunk);
-    golden_output_batch(operands.subspan(done * nops, chunk * nops), chunk,
-                        batch_golden_.data());
+    golden_output_batch(chunk_ops, chunk, batch_golden_.data());
 
     // Stage by stage: stage k's cycle-c bank latches stage k-1's sample
     // from cycle c-1 (cycle 0 latches the carried stage_sampled_), so a
     // full chunk of stage k-1 samples — shifted by one cycle — is
     // exactly stage k's operand stream for the whole chunk.
+    const std::size_t row = chunk + 1;
     batch_results_.resize(stages * chunk);
-    batch_sampled_w_.resize(stages * chunk);
+    batch_sampled_w_.resize(stages * row);
     batch_shadow_w_.resize(stages * chunk);
     for (std::size_t k = 0; k < stages; ++k) {
-      const std::size_t npis =
-          seq_.stages[k].netlist.primary_inputs().size();
-      batch_inputs_.assign(chunk * npis, 0);
-      // Direct bit scatter through the precomputed slot maps — the
-      // same slots fill_inputs would write, without the per-cycle
-      // split_bank_word allocation.
-      if (k == 0) {
-        for (std::size_t c = 0; c < chunk; ++c)
-          for (std::size_t b = 0; b < nops; ++b) {
-            const std::uint64_t op = operands[(done + c) * nops + b];
-            const auto slots = pins_[0].input_slots(b);
-            VOSIM_EXPECTS(
-                (op & ~mask_n(static_cast<int>(slots.size()))) == 0);
-            for (std::size_t i = 0; i < slots.size(); ++i)
-              batch_inputs_[c * npis + slots[i]] =
-                  static_cast<std::uint8_t>((op >> i) & 1ULL);
-          }
-      } else {
-        const auto& bs = bank_slot_[k];
-        for (std::size_t c = 0; c < chunk; ++c) {
-          const std::uint64_t prev =
-              c == 0 ? stage_sampled_[k - 1]
-                     : batch_sampled_w_[(k - 1) * chunk + (c - 1)];
-          std::uint8_t* in = &batch_inputs_[c * npis];
-          for (std::size_t j = 0; j < bs.size(); ++j)
-            in[bs[j]] = static_cast<std::uint8_t>((prev >> j) & 1ULL);
-        }
-      }
-      engines_[k]->step_cycle_batch(
-          batch_inputs_, chunk,
-          std::span<StepResult>(&batch_results_[k * chunk], chunk));
+      pi_words_.assign(seq_.stages[k].netlist.primary_inputs().size(), 0);
+      if (k == 0)
+        pins_[0].scatter_lanes(chunk_ops, chunk, pi_words_);
+      else
+        lanes::scatter(&batch_sampled_w_[(k - 1) * row], 1, chunk,
+                       bank_slot_[k], pi_words_.data());
+      const std::span<StepResult> st(&batch_results_[k * chunk], chunk);
+      engines_[k]->step_cycle_batch(pi_words_, chunk, st);
+      std::uint64_t* sampled = &batch_sampled_w_[k * row];
+      sampled[0] = stage_sampled_[k];
       for (std::size_t c = 0; c < chunk; ++c) {
-        const StepResult& st = batch_results_[k * chunk + c];
-        batch_sampled_w_[k * chunk + c] =
-            pins_[k].gather_output(st.sampled_outputs);
+        sampled[c + 1] = pins_[k].gather_output(st[c].sampled_outputs);
         batch_shadow_w_[k * chunk + c] =
-            pins_[k].gather_output(st.settled_outputs);
+            pins_[k].gather_output(st[c].settled_outputs);
       }
     }
 
-    // Per-cycle composition, in the scalar call order (energy terms
-    // added stage by stage, monitors fed cycle-ascending, golden queue
-    // pushed and popped once per cycle).
+    // Per-cycle composition: energy terms added stage by stage,
+    // monitors fed cycle-ascending, golden queue pushed and popped once
+    // per cycle.
     for (std::size_t c = 0; c < chunk; ++c) {
       SeqCycleResult& r = results[done + c];
       r = SeqCycleResult{};
       r.energy_fj = clock_energy_fj_;
       for (std::size_t k = 0; k < stages; ++k) {
         const StepResult& st = batch_results_[k * chunk + c];
-        const std::uint64_t diff = batch_sampled_w_[k * chunk + c] ^
+        const std::uint64_t diff = batch_sampled_w_[k * row + c + 1] ^
                                    batch_shadow_w_[k * chunk + c];
         monitors_[k].record_word(diff);
         if (diff != 0) r.razor_flags |= 1u << k;
         r.energy_fj += st.window_energy_fj + stage_leak_fj_[k];
         r.max_settle_ps = std::max(r.max_settle_ps, st.settle_time_ps);
       }
-      r.captured = batch_sampled_w_[(stages - 1) * chunk + c];
+      r.captured = batch_sampled_w_[(stages - 1) * row + c + 1];
       golden_.push_back(batch_golden_[c]);
       if (golden_.size() == latency_cycles()) {
         r.expected = golden_.front();
@@ -359,8 +237,9 @@ void SeqSim::step_cycle_batch(std::span<const std::uint64_t> operands,
       }
       ++cycles_;
     }
+    if (tracing_) record_cycle_trace(chunk_ops, results[done].captured);
     for (std::size_t k = 0; k < stages; ++k)
-      stage_sampled_[k] = batch_sampled_w_[k * chunk + (chunk - 1)];
+      stage_sampled_[k] = batch_sampled_w_[k * row + chunk];
     done += chunk;
   }
 }

@@ -2,13 +2,14 @@
 // register banks, per-flop setup margin, per-cycle clock/latch energy
 // and in-simulator Razor detection.
 //
-// Every step_cycle():
+// Every clock cycle:
 //   1. Launch edge — the register banks latch simultaneously: the input
 //      bank takes the new external operands, bank k takes stage k-1's
 //      output as sampled at the previous capture edge (errors included).
 //   2. Each stage propagates its newly latched operands for one clock
-//      period on its engine's step_cycle path, so transitions that miss
-//      the capture edge latch wrong values and carry into later cycles.
+//      period on its engine's clocked path (step_cycle_batch), so
+//      transitions that miss the capture edge latch wrong values and
+//      carry into later cycles.
 //   3. Capture edge — each stage is sampled at Tclk − t_setup (per-flop
 //      setup check); the shadow sample is the stage's functional settled
 //      value, and every (main, shadow) pair feeds that stage's
@@ -77,22 +78,24 @@ class SeqSim {
   /// windows are reset).
   void reset();
 
-  /// One clock cycle: operands.size() must equal num_operands() and
-  /// operand k must fit operand_width(k) bits.
+  /// One clock cycle: a one-cycle step_cycle_batch(). operands.size()
+  /// must equal num_operands() and operand k must fit operand_width(k)
+  /// bits.
   SeqCycleResult step_cycle(std::span<const std::uint64_t> operands);
   /// Two-operand convenience.
   SeqCycleResult step_cycle(std::uint64_t a, std::uint64_t b);
 
-  /// Batched clocked stepping: cycle c's operands occupy
-  /// operands[c*num_operands(), (c+1)*num_operands()) and its outcome
-  /// lands in results[c]. Bit-exact with `count` sequential
-  /// step_cycle() calls — captured/expected words, per-cycle energy
-  /// (same floating-point accumulation order) and Razor monitor
-  /// statistics are all identical. Each stage engine runs its native
-  /// step_cycle_batch (64 cycles per levelized pass; the register
-  /// banks between stages become packed lane words shifted by one
-  /// cycle) and the golden pipeline is evaluated lane-parallel.
-  /// Tracing simulators fall back to the scalar loop.
+  /// Clocked stepping, the simulator's one path: cycle c's operands
+  /// occupy operands[c*num_operands(), (c+1)*num_operands()) and its
+  /// outcome lands in results[c]. Any split of a stream into calls
+  /// gives identical captured/expected words, per-cycle energy (same
+  /// floating-point accumulation order) and Razor monitor statistics.
+  /// The stream runs in chunks of one lane word (64 cycles): each stage
+  /// engine runs one step_cycle_batch per chunk (one levelized pass;
+  /// the register banks between stages become lane words shifted by
+  /// one cycle) and the golden pipeline is evaluated lane-parallel. A
+  /// tracing simulator runs one-cycle chunks and records each stage's
+  /// trace per cycle.
   void step_cycle_batch(std::span<const std::uint64_t> operands,
                         std::size_t count,
                         std::span<SeqCycleResult> results);
@@ -109,10 +112,8 @@ class SeqSim {
   std::uint64_t cycles() const noexcept { return cycles_; }
 
   /// Stage k's engine — for attaching per-stage SimObservers (e.g. an
-  /// ErrorProvenance per stage). Observers attached here see the
-  /// scalar step_cycle path and the levelized batch path, but not the
-  /// event engine's batch fallback any differently: both route through
-  /// the engines' own dispatch sites.
+  /// ErrorProvenance per stage). Observers see every cycle through the
+  /// engine's own dispatch sites.
   SimEngine& stage_engine(std::size_t k) { return *engines_.at(k); }
   const SimEngine& stage_engine(std::size_t k) const {
     return *engines_.at(k);
@@ -167,15 +168,18 @@ class SeqSim {
   void clear_traces() { traces_.clear(); }
 
  private:
-  /// The pipeline's settled function on the cached pin maps (the
-  /// per-cycle golden; avoids rebuilding DutPinMaps in the hot loop).
-  std::uint64_t golden_output(std::span<const std::uint64_t> operands);
-
-  /// Lane-parallel golden: out[c] = golden_output(cycle c's operands)
-  /// for up to lanes::kWordLanes cycles, one packed evaluate_logic
-  /// pass per stage. Bit-identical to the scalar golden (pure logic).
+  /// Lane-parallel golden: out[c] = the pipeline's settled function of
+  /// cycle c's operands for up to lanes::kWordLanes cycles, one packed
+  /// evaluate_logic pass per stage.
   void golden_output_batch(std::span<const std::uint64_t> operands,
                            std::size_t count, std::uint64_t* out);
+
+  /// Appends the trace of a one-cycle chunk to traces_: the latched
+  /// bank words (the input bank from `operands`, bank k from stage
+  /// k-1's carried capture) and each stage recorder's events. Call
+  /// before the chunk's captures replace stage_sampled_.
+  void record_cycle_trace(std::span<const std::uint64_t> operands,
+                          std::uint64_t captured);
 
   const SeqDut& seq_;
   OperatingTriad op_;
@@ -184,42 +188,35 @@ class SeqSim {
   bool tracing_ = false;
   double clock_energy_fj_ = 0.0;
   std::vector<DutPinMap> pins_;
-  std::vector<std::vector<int>> stage_widths_;  ///< operand widths / stage
   /// Stage k's PI slot for every bit of its packed register-bank word
-  /// (operand buses concatenated in split_bank_word order): the batch
-  /// path scatters bank bits straight into engine input buffers with no
-  /// per-cycle split_bank_word/fill_inputs round-trip (k >= 1; stage 0
-  /// is fed from the separate external operand words).
+  /// (operand buses concatenated in split_bank_word order), so bank
+  /// words scatter straight into PI lane words (k >= 1; stage 0 is fed
+  /// from the external operand words through its pin map).
   std::vector<std::vector<std::size_t>> bank_slot_;
   /// Net feeding output-bus bit i of stage k (primary-output order
   /// resolved through the pin map), for lane-word golden gathers.
   std::vector<std::vector<NetId>> stage_po_net_;
-  /// Per-stage leakage × Tclk/(Tclk−setup), precomputed: the identical
-  /// product the scalar path used to evaluate every cycle.
+  /// Per-stage leakage × Tclk/(Tclk−setup), precomputed once.
   std::vector<double> stage_leak_fj_;
   std::vector<std::unique_ptr<SimEngine>> engines_;
-  /// bank_[0]: external operand words; bank_[k]: stage k's operand
-  /// words, split from stage k-1's sampled output.
-  std::vector<std::vector<std::uint64_t>> bank_;
   std::vector<std::uint64_t> stage_sampled_;  ///< last capture, per stage
   std::vector<DoubleSamplingMonitor> monitors_;
   std::deque<std::uint64_t> golden_;  ///< expected outputs in flight
-  std::vector<std::uint8_t> input_buf_;
-  std::vector<std::uint64_t> golden_words_;  ///< golden-eval scratch
   /// Per-stage bundled TraceRecorders, attached to the stage engines
-  /// when tracing — the observer-based replacement for the old
-  /// in-engine take_trace plumbing. Sized once in the constructor; the
-  /// engines hold borrowed pointers into it.
+  /// when tracing. Sized once in the constructor; the engines hold
+  /// borrowed pointers into it.
   std::vector<TraceRecorder> recorders_;
   std::vector<SeqCycleTrace> traces_;
   std::uint64_t cycles_ = 0;
   // step_cycle_batch scratch (avoids per-chunk allocation).
-  std::vector<std::uint8_t> batch_inputs_;     ///< chunk × stage PIs
+  std::vector<lanes::Word> pi_words_;          ///< one stage's PI words
   std::vector<StepResult> batch_results_;      ///< stages × chunk
-  std::vector<std::uint64_t> batch_sampled_w_;  ///< stages × chunk
+  /// stages × (chunk + 1): entry 0 of row k is stage k's capture
+  /// carried in from the previous chunk, entry c + 1 its capture in
+  /// cycle c — so entries 0..chunk-1 are stage k+1's bank words.
+  std::vector<std::uint64_t> batch_sampled_w_;
   std::vector<std::uint64_t> batch_shadow_w_;   ///< stages × chunk
   std::vector<std::uint64_t> batch_golden_;     ///< per-cycle golden
-  std::vector<std::uint64_t> golden_pi_words_;  ///< per-PI lane words
   std::vector<std::uint64_t> golden_values_;    ///< per-net lane words
 };
 

@@ -1,11 +1,14 @@
 #include "src/serve/server.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -50,13 +53,23 @@ bool write_line(int fd, const std::string& line) {
 constexpr std::size_t kStreamChunkBytes = 64 * 1024;
 
 /// Reads until the first newline or EOF (the request is one line; any
-/// bytes after it are dropped).
-std::string read_request_line(int fd) {
+/// bytes after it are dropped). The whole line must arrive within
+/// kRequestReadDeadline: an idle or trickling client gets nullopt.
+std::optional<std::string> read_request_line(int fd) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + kRequestReadDeadline;
   std::string line;
   char buf[4096];
   // A sane request is a few hundred bytes.
   while (line.size() <= 1 << 16) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return std::nullopt;
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready == 0) return std::nullopt;
+    const ssize_t n = ready < 0 ? -1 : ::read(fd, buf, sizeof buf);
     if (n <= 0) break;
     char* const nl = std::find(buf, buf + n, '\n');
     line.append(buf, nl);
@@ -210,7 +223,13 @@ bool CampaignServer::dispatch(int fd, std::uint64_t& bytes) {
     bytes += line.size() + 1;
     return true;
   };
-  const std::string line = read_request_line(fd);
+  const std::optional<std::string> request = read_request_line(fd);
+  if (!request) {
+    obs::metrics().counter("serve.errors").add();
+    return send_line("{\"error\":\"request timeout\",\"deadline_s\":" +
+                     std::to_string(kRequestReadDeadline.count()) + "}");
+  }
+  const std::string& line = *request;
   std::string cmd;
   if (!jsonl::raw_field(line, "cmd", cmd)) {
     obs::metrics().counter("serve.errors").add();

@@ -43,7 +43,9 @@
 //     unknown verbs answer {"error":"unknown cmd","cmd":"<verb>",
 //     "known":["campaign","ping","shutdown","stats","watch"]} rather
 //     than silently dropping the connection, so misspelled clients can
-//     self-diagnose; other failures answer {"error":"<message>"}.
+//     self-diagnose; a request line not complete within
+//     kRequestReadDeadline answers {"error":"request timeout",
+//     "deadline_s":3}; other failures answer {"error":"<message>"}.
 #ifndef VOSIM_SERVE_SERVER_HPP
 #define VOSIM_SERVE_SERVER_HPP
 
@@ -62,6 +64,12 @@
 #include "src/tech/library.hpp"
 
 namespace vosim {
+
+/// Time a client gets to send its whole request line. An idle or
+/// trickling client then gets the timeout error line and its
+/// connection closes, so it cannot hold a connection thread — or
+/// stop(), which joins them — for longer than this.
+inline constexpr std::chrono::seconds kRequestReadDeadline{3};
 
 /// Daemon configuration.
 struct ServeConfig {

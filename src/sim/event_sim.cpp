@@ -74,6 +74,33 @@ void TimingSimulator::settle(std::span<const std::uint8_t> inputs) {
     gate_target_[gid] = values_[netlist_.gate(gid).out];
 }
 
+void TimingSimulator::reset(std::span<const lanes::Word> pi_words) {
+  lanes::unpack_lane(pi_words, 0, lane_inputs_);
+  settle(lane_inputs_);
+}
+
+void TimingSimulator::step_batch(std::span<const lanes::Word> pi_words,
+                                 std::size_t count,
+                                 std::span<StepResult> results) {
+  VOSIM_EXPECTS(count <= lanes::kWordLanes);
+  VOSIM_EXPECTS(results.size() >= count);
+  for (std::size_t k = 0; k < count; ++k) {
+    lanes::unpack_lane(pi_words, k, lane_inputs_);
+    results[k] = step(lane_inputs_);
+  }
+}
+
+void TimingSimulator::step_cycle_batch(std::span<const lanes::Word> pi_words,
+                                       std::size_t count,
+                                       std::span<StepResult> results) {
+  VOSIM_EXPECTS(count <= lanes::kWordLanes);
+  VOSIM_EXPECTS(results.size() >= count);
+  for (std::size_t k = 0; k < count; ++k) {
+    lanes::unpack_lane(pi_words, k, lane_inputs_);
+    results[k] = step_cycle(lane_inputs_);
+  }
+}
+
 void TimingSimulator::commit(NetId net, std::uint8_t value, double time_ps) {
   values_[net] = value;
   ++current_.toggles_total;

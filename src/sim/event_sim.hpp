@@ -28,9 +28,12 @@ namespace vosim {
 
 /// Event-driven simulator bound to one netlist, library and triad.
 ///
-/// Usage: settle() to establish the initial state, then step() per
-/// operation. State persists between steps like a real datapath between
-/// clock edges (DESIGN.md §6.5).
+/// Its own interface is one operation per call on one byte per primary
+/// input: settle() to establish the initial state, then step() per
+/// operation or step_cycle() per clock cycle. State persists between
+/// steps like a real datapath between clock edges (DESIGN.md §6.5).
+/// The SimEngine lane-word entry points unpack lane k and call these,
+/// so the per-op methods are the reference every batch loops over.
 class TimingSimulator final : public SimEngine {
  public:
   TimingSimulator(const Netlist& netlist, const CellLibrary& lib,
@@ -40,26 +43,32 @@ class TimingSimulator final : public SimEngine {
   /// (no sampling, no energy accounting).
   void settle(std::span<const std::uint8_t> inputs);
 
-  // -- SimEngine ---------------------------------------------------------
-  EngineKind kind() const noexcept override { return EngineKind::kEvent; }
-  const Netlist& netlist() const noexcept override { return netlist_; }
-  const OperatingTriad& triad() const noexcept override { return op_; }
-
-  void reset(std::span<const std::uint8_t> inputs) override {
-    settle(inputs);
-  }
-
   /// Applies a new input vector at t = 0, propagates events, samples at
   /// Tclk and runs to quiescence. Returns packed outputs and energy.
-  StepResult step(std::span<const std::uint8_t> inputs) override;
+  StepResult step(std::span<const std::uint8_t> inputs);
 
   /// Clocked step: processes only events inside [0, Tclk). Events still
   /// pending at the edge stay queued (rebased to the next cycle's time
   /// axis) and land in later cycles with their remaining delay — the
   /// still-in-flight transitions of a real pipeline stage.
   /// settled_outputs is the zero-delay functional result; the event
-  /// state is not settled. See SimEngine::step_cycle.
-  StepResult step_cycle(std::span<const std::uint8_t> inputs) override;
+  /// state is not settled. See SimEngine::step_cycle_batch.
+  StepResult step_cycle(std::span<const std::uint8_t> inputs);
+
+  // -- SimEngine ---------------------------------------------------------
+  EngineKind kind() const noexcept override { return EngineKind::kEvent; }
+  const Netlist& netlist() const noexcept override { return netlist_; }
+  const OperatingTriad& triad() const noexcept override { return op_; }
+
+  /// settle() on lane 0.
+  void reset(std::span<const lanes::Word> pi_words) override;
+  /// One step() per lane, in lane order.
+  void step_batch(std::span<const lanes::Word> pi_words, std::size_t count,
+                  std::span<StepResult> results) override;
+  /// One step_cycle() per lane, in lane order.
+  void step_cycle_batch(std::span<const lanes::Word> pi_words,
+                        std::size_t count,
+                        std::span<StepResult> results) override;
 
   /// Per-operation leakage energy at this triad (fJ): leakage power
   /// integrated over one clock period.
@@ -126,6 +135,7 @@ class TimingSimulator final : public SimEngine {
   // Per-step scratch state.
   bool sample_taken_ = false;
   StepResult current_{};
+  std::vector<std::uint8_t> lane_inputs_;  // one lane, one byte per PI
 };
 
 }  // namespace vosim

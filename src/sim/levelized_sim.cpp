@@ -19,14 +19,13 @@ namespace {
 /// Accounting policy for one fixed clock threshold: per-lane SoA
 /// accumulators (folded into StepResults by run_lanes — contiguous
 /// arrays keep the hot commit loops cache-dense and vectorizable).
-/// kWindowOnly drops the totals: the cycle-mode callers (step_cycle /
-/// step_cycle_batch) define totals == window ("nothing is simulated
-/// past the edge") and overwrite them, so tracking both is pure waste
-/// there.
+/// kWindowOnly drops the totals: cycle mode (step_cycle_batch) defines
+/// totals == window ("nothing is simulated past the edge"), so tracking
+/// both is pure waste there.
 template <bool kWindowOnly>
 struct SingleThresholdAcct {
   double tclk_ps;
-  std::size_t nlanes;  ///< word sweeps stop here (1 for scalar passes)
+  std::size_t nlanes;  ///< word sweeps stop here (1 for one-op passes)
   double* win_e;
   double* settle;
   std::uint32_t* win_t;
@@ -203,7 +202,7 @@ LevelizedSimulator::LevelizedSimulator(const Netlist& netlist,
     po_index_[pos[j]] = static_cast<std::int32_t>(j);
 
   // Establish a consistent all-zero-input state.
-  std::vector<std::uint8_t> zeros(netlist.primary_inputs().size(), 0);
+  const std::vector<Word> zeros(netlist.primary_inputs().size(), Word{});
   reset(zeros);
 }
 
@@ -219,119 +218,70 @@ bool LevelizedSimulator::retarget_tclk_ps(double tclk_ps) {
   return true;
 }
 
-void LevelizedSimulator::reset(std::span<const std::uint8_t> inputs) {
-  VOSIM_EXPECTS(inputs.size() == netlist_.primary_inputs().size());
+void LevelizedSimulator::reset(std::span<const lanes::Word> pi_words) {
+  VOSIM_EXPECTS(pi_words.size() == netlist_.primary_inputs().size());
+  std::vector<std::uint8_t> inputs;
+  lanes::unpack_lane(pi_words, 0, inputs);
   state_ = evaluate_logic(netlist_, inputs);
   sampled_state_ = state_;
 }
 
-// A scalar step is a one-lane batch: same PI packing, same pass, same
-// throughput counters.
-StepResult LevelizedSimulator::step(std::span<const std::uint8_t> inputs) {
-  StepResult result;
-  step_batch(inputs, 1, {&result, 1});
-  return result;
-}
-
-StepResult LevelizedSimulator::step_cycle(
-    std::span<const std::uint8_t> inputs) {
-  StepResult result;
-  step_cycle_batch(inputs, 1, {&result, 1});
-  return result;
-}
-
-void LevelizedSimulator::step_batch(
-    std::span<const std::uint8_t> inputs, std::size_t count,
-    std::span<StepResult> results) {
+void LevelizedSimulator::load_inputs(std::span<const lanes::Word> pi_words,
+                                     std::size_t count) {
   const auto pis = netlist_.primary_inputs();
-  const std::size_t npis = pis.size();
-  VOSIM_EXPECTS(inputs.size() == count * npis);
+  VOSIM_EXPECTS(pi_words.size() == pis.size());
+  VOSIM_EXPECTS(count >= 1 && count <= kLanes);
+  for (std::size_t j = 0; j < pis.size(); ++j)
+    settled_w_[pis[j]] = pi_words[j];
+}
+
+// Throughput accounting: one relaxed add per call (not per pattern),
+// cached refs so the registry mutex is never on the hot path. Every
+// call is one lane word.
+void LevelizedSimulator::step_batch(std::span<const lanes::Word> pi_words,
+                                    std::size_t count,
+                                    std::span<StepResult> results) {
   VOSIM_EXPECTS(results.size() >= count);
-  // Per-batch throughput accounting: one relaxed add per batch (not
-  // per pattern), cached refs so the registry mutex is never on the
-  // hot path.
   static obs::Counter& pattern_counter =
       obs::metrics().counter("sim.levelized.patterns");
   static obs::Counter& word_counter =
       obs::metrics().counter("sim.levelized.lane_words");
+  load_inputs(pi_words, count);
   pattern_counter.add(count);
-  word_counter.add((count + kLanes - 1) / kLanes);
-  std::size_t done = 0;
-  while (done < count) {
-    const std::size_t lanes = std::min(kLanes, count - done);
-    for (std::size_t j = 0; j < npis; ++j) {
-      Word w{};
-      for (std::size_t k = 0; k < lanes; ++k)
-        if (inputs[(done + k) * npis + j]) lanes::set_lane(w, k);
-      settled_w_[pis[j]] = w;
-    }
-    run_lanes(lanes, results.subspan(done, lanes));
-    done += lanes;
-  }
+  word_counter.add();
+  run_lanes(count, results.first(count));
 }
 
 void LevelizedSimulator::step_cycle_batch(
-    std::span<const std::uint8_t> inputs, std::size_t count,
+    std::span<const lanes::Word> pi_words, std::size_t count,
     std::span<StepResult> results) {
-  const auto pis = netlist_.primary_inputs();
-  const std::size_t npis = pis.size();
-  VOSIM_EXPECTS(inputs.size() == count * npis);
   VOSIM_EXPECTS(results.size() >= count);
   static obs::Counter& cycle_counter =
       obs::metrics().counter("sim.levelized.cycles");
   static obs::Counter& word_counter =
       obs::metrics().counter("sim.levelized.lane_words");
+  load_inputs(pi_words, count);
   cycle_counter.add(count);
-  word_counter.add((count + kLanes - 1) / kLanes);
-  std::size_t done = 0;
-  while (done < count) {
-    const std::size_t lanes = std::min(kLanes, count - done);
-    for (std::size_t j = 0; j < npis; ++j) {
-      Word w{};
-      for (std::size_t k = 0; k < lanes; ++k)
-        if (inputs[(done + k) * npis + j]) lanes::set_lane(w, k);
-      settled_w_[pis[j]] = w;
-    }
-    run_lanes(lanes, results.subspan(done, lanes), /*cycle_mode=*/true);
-    done += lanes;
-  }
-  // Nothing is simulated past the edge in cycle mode.
-  for (std::size_t k = 0; k < count; ++k) {
-    results[k].total_energy_fj = results[k].window_energy_fj;
-    results[k].toggles_total = results[k].toggles_in_window;
-  }
+  word_counter.add();
+  run_lanes(count, results.first(count), /*cycle_mode=*/true);
 }
 
 void LevelizedSimulator::step_batch_sweep(
-    std::span<const std::uint8_t> inputs, std::size_t count,
+    std::span<const lanes::Word> pi_words, std::size_t count,
     std::span<const double> thresholds_ps, std::span<StepResult> results) {
-  const auto pis = netlist_.primary_inputs();
-  const std::size_t npis = pis.size();
   const std::size_t nthr = thresholds_ps.size();
   VOSIM_EXPECTS(nthr > 0);
   VOSIM_EXPECTS(std::is_sorted(thresholds_ps.begin(), thresholds_ps.end()));
   VOSIM_EXPECTS(thresholds_ps.front() > 0.0);
-  VOSIM_EXPECTS(inputs.size() == count * npis);
   VOSIM_EXPECTS(results.size() >= count * nthr);
   static obs::Counter& pattern_counter =
       obs::metrics().counter("sim.levelized.patterns");
   static obs::Counter& word_counter =
       obs::metrics().counter("sim.levelized.lane_words");
+  load_inputs(pi_words, count);
   pattern_counter.add(count);
-  word_counter.add((count + kLanes - 1) / kLanes);
-  std::size_t done = 0;
-  while (done < count) {
-    const std::size_t lanes = std::min(kLanes, count - done);
-    for (std::size_t j = 0; j < npis; ++j) {
-      Word w{};
-      for (std::size_t k = 0; k < lanes; ++k)
-        if (inputs[(done + k) * npis + j]) lanes::set_lane(w, k);
-      settled_w_[pis[j]] = w;
-    }
-    run_lanes_sweep(lanes, thresholds_ps,
-                    results.subspan(done * nthr, lanes * nthr));
-    done += lanes;
-  }
+  word_counter.add();
+  run_lanes_sweep(count, thresholds_ps, results.first(count * nthr));
 }
 
 template <bool kCycleMode, class Acct>
@@ -396,10 +346,10 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
   // and an unchanged output's commits are forwarded as one merged
   // pulse.
   //
-  // Lane semantics differ per mode. Streaming (step/step_batch/sweep):
+  // Lane semantics differ per mode. Streaming (step_batch/sweep):
   // lane k is an independent pattern whose stale value is lane k-1's
   // settled value, so stale/changed are whole-word shifts and lanes
-  // are order-free. Cycle mode (step_cycle/step_cycle_batch): lane k
+  // are order-free. Cycle mode (step_cycle_batch): lane k
   // is clock cycle k and launches from lane k-1's *sampled* (at-edge
   // truncated) value, so active lanes resolve in ascending lane order
   // — each per-lane body below is shared verbatim between the two
@@ -1221,8 +1171,8 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
 
       // Under the streaming invariant (stale = settled function of
       // stale inputs) nothing is ever changed-but-uncommitted, so this
-      // mask is empty and step()/step_batch/sweep behavior is
-      // untouched; it guards states left by an unreset step_cycle. The
+      // mask is empty and step_batch/sweep behavior is untouched; it
+      // guards states left by an unreset step_cycle_batch. The
       // invariant also covers cycle-safe gates in cycle mode: their
       // whole fan-in cone is cycle-safe, so every stale input equals
       // its settled value of the previous lane.
@@ -1343,30 +1293,18 @@ void LevelizedSimulator::run_lanes(std::size_t lanes,
                                         acc_tot_t_.data()};
     run_lanes_impl<false>(lanes, acct);
   }
+  const auto pos = netlist_.primary_outputs();
+  lanes::gather(sampled_w_.data(), pos, lanes, po_sampled_, 1);
+  lanes::gather(settled_w_.data(), pos, lanes, po_settled_, 1);
   for (std::size_t k = 0; k < lanes; ++k) {
     StepResult& r = results[k];
-    r = StepResult{};
+    r.sampled_outputs = po_sampled_[k];
+    r.settled_outputs = po_settled_[k];
     r.window_energy_fj = acc_win_e_[k];
     r.toggles_in_window = acc_win_t_[k];
     r.settle_time_ps = acc_settle_[k];
     r.total_energy_fj = cycle_mode ? acc_win_e_[k] : acc_tot_e_[k];
     r.toggles_total = cycle_mode ? acc_win_t_[k] : acc_tot_t_[k];
-  }
-
-  const auto pos = netlist_.primary_outputs();
-  for (std::size_t k = 0; k < lanes; ++k) {
-    std::uint64_t sampled = 0;
-    std::uint64_t settled = 0;
-    for (std::size_t j = 0; j < pos.size(); ++j) {
-      sampled |= static_cast<std::uint64_t>(
-                     lanes::lane_bit(sampled_w_[pos[j]], k))
-                 << j;
-      settled |= static_cast<std::uint64_t>(
-                     lanes::lane_bit(settled_w_[pos[j]], k))
-                 << j;
-    }
-    results[k].sampled_outputs = sampled;
-    results[k].settled_outputs = settled;
   }
   if (!observers_.empty()) dispatch_observers(lanes, results);
   carry_state(lanes, /*truncate=*/cycle_mode);
@@ -1464,21 +1402,17 @@ void LevelizedSimulator::run_lanes_sweep(
     }
   }
 
-  for (std::size_t k = 0; k < lanes; ++k) {
-    std::uint64_t settled = 0;
-    for (std::size_t p = 0; p < npo; ++p)
-      settled |= static_cast<std::uint64_t>(
-                     lanes::lane_bit(settled_w_[pos[p]], k))
-                 << p;
-    for (std::size_t j = 0; j < nthr; ++j) {
+  // Threshold j's sampled word of PO p sits at p·(nthr+1) + j.
+  sweep_po_slot_.resize(npo);
+  for (std::size_t p = 0; p < npo; ++p) sweep_po_slot_[p] = p * (nthr + 1);
+  lanes::gather(settled_w_.data(), pos, lanes, po_settled_, 1);
+  for (std::size_t j = 0; j < nthr; ++j) {
+    lanes::gather(sweep_sdiff_.data() + j, sweep_po_slot_, lanes,
+                  po_sampled_, 1);
+    for (std::size_t k = 0; k < lanes; ++k) {
       StepResult& r = results[k * nthr + j];
-      std::uint64_t sampled = 0;
-      for (std::size_t p = 0; p < npo; ++p)
-        sampled |= static_cast<std::uint64_t>(lanes::lane_bit(
-                       sweep_sdiff_[p * (nthr + 1) + j], k))
-                   << p;
-      r.sampled_outputs = sampled;
-      r.settled_outputs = settled;
+      r.sampled_outputs = po_sampled_[k];
+      r.settled_outputs = po_settled_[k];
       r.window_energy_fj = sweep_ediff_[j * kLanes + k];
       r.toggles_in_window = sweep_tdiff_[j * kLanes + k];
       r.total_energy_fj = sweep_tot_e_[k];

@@ -34,10 +34,11 @@ namespace vosim {
 /// Levelized bit-parallel simulator bound to one netlist, library and
 /// triad. Same streaming-state semantics as TimingSimulator: lane k's
 /// stale value is lane k-1's settled value (lane 0 continues from the
-/// state left by the previous reset/step/step_batch). In cycle-batch
-/// mode (step_cycle_batch) lane k is instead clock cycle k and
-/// launches from lane k-1's *sampled* (at-edge truncated) value —
-/// DESIGN.md §10.
+/// state left by the previous reset/step_batch). In cycle-batch mode
+/// (step_cycle_batch) lane k is instead clock cycle k and launches from
+/// lane k-1's *sampled* (at-edge truncated) value — DESIGN.md §10.
+/// The caller's input lane words load straight into the primary
+/// inputs' packed state; a one-operation call is a one-lane pass.
 class LevelizedSimulator final : public SimEngine {
  public:
   using Word = lanes::Word;
@@ -55,29 +56,23 @@ class LevelizedSimulator final : public SimEngine {
   const Netlist& netlist() const noexcept override { return netlist_; }
   const OperatingTriad& triad() const noexcept override { return op_; }
 
-  void reset(std::span<const std::uint8_t> inputs) override;
-  StepResult step(std::span<const std::uint8_t> inputs) override;
+  void reset(std::span<const lanes::Word> pi_words) override;
 
-  /// Clocked step: one single-lane pass whose carried state is the
-  /// *sampled* (at-edge) value of every net instead of the settled one,
-  /// so the next cycle launches from the truncated state. Unlike the
-  /// event backend, transitions past the edge are dropped rather than
-  /// kept in flight (the levelized model has no cross-pass event queue);
-  /// the next cycle's trajectory runs from the truncated values toward
-  /// the new settled function with fresh arrival times. DESIGN.md §10
-  /// quantifies the divergence. See SimEngine::step_cycle.
-  StepResult step_cycle(std::span<const std::uint8_t> inputs) override;
-
-  void step_batch(std::span<const std::uint8_t> inputs, std::size_t count,
+  void step_batch(std::span<const lanes::Word> pi_words, std::size_t count,
                   std::span<StepResult> results) override;
 
-  /// Native 64-cycles-per-pass clocked batch: bit-exact with
-  /// `count` sequential step_cycle() calls (outputs, per-cycle energy,
-  /// commit order), but the packed lanes stay alive across cycles —
-  /// lane k of every net launches from lane k-1's sampled (truncated)
-  /// value, so a whole word of consecutive cycles costs one levelized
-  /// pass instead of kLanes. See SimEngine::step_cycle_batch.
-  void step_cycle_batch(std::span<const std::uint8_t> inputs,
+  /// Native clocked batch: one packed pass runs `count` consecutive
+  /// cycles. Its carried state is the *sampled* (at-edge) value of
+  /// every net instead of the settled one — lane k of every net
+  /// launches from lane k-1's sampled (truncated) value. Unlike the
+  /// event backend, transitions past the edge are dropped rather than
+  /// kept in flight (the levelized model has no cross-pass event
+  /// queue); the next cycle's trajectory runs from the truncated values
+  /// toward the new settled function with fresh arrival times.
+  /// Bit-exact however the stream is split into calls (outputs,
+  /// per-cycle energy, commit order). DESIGN.md §10 quantifies the
+  /// divergence from the event engine. See SimEngine::step_cycle_batch.
+  void step_cycle_batch(std::span<const lanes::Word> pi_words,
                         std::size_t count,
                         std::span<StepResult> results) override;
 
@@ -94,7 +89,7 @@ class LevelizedSimulator final : public SimEngine {
   /// energies scaled by (V/V_ref)² — see characterize_dut.
   /// Leakage is NOT included in the energies (it is per-triad).
   /// After this call sampled_values() reflects no single threshold.
-  void step_batch_sweep(std::span<const std::uint8_t> inputs,
+  void step_batch_sweep(std::span<const lanes::Word> pi_words,
                         std::size_t count,
                         std::span<const double> thresholds_ps,
                         std::span<StepResult> results);
@@ -125,6 +120,10 @@ class LevelizedSimulator final : public SimEngine {
   double gate_delay(GateId gid) const { return gate_delay_ps_.at(gid); }
 
  private:
+  /// Loads the caller's input lane words into the primary inputs'
+  /// settled words; `count` must be 1..kLanes.
+  void load_inputs(std::span<const lanes::Word> pi_words, std::size_t count);
+
   /// Evaluates one packed pass over `lanes` lanes already loaded into
   /// the primary-input lane words; `acct` records every net commit
   /// (transition) and decides window membership for sampling. With
@@ -148,7 +147,7 @@ class LevelizedSimulator final : public SimEngine {
                        std::span<StepResult> results);
 
   /// Carries the last lane's settled (and sampled) values into state_;
-  /// with `truncate` the sampled values become state_ (step_cycle).
+  /// with `truncate` the sampled values become state_ (cycle mode).
   void carry_state(std::size_t lanes, bool truncate = false);
 
   /// Observer fan-out after a single-threshold pass: per-lane
@@ -221,12 +220,17 @@ class LevelizedSimulator final : public SimEngine {
   std::vector<std::uint8_t> obs_settled_;
   std::vector<int> obs_level_;
 
+  // Per-lane packed primary outputs of the last pass (lanes::gather).
+  std::uint64_t po_sampled_[kLanes] = {};
+  std::uint64_t po_settled_[kLanes] = {};
+
   // Sweep support: primary-output index per net (-1 if not a PO) and
   // per-batch threshold-bucket scratch (sized on first sweep call).
   std::vector<std::int32_t> po_index_;
   std::vector<double> sweep_ediff_;        // (nthr+1) × kLanes
   std::vector<std::uint32_t> sweep_tdiff_;  // (nthr+1) × kLanes
   std::vector<Word> sweep_sdiff_;           // nPO × (nthr+1)
+  std::vector<std::size_t> sweep_po_slot_;  // per PO, its sdiff row
   std::vector<double> sweep_tot_e_;         // per lane
   std::vector<std::uint32_t> sweep_tot_t_;  // per lane
   std::vector<double> sweep_settle_;        // per lane

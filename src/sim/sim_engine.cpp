@@ -37,26 +37,6 @@ void SimEngine::detach_observer(SimObserver* obs) {
                    observers_.end());
 }
 
-void SimEngine::step_batch(std::span<const std::uint8_t> inputs,
-                           std::size_t count,
-                           std::span<StepResult> results) {
-  const std::size_t npis = netlist().primary_inputs().size();
-  VOSIM_EXPECTS(inputs.size() == count * npis);
-  VOSIM_EXPECTS(results.size() >= count);
-  for (std::size_t k = 0; k < count; ++k)
-    results[k] = step(inputs.subspan(k * npis, npis));
-}
-
-void SimEngine::step_cycle_batch(std::span<const std::uint8_t> inputs,
-                                 std::size_t count,
-                                 std::span<StepResult> results) {
-  const std::size_t npis = netlist().primary_inputs().size();
-  VOSIM_EXPECTS(inputs.size() == count * npis);
-  VOSIM_EXPECTS(results.size() >= count);
-  for (std::size_t k = 0; k < count; ++k)
-    results[k] = step_cycle(inputs.subspan(k * npis, npis));
-}
-
 std::unique_ptr<SimEngine> make_engine(const Netlist& netlist,
                                        const CellLibrary& lib,
                                        const OperatingTriad& op,

@@ -27,6 +27,7 @@
 
 #include "src/netlist/netlist.hpp"
 #include "src/tech/operating_point.hpp"
+#include "src/util/lanes.hpp"
 
 namespace vosim {
 
@@ -105,10 +106,15 @@ struct StepResult {
 
 /// Abstract gate-level simulator bound to one netlist, library and triad.
 ///
-/// Usage: reset() to establish the initial state, then step() per
-/// operation (state persists between steps like a real datapath between
-/// clock edges, DESIGN.md §6.5) or step_batch() to stream many
-/// operations with the same semantics.
+/// Inputs arrive as lane words (src/util/lanes.hpp): one lanes::Word
+/// per primary input, in primary-input order, where lane k carries
+/// operation k's value of that input. DutPinMap::scatter_lanes builds
+/// them from operand words. Each stepping call serves 1..64 lanes.
+///
+/// Usage: reset() to establish the initial state, then step_batch() to
+/// stream operations (state persists between them like a real datapath
+/// between clock edges, DESIGN.md §6.5) or step_cycle_batch() to run
+/// clock cycles of one pipeline stage.
 class SimEngine {
  public:
   virtual ~SimEngine() = default;
@@ -120,19 +126,26 @@ class SimEngine {
   virtual const Netlist& netlist() const noexcept = 0;
   virtual const OperatingTriad& triad() const noexcept = 0;
 
-  /// Applies input values and lets the circuit settle completely
-  /// (no sampling, no energy accounting).
-  virtual void reset(std::span<const std::uint8_t> inputs) = 0;
+  /// Applies lane 0 of the input words and lets the circuit settle
+  /// completely (no sampling, no energy accounting).
+  virtual void reset(std::span<const lanes::Word> pi_words) = 0;
 
-  /// Applies a new input vector at t = 0, propagates it, samples at
-  /// Tclk and settles. Returns packed outputs and energy.
-  virtual StepResult step(std::span<const std::uint8_t> inputs) = 0;
+  /// Streams `count` operations (1..64): operation k applies lane k of
+  /// every input word at t = 0, propagates, samples at Tclk and
+  /// settles; its packed outputs and energy land in results[k].
+  /// Operation k starts from the state operation k-1 settled to (lane
+  /// 0 from the previous call's last operation or the reset).
+  virtual void step_batch(std::span<const lanes::Word> pi_words,
+                          std::size_t count,
+                          std::span<StepResult> results) = 0;
 
-  /// Clocked variant for sequential (pipelined) operation: propagates
-  /// only until the capture edge at Tclk. The at-edge net values —
-  /// including nets whose final transition has not arrived — become the
-  /// persistent launch state of the next cycle, so timing errors latch
-  /// and propagate across cycles instead of being settled away.
+  /// Streams `count` consecutive clock cycles (1..64) of one clocked
+  /// stream: cycle k applies lane k of every input word. Each cycle
+  /// propagates only until the capture edge at Tclk, and the at-edge
+  /// net values — including nets whose final transition has not
+  /// arrived — become the launch state of the next cycle, so timing
+  /// errors latch and propagate across cycles instead of being
+  /// settled away.
   ///
   ///   - sampled_outputs: values at the Tclk edge (what the capture
   ///     registers latch).
@@ -147,29 +160,12 @@ class SimEngine {
   ///   - total_energy_fj == window_energy_fj here (nothing is simulated
   ///     past the edge).
   ///
-  /// Do not interleave step() and step_cycle() on one engine without a
-  /// reset() in between: step() assumes a quiescent circuit.
-  virtual StepResult step_cycle(std::span<const std::uint8_t> inputs) = 0;
-
-  /// Streams `count` operations: pattern k occupies
-  /// inputs[k*P, (k+1)*P) where P = netlist().primary_inputs().size(),
-  /// and its outcome lands in results[k]. Equivalent to `count` calls
-  /// to step(); the levelized backend overrides this to evaluate one
-  /// lane word of patterns per pass in packed lanes.
-  virtual void step_batch(std::span<const std::uint8_t> inputs,
-                          std::size_t count, std::span<StepResult> results);
-
-  /// Streams `count` consecutive clock cycles of ONE clocked stream:
-  /// cycle k's inputs occupy inputs[k*P, (k+1)*P) and its outcome lands
-  /// in results[k]. Semantically identical to `count` calls to
-  /// step_cycle() — cycle k launches from cycle k-1's truncated at-edge
-  /// state — and the default implementation is exactly that scalar
-  /// loop (the event engine keeps its cross-edge event queue that way).
-  /// The levelized backend overrides this to run one lane word of
-  /// cycles per packed pass, bit-exact against the scalar loop.
-  virtual void step_cycle_batch(std::span<const std::uint8_t> inputs,
+  /// Do not interleave step_batch() and step_cycle_batch() on one
+  /// engine without a reset() in between: step_batch() assumes a
+  /// quiescent circuit.
+  virtual void step_cycle_batch(std::span<const lanes::Word> pi_words,
                                 std::size_t count,
-                                std::span<StepResult> results);
+                                std::span<StepResult> results) = 0;
 
   /// Rebinds the capture threshold (ps) without rebuilding the engine:
   /// the die (delay assignment, variation draw, energies) is untouched,
@@ -185,11 +181,11 @@ class SimEngine {
   /// integrated over one clock period.
   virtual double leakage_energy_fj_per_op() const noexcept = 0;
 
-  /// Values sampled at the last step's clock edge, one per net. After
-  /// step_batch(), the last pattern's sample.
+  /// Values sampled at the last operation's clock edge, one per net.
   virtual std::span<const std::uint8_t> sampled_values() const noexcept = 0;
 
-  /// Fully settled values after the last reset/step (one per net).
+  /// Fully settled values after the last reset or operation (one per
+  /// net).
   virtual std::span<const std::uint8_t> settled_values() const noexcept = 0;
 
   /// Registers an observer for simulation callbacks (src/obs/probe.hpp;
@@ -200,7 +196,7 @@ class SimEngine {
   /// exactly one !observers_.empty() branch. Attaching twice is a
   /// no-op. Note: the levelized multi-threshold sweep
   /// (step_batch_sweep) does not dispatch — observer consumers must
-  /// route through step/step_batch/step_cycle_batch.
+  /// route through step_batch/step_cycle_batch.
   void attach_observer(SimObserver* obs);
   /// Unregisters a previously attached observer (no-op when absent).
   void detach_observer(SimObserver* obs);

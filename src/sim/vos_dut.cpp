@@ -13,8 +13,8 @@ VosDutSim::VosDutSim(const DutNetlist& dut, const CellLibrary& lib,
       pins_(dut),
       sim_(make_engine(dut.netlist, lib, op, config)) {
   op_buf_.assign(pins_.num_operands(), 0);
-  input_buf_.assign(dut_.netlist.primary_inputs().size(), 0);
-  // Pins outside the operand buses (e.g. a carry-in) stay at zero.
+  pi_words_.assign(dut_.netlist.primary_inputs().size(), 0);
+  step_buf_.resize(lanes::kWordLanes);
   reset();
 }
 
@@ -28,8 +28,8 @@ VosOpResult VosDutSim::unpack(const StepResult& st) const {
 }
 
 void VosDutSim::reset(std::span<const std::uint64_t> operands) {
-  pins_.fill_inputs(operands, input_buf_.data());
-  sim_->reset(input_buf_);
+  pins_.scatter_lanes(operands, 1, pi_words_);
+  sim_->reset(pi_words_);
 }
 
 void VosDutSim::reset() {
@@ -45,8 +45,9 @@ void VosDutSim::reset(std::uint64_t a, std::uint64_t b) {
 }
 
 VosOpResult VosDutSim::apply(std::span<const std::uint64_t> operands) {
-  pins_.fill_inputs(operands, input_buf_.data());
-  return unpack(sim_->step(input_buf_));
+  VosOpResult r;
+  apply_batch(operands, 1, {&r, 1});
+  return r;
 }
 
 VosOpResult VosDutSim::apply(std::uint64_t a, std::uint64_t b) {
@@ -62,16 +63,15 @@ void VosDutSim::apply_batch(std::span<const std::uint64_t> operands,
   const std::size_t nops = pins_.num_operands();
   VOSIM_EXPECTS(operands.size() == count * nops);
   VOSIM_EXPECTS(results.size() >= count);
-  if (count == 0) return;
-  const std::size_t npis = input_buf_.size();
-  // Uncovered PIs (e.g. a carry-in pin) stay zero across the batch.
-  batch_buf_.assign(count * npis, 0);
-  step_buf_.resize(count);
-  for (std::size_t k = 0; k < count; ++k)
-    pins_.fill_inputs(operands.subspan(k * nops, nops),
-                      batch_buf_.data() + k * npis);
-  sim_->step_batch(batch_buf_, count, step_buf_);
-  for (std::size_t k = 0; k < count; ++k) results[k] = unpack(step_buf_[k]);
+  for (std::size_t done = 0; done < count;) {
+    const std::size_t n = std::min(lanes::kWordLanes, count - done);
+    pins_.scatter_lanes(operands.subspan(done * nops, n * nops), n,
+                        pi_words_);
+    sim_->step_batch(pi_words_, n, step_buf_);
+    for (std::size_t k = 0; k < n; ++k)
+      results[done + k] = unpack(step_buf_[k]);
+    done += n;
+  }
 }
 
 void VosDutSim::apply_batch(std::span<const std::uint64_t> a,

@@ -49,17 +49,20 @@ class VosDutSim {
   /// Two-operand convenience (adders, multipliers).
   void reset(std::uint64_t a, std::uint64_t b);
 
-  /// Performs one clocked operation. operands.size() must equal
-  /// num_operands() and operand k must fit in operand_width(k) bits.
+  /// Performs one clocked operation: a one-operation apply_batch().
+  /// operands.size() must equal num_operands() and operand k must fit
+  /// in operand_width(k) bits.
   VosOpResult apply(std::span<const std::uint64_t> operands);
   /// Two-operand convenience.
   VosOpResult apply(std::uint64_t a, std::uint64_t b);
 
-  /// Streams `count` clocked operations with the same state semantics
-  /// as consecutive apply() calls, filling results[k]. Operation k's
-  /// operands live in operands[k*num_operands(), (k+1)*num_operands()).
-  /// The levelized backend evaluates 64 patterns per pass here, which
-  /// is where its order-of-magnitude sweep speedup comes from.
+  /// Streams `count` clocked operations, filling results[k]; state
+  /// carries from one operation to the next, so any split of a stream
+  /// into calls gives the same results. Operation k's operands live in
+  /// operands[k*num_operands(), (k+1)*num_operands()). The stream goes
+  /// to the engine one 64-lane word at a time; the levelized backend
+  /// evaluates each word in one pass, which is where its
+  /// order-of-magnitude sweep speedup comes from.
   void apply_batch(std::span<const std::uint64_t> operands,
                    std::size_t count, std::span<VosOpResult> results);
   /// Two-operand convenience: operation k applies (a[k], b[k]).
@@ -92,9 +95,8 @@ class VosDutSim {
   std::unique_ptr<SimEngine> sim_;
   std::vector<std::uint64_t> op_buf_;    // convenience-overload operands
   std::vector<std::uint64_t> flat_buf_;  // two-operand batch interleave
-  std::vector<std::uint8_t> input_buf_;
-  std::vector<std::uint8_t> batch_buf_;  // batched input vectors
-  std::vector<StepResult> step_buf_;     // batched step results
+  std::vector<lanes::Word> pi_words_;    // one lane word per PI
+  std::vector<StepResult> step_buf_;     // one lane word of results
 };
 
 }  // namespace vosim

@@ -13,6 +13,8 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 namespace vosim::lanes {
 
@@ -81,6 +83,56 @@ constexpr void for_each_lane(Word w, Fn&& fn) {
     const std::size_t k = static_cast<std::size_t>(std::countr_zero(w));
     fn(k);
     w &= w - Word{1};
+  }
+}
+
+/// Lane `k` of every word as one 0/1 byte per word, into `out`
+/// (resized): the one-operation view that evaluate_logic and the event
+/// engine's per-op methods take.
+inline void unpack_lane(std::span<const Word> words, std::size_t k,
+                        std::vector<std::uint8_t>& out) {
+  out.resize(words.size());
+  for (std::size_t i = 0; i < words.size(); ++i)
+    out[i] = lane_bit(words[i], k);
+}
+
+// The transposition pair between per-operation words (bit i of one
+// operation's word) and lane words (lane k = operation k). Both walk
+// set bits only, so their cost scales with operations × bits and a
+// one-operation call pays for one operation.
+
+/// Scatters `count` per-operation words into lane words through a slot
+/// map: bit i (i < slots.size()) of ops[k * stride] sets lane k of
+/// lane_words[slots[i]]. Only ORs bits in: lanes and words the map does
+/// not reach keep their value, so zeroed words hold uncovered positions
+/// at 0. Bits at or above slots.size() are ignored.
+/// Precondition: count <= kWordLanes, slots.size() <= kWordLanes.
+template <class Slots>
+void scatter(const std::uint64_t* ops, std::size_t stride, std::size_t count,
+             const Slots& slots, Word* lane_words) {
+  assert(count <= kWordLanes);
+  const Word keep = mask(slots.size());
+  for (std::size_t k = 0; k < count; ++k) {
+    const Word lane = bit(k);
+    for_each_lane(ops[k * stride] & keep,
+                  [&](std::size_t i) { lane_words[slots[i]] |= lane; });
+  }
+}
+
+/// Gathers lane words back into per-operation words, the inverse of
+/// scatter: ops[k * stride] (k < count) becomes the word whose bit i is
+/// lane k of lane_words[slots[i]]. Overwrites those `count` entries.
+/// Precondition: count <= kWordLanes, slots.size() <= kWordLanes.
+template <class Slots>
+void gather(const Word* lane_words, const Slots& slots, std::size_t count,
+            std::uint64_t* ops, std::size_t stride) {
+  assert(count <= kWordLanes);
+  for (std::size_t k = 0; k < count; ++k) ops[k * stride] = 0;
+  const Word used = mask(count);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const std::uint64_t b = std::uint64_t{1} << i;
+    for_each_lane(lane_words[slots[i]] & used,
+                  [&](std::size_t k) { ops[k * stride] |= b; });
   }
 }
 

@@ -997,8 +997,9 @@ TEST(CampaignRunner, MaxTriadsTruncatesTheGrid) {
 }
 
 // ------------------------------------------------------- one schedule
-/// The scalar references of the two simulator adapters: one simulator
-/// call per addition, in the order the kernel issues them.
+/// The one-operation references of the two simulator adapters: one
+/// simulator call per addition (a one-lane batch underneath), in the
+/// order the kernel issues them.
 BatchAdderFn per_add(VosDutSim& sim) {
   return [&sim](std::span<const std::uint64_t> a,
                 std::span<const std::uint64_t> b,
@@ -1055,16 +1056,18 @@ TEST(CampaignSchedule, RelaxedTriadIsBitIdenticalOnEveryBackend) {
 
 TEST(CampaignSchedule, GateLevelCellsReplayTheirPerAddLoops) {
   // Under timing errors the result depends on the operation order. A
-  // campaign's batched gate-level cell must equal the same kernel
-  // driven through one apply() / step_cycle() per addition.
+  // campaign's gate-level cell, whose adds reach the engines in
+  // 64-lane batches, must equal the same kernel driven through one
+  // apply() / step_cycle() per addition — one-lane calls — on the
+  // event and the levelized engine.
   const CellLibrary& lib = make_fdsoi28_lvt();
   const CampaignConfig cfg = every_workload_on_rca16(
-      {ArithBackend::kExact, ArithBackend::kSimLevelized,
-       ArithBackend::kSimSeq},
+      {ArithBackend::kExact, ArithBackend::kSimEvent,
+       ArithBackend::kSimLevelized, ArithBackend::kSimSeq},
       {0.6, 0.8, 0.0});
   CampaignStore store;
   const CampaignOutcome outcome = run_campaign(lib, cfg, store);
-  ASSERT_EQ(outcome.cells.size(), 5u * 3u);
+  ASSERT_EQ(outcome.cells.size(), 5u * 4u);
   const DutNetlist dut = build_circuit("rca16");
   const SeqDut seq = wrap_as_pipeline(dut);
   TimingSimConfig sim_cfg;
@@ -1079,7 +1082,12 @@ TEST(CampaignSchedule, GateLevelCellsReplayTheirPerAddLoops) {
     ASSERT_NE(wl, nullptr);
     const std::uint64_t seed = workload_data_seed(cfg.seed, wl->name);
     QualityResult ref;
-    if (cell.key.backend == "sim-levelized") {
+    if (cell.key.backend == "sim-event") {
+      TimingSimConfig event_cfg;
+      event_cfg.engine = EngineKind::kEvent;
+      VosDutSim sim(dut, lib, cell.key.triad, event_cfg);
+      ref = wl->run(per_add(sim), seed);
+    } else if (cell.key.backend == "sim-levelized") {
       VosDutSim sim(dut, lib, cell.key.triad, sim_cfg);
       ref = wl->run(per_add(sim), seed);
     } else {

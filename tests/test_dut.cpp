@@ -25,13 +25,15 @@ namespace {
 const CellLibrary& lib() { return make_fdsoi28_lvt(); }
 
 /// Functional output of a DUT for given operands, via the zero-delay
-/// golden evaluator and the same pin map the simulators use.
+/// golden evaluator and the same pin map the simulators use (a
+/// one-operation lane scatter).
 std::uint64_t golden_eval(const DutNetlist& dut, const DutPinMap& pins,
                           std::span<const std::uint64_t> ops) {
-  std::vector<std::uint8_t> in(dut.netlist.primary_inputs().size(), 0);
-  pins.fill_inputs(ops, in.data());
-  const auto values = evaluate_logic(dut.netlist, in);
-  return pack_word(values, dut.outputs);
+  std::vector<lanes::Word> words(dut.netlist.primary_inputs().size());
+  pins.scatter_lanes(ops, 1, words);
+  std::vector<std::uint8_t> in;
+  lanes::unpack_lane(words, 0, in);
+  return pack_word(evaluate_logic(dut.netlist, in), dut.outputs);
 }
 
 TEST(DutNetlist, AdderConversionMetadata) {
@@ -87,16 +89,20 @@ TEST(DutPinMap, ScatterGatherRoundTripMultiplier) {
 }
 
 TEST(DutPinMap, GatherInvertsScatterOnPermutedBuses) {
-  // Scatter into the PI vector and gather from a synthetic PO word must
-  // invert each other even when the bus order permutes the PI order.
+  // The lane scatter into PI words and the gather from a synthetic PO
+  // word must invert each other even when the bus order permutes the
+  // PI order. The words start as garbage: the scatter overwrites them.
   const MultiplierNetlist mul = build_array_multiplier(4);
   // Present the buses swapped: operand 0 is b, operand 1 is a.
   const DutNetlist dut = make_dut(mul.netlist, {mul.b, mul.a}, mul.prod);
   const DutPinMap pins(dut);
   const std::uint64_t ops[2] = {0x5, 0xA};
-  std::vector<std::uint8_t> in(dut.netlist.primary_inputs().size(), 0xCC);
-  std::fill(in.begin(), in.end(), 0);
-  pins.fill_inputs(ops, in.data());
+  std::vector<lanes::Word> words(dut.netlist.primary_inputs().size(),
+                                 ~lanes::Word{0});
+  pins.scatter_lanes(ops, 1, words);
+  for (const lanes::Word w : words) EXPECT_EQ(w & ~lanes::Word{1}, 0u);
+  std::vector<std::uint8_t> in;
+  lanes::unpack_lane(words, 0, in);
   const auto pis = dut.netlist.primary_inputs();
   for (int i = 0; i < 4; ++i) {
     // b carries 0x5, a carries 0xA.
@@ -150,11 +156,44 @@ TEST(DutPinMap, RejectsOverwideOutputBus) {
 }
 
 TEST(DutPinMap, RejectsOperandOverflowAtFill) {
+  // The lane scatter checks every operand of every lane against its
+  // bus width, as the per-operation fill did.
   const DutNetlist dut = to_dut(build_rca(4));
   const DutPinMap pins(dut);
-  std::vector<std::uint8_t> in(dut.netlist.primary_inputs().size(), 0);
+  std::vector<lanes::Word> words(dut.netlist.primary_inputs().size());
   const std::uint64_t ops[2] = {0x10, 0};  // 5 bits into a 4-bit bus
-  EXPECT_THROW(pins.fill_inputs(ops, in.data()), ContractViolation);
+  EXPECT_THROW(pins.scatter_lanes(ops, 1, words), ContractViolation);
+  std::vector<std::uint64_t> batch(2 * 64, 0x3);
+  batch[2 * 37 + 1] = 0x1F;  // lane 37's second operand overflows
+  EXPECT_THROW(pins.scatter_lanes(batch, 64, words), ContractViolation);
+  batch[2 * 37 + 1] = 0xF;
+  EXPECT_NO_THROW(pins.scatter_lanes(batch, 64, words));
+}
+
+TEST(DutPinMap, LaneScatterMatchesPerBitLoop) {
+  // 1..64 operations of a three-bus tree with a permuted pin order:
+  // lane k of PI word slot(b, i) is bit i of operation k's operand b,
+  // and every PI outside the buses stays zero.
+  const AdderTreeNetlist tree = build_adder_tree(4, 5);
+  const DutNetlist dut =
+      make_dut(tree.netlist, {tree.leaves[2], tree.leaves[0], tree.leaves[3]},
+               tree.sum);  // leaves[1] is left uncovered
+  const DutPinMap pins(dut);
+  const std::size_t npis = dut.netlist.primary_inputs().size();
+  Rng rng(17);
+  for (const std::size_t count : {1u, 2u, 31u, 63u, 64u}) {
+    std::vector<std::uint64_t> ops(3 * count);
+    for (std::uint64_t& o : ops) o = rng.bits(5);
+    std::vector<lanes::Word> words(npis, ~lanes::Word{0});
+    pins.scatter_lanes(ops, count, words);
+    std::vector<lanes::Word> want(npis, 0);
+    for (std::size_t k = 0; k < count; ++k)
+      for (std::size_t b = 0; b < 3; ++b)
+        for (int i = 0; i < 5; ++i)
+          if ((ops[k * 3 + b] >> i) & 1u)
+            lanes::set_lane(want[pins.input_slots(b)[i]], k);
+    EXPECT_EQ(words, want) << count << " operations";
+  }
 }
 
 TEST(AppendCopy, ReplicatesFunctionWithSubstitutedInputs) {

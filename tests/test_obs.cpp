@@ -89,25 +89,27 @@ TEST(Metrics, SnapshotJsonIsSingleLineWithEveryKind) {
 }
 
 TEST(Metrics, LevelizedScalarStepsAreCounted) {
-  // A scalar levelized step is a one-lane batch, so it shows in the
-  // same throughput counters as the batch paths.
+  // A one-operation levelized call (what VosDutSim::apply and
+  // SeqSim::step_cycle issue) is a one-lane pass, so it shows in the
+  // same throughput counters as full lane words.
   const DutNetlist rca = build_circuit("rca8");
   TimingSimConfig cfg;
   cfg.engine = EngineKind::kLevelized;
   const auto engine =
       make_engine(rca.netlist, make_fdsoi28_lvt(), {1.0, 1.0, 0.0}, cfg);
-  const std::vector<std::uint8_t> inputs(
-      rca.netlist.primary_inputs().size(), 1);
+  const std::vector<lanes::Word> inputs(
+      rca.netlist.primary_inputs().size(), 1);  // lane 0 all ones
   obs::Counter& patterns = obs::metrics().counter("sim.levelized.patterns");
   obs::Counter& cycles = obs::metrics().counter("sim.levelized.cycles");
   obs::Counter& words = obs::metrics().counter("sim.levelized.lane_words");
   const std::uint64_t p0 = patterns.value();
   const std::uint64_t c0 = cycles.value();
   const std::uint64_t w0 = words.value();
-  engine->step(inputs);
+  StepResult r;
+  engine->step_batch(inputs, 1, {&r, 1});
   EXPECT_EQ(patterns.value() - p0, 1u);
   EXPECT_EQ(cycles.value() - c0, 0u);
-  engine->step_cycle(inputs);
+  engine->step_cycle_batch(inputs, 1, {&r, 1});
   EXPECT_EQ(patterns.value() - p0, 1u);
   EXPECT_EQ(cycles.value() - c0, 1u);
   EXPECT_EQ(words.value() - w0, 2u);

@@ -1,10 +1,13 @@
-// Batch-vs-scalar equivalence of the clocked path: step_cycle_batch
-// must be bit-exact against a scalar step_cycle loop — sampled and
-// expected output words, per-cycle energy (same floating-point
+// Split-invariance of the clocked path: SeqSim has one clocked body
+// (step_cycle_batch), and a stream fed as 64-cycle lane-word batches
+// must be bit-exact against the same stream fed one cycle per call
+// (step_cycle, a one-cycle batch: one-lane engine passes) — sampled
+// and expected output words, per-cycle energy (same floating-point
 // accumulation order), Razor flag words and the stage monitors'
 // lifetime/window statistics — on every registry pipeline, on both
 // engines, across the error-onset band, including operation counts
-// that do not fill a whole 64-cycle lane word.
+// that do not fill a whole 64-cycle lane word. The closed-loop unit is
+// held to the same: run_batch against one step_cycle per cycle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,10 +42,10 @@ std::vector<std::uint64_t> random_operands(const SeqDut& seq,
   return ops;
 }
 
-/// Runs `cycles` scalar step_cycle calls and one step_cycle_batch over
-/// the same operand stream on two identically-configured simulators and
-/// asserts every per-cycle field and every stage monitor statistic
-/// matches exactly.
+/// Runs `cycles` one-cycle step_cycle calls and one step_cycle_batch
+/// over the same operand stream on two identically-configured
+/// simulators and asserts every per-cycle field and every stage monitor
+/// statistic matches exactly.
 void expect_batch_matches_scalar(const SeqDut& seq,
                                  const OperatingTriad& op,
                                  EngineKind engine, std::size_t cycles,

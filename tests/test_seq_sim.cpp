@@ -20,6 +20,20 @@ namespace {
 
 const CellLibrary& lib() { return make_fdsoi28_lvt(); }
 
+/// One operation on a bare engine: the operands scattered into lane 0
+/// and a one-lane step_batch (clocked = false) or step_cycle_batch.
+StepResult one_op(SimEngine& eng, const DutPinMap& pins,
+                  std::span<const std::uint64_t> ops, bool clocked) {
+  std::vector<lanes::Word> words(eng.netlist().primary_inputs().size());
+  pins.scatter_lanes(ops, 1, words);
+  StepResult r;
+  if (clocked)
+    eng.step_cycle_batch(words, 1, {&r, 1});
+  else
+    eng.step_batch(words, 1, {&r, 1});
+  return r;
+}
+
 /// A relaxed triad for a pipeline: every stage settles well inside the
 /// cycle, so clocked operation must be functionally exact.
 OperatingTriad relaxed_triad(const SeqDut& seq) {
@@ -28,8 +42,9 @@ OperatingTriad relaxed_triad(const SeqDut& seq) {
 
 // ------------------------------------------------- engine step_cycle
 TEST(StepCycle, MatchesStepWhenRelaxed) {
-  // On a quiet circuit with a generous clock, step_cycle and step see
-  // identical sampled/settled words on both engines.
+  // On a quiet circuit with a generous clock, one-op clocked and
+  // streaming calls (step_cycle_batch vs step_batch) see identical
+  // sampled/settled words on both engines.
   const DutNetlist dut = build_circuit("rca8");
   const double cp =
       1.5 * synthesize_report(dut.netlist, lib()).critical_path_ns;
@@ -43,13 +58,10 @@ TEST(StepCycle, MatchesStepWhenRelaxed) {
         make_engine(dut.netlist, lib(), {cp, 1.0, 0.0}, cfg);
     const DutPinMap pins(dut);
     Rng rng(3);
-    std::vector<std::uint8_t> in(dut.netlist.primary_inputs().size(), 0);
     for (int i = 0; i < 64; ++i) {
       const std::uint64_t ops[2] = {rng() & 0xFF, rng() & 0xFF};
-      std::fill(in.begin(), in.end(), 0);
-      pins.fill_inputs(ops, in.data());
-      const StepResult c = cycle_eng->step_cycle(in);
-      const StepResult s = step_eng->step(in);
+      const StepResult c = one_op(*cycle_eng, pins, ops, true);
+      const StepResult s = one_op(*step_eng, pins, ops, false);
       EXPECT_EQ(c.sampled_outputs, s.sampled_outputs);
       EXPECT_EQ(c.settled_outputs, s.settled_outputs);
       EXPECT_EQ(pins.gather_output(c.sampled_outputs), ops[0] + ops[1]);
@@ -69,10 +81,8 @@ TEST(StepCycle, TruncatesAtTightClock) {
     cfg.engine = kind;
     const auto eng =
         make_engine(dut.netlist, lib(), {0.02, 1.0, 0.0}, cfg);
-    std::vector<std::uint8_t> in(dut.netlist.primary_inputs().size(), 0);
     const std::uint64_t ops[2] = {0xFF, 0x01};  // full carry ripple
-    pins.fill_inputs(ops, in.data());
-    const StepResult st = eng->step_cycle(in);
+    const StepResult st = one_op(*eng, pins, ops, true);
     EXPECT_EQ(pins.gather_output(st.settled_outputs), 0x100u)
         << engine_kind_name(kind);
     EXPECT_NE(st.sampled_outputs, st.settled_outputs)
@@ -88,12 +98,10 @@ TEST(StepCycle, EventInFlightEventsLandNextCycle) {
   const DutPinMap pins(dut);
   TimingSimConfig cfg;  // event engine
   const auto eng = make_engine(dut.netlist, lib(), {0.06, 1.0, 0.0}, cfg);
-  std::vector<std::uint8_t> in(dut.netlist.primary_inputs().size(), 0);
   const std::uint64_t ops[2] = {0xFF, 0x01};
-  pins.fill_inputs(ops, in.data());
-  StepResult st = eng->step_cycle(in);
+  StepResult st = one_op(*eng, pins, ops, true);
   EXPECT_NE(st.sampled_outputs, st.settled_outputs);
-  for (int c = 0; c < 20; ++c) st = eng->step_cycle(in);
+  for (int c = 0; c < 20; ++c) st = one_op(*eng, pins, ops, true);
   EXPECT_EQ(pins.gather_output(st.sampled_outputs), 0x100u);
 }
 

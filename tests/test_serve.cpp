@@ -2,17 +2,20 @@
 // concurrent campaign requests, equivalence of the streamed cells with
 // an offline run of the same grid, streams longer than one send
 // buffer, malformed-request and mid-stream disconnect survival,
-// joining finished connection threads, and the stats introspection
+// joining finished connection threads, the request read deadline that
+// keeps idle clients from holding stop(), and the stats introspection
 // verb.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -335,6 +338,70 @@ TEST(CampaignServer, FinishedConnectionThreadsAreJoined) {
   EXPECT_LT(vm_size_mb() - before, 64.0);
   server.stop();
   EXPECT_EQ(server.requests_served(), 65u);
+}
+
+TEST(CampaignServer, StopReturnsWhileClientsHoldIdleConnections) {
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("idle");
+  CampaignServer server(lib(), cfg);
+  server.start();
+  const std::uint64_t errors0 =
+      obs::metrics().counter("serve.errors").value();
+  obs::Gauge& active = obs::metrics().gauge("serve.connections.active");
+  const double active0 = active.value();
+
+  // One client connects and sends nothing; another trickles a request
+  // a byte at a time and never finishes the line.
+  const int idle = connect_client(cfg.socket_path);
+  ASSERT_GE(idle, 0);
+  const int trickle = connect_client(cfg.socket_path);
+  ASSERT_GE(trickle, 0);
+  std::atomic<bool> trickling{true};
+  std::thread trickler([&] {
+    const std::string partial = "{\"cmd\":\"ping\"";
+    for (std::size_t i = 0; i < partial.size() && trickling; ++i) {
+      if (::send(trickle, &partial[i], 1, MSG_NOSIGNAL) != 1) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    }
+  });
+  // Both connection threads are reading their request lines.
+  const auto accepted_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (active.value() < active0 + 2.0 &&
+         std::chrono::steady_clock::now() < accepted_by)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_GE(active.value(), active0 + 2.0);
+
+  // stop() joins the connection threads, so it waits out the read
+  // deadline and no longer. Run it on the side: if it hangs, closing
+  // the clients releases it and the test fails instead of hanging.
+  auto stopped = std::async(std::launch::async, [&] { server.stop(); });
+  const bool in_time =
+      stopped.wait_for(kRequestReadDeadline + std::chrono::seconds(1)) ==
+      std::future_status::ready;
+  trickling = false;
+  trickler.join();
+  if (!in_time) {
+    ::close(idle);
+    ::close(trickle);
+    stopped.wait();
+    FAIL() << "stop() blocked past the request read deadline";
+  }
+
+  // Each client got the structured timeout line, then end of stream.
+  const std::string want = "{\"error\":\"request timeout\",\"deadline_s\":" +
+                           std::to_string(kRequestReadDeadline.count()) +
+                           "}\n";
+  for (const int fd : {idle, trickle}) {
+    std::string got;
+    char buf[256];
+    ssize_t n = 0;
+    while ((n = ::read(fd, buf, sizeof buf)) > 0)
+      got.append(buf, static_cast<std::size_t>(n));
+    EXPECT_EQ(got, want);
+    ::close(fd);
+  }
+  EXPECT_EQ(obs::metrics().counter("serve.errors").value() - errors0, 2u);
 }
 
 TEST(CampaignServer, StatsVerbReportsManifestAndMetrics) {

@@ -76,14 +76,19 @@ TEST(SimEngine, PackedEvalMatchesTruthTables) {
 
     TimingSimConfig cfg;
     cfg.engine = EngineKind::kLevelized;
-    // Generous clock: the evaluation is purely functional.
+    // Generous clock: the evaluation is purely functional. One lane per
+    // minterm: lane m of input i's word is bit i of m.
     LevelizedSimulator sim(nl, lib(), {100.0, 1.0, 0.0}, cfg);
-    for (unsigned minterm = 0; minterm < (1u << n); ++minterm) {
-      std::vector<std::uint8_t> in(static_cast<std::size_t>(n), 0);
+    const unsigned minterms = 1u << n;
+    std::vector<lanes::Word> words(static_cast<std::size_t>(n), 0);
+    for (unsigned minterm = 0; minterm < minterms; ++minterm)
       for (int i = 0; i < n; ++i)
-        in[static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>((minterm >> i) & 1u);
-      const StepResult r = sim.step(in);
+        if ((minterm >> i) & 1u)
+          lanes::set_lane(words[static_cast<std::size_t>(i)], minterm);
+    std::vector<StepResult> rs(minterms);
+    sim.step_batch(words, minterms, rs);
+    for (unsigned minterm = 0; minterm < minterms; ++minterm) {
+      const StepResult& r = rs[minterm];
       const auto expected =
           static_cast<std::uint64_t>((cell_truth(kind) >> minterm) & 1u);
       EXPECT_EQ(r.settled_outputs, expected)

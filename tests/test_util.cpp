@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/util/bits.hpp"
@@ -270,6 +271,87 @@ TEST(Lanes, HelpersMatchPerLaneReference) {
   }
   EXPECT_TRUE(lanes::any(a));
   EXPECT_FALSE(lanes::any(lanes::Word{0}));
+
+  // unpack_lane: lane k of every word as one byte per word; the output
+  // is resized from whatever it held.
+  const std::vector<lanes::Word> words = {a, ~a, 0, ~lanes::Word{0}};
+  std::vector<std::uint8_t> bytes(7, 9);
+  for (std::size_t k = 0; k < n; ++k) {
+    lanes::unpack_lane(words, k, bytes);
+    ASSERT_EQ(bytes.size(), words.size());
+    for (std::size_t i = 0; i < words.size(); ++i)
+      ASSERT_EQ(bytes[i], lanes::lane_bit(words[i], k)) << k << " " << i;
+  }
+}
+
+// The transposition pair against per-bit loops: every lane count the
+// simulators issue (1, 2, 63, 64), every operand width 1..63 with
+// seeded random and all-ones words, slot maps that permute positions
+// and skip some, and operation words read and written with a stride.
+TEST(Lanes, ScatterAndGatherMatchPerBitLoops) {
+  Rng rng(91);
+  constexpr std::size_t stride = 3;  // op k's word at [k * stride + 1]
+  for (const std::size_t count : {1u, 2u, 63u, 64u}) {
+    for (int width = 1; width <= 63; ++width) {
+      const auto w = static_cast<std::size_t>(width);
+      // `width` distinct positions out of 2·width + 3, shuffled: a
+      // permutation that skips some positions.
+      const std::size_t nwords = 2 * w + 3;
+      std::vector<std::size_t> slots(nwords);
+      for (std::size_t i = 0; i < nwords; ++i) slots[i] = i;
+      for (std::size_t i = nwords; i > 1; --i)
+        std::swap(slots[i - 1], slots[rng.below(i)]);
+      slots.resize(w);
+      for (const bool all_ones : {false, true}) {
+        std::vector<std::uint64_t> ops(count * stride, 0xDEAD);
+        for (std::size_t k = 0; k < count; ++k)
+          ops[k * stride + 1] = all_ones ? mask_n(width) : rng.bits(width);
+
+        // scatter: lane k of word slots[i] is bit i of op k; it only
+        // ORs bits in, so preset words keep theirs.
+        std::vector<lanes::Word> preset(nwords);
+        for (lanes::Word& x : preset) x = rng();
+        std::vector<lanes::Word> got = preset;
+        lanes::scatter(ops.data() + 1, stride, count, slots, got.data());
+        std::vector<lanes::Word> want = preset;
+        for (std::size_t k = 0; k < count; ++k)
+          for (std::size_t i = 0; i < w; ++i)
+            if ((ops[k * stride + 1] >> i) & 1u)
+              want[slots[i]] |= lanes::Word{1} << k;
+        ASSERT_EQ(got, want) << count << " lanes, width " << width;
+
+        // Bits at or above the slot count are ignored.
+        std::vector<lanes::Word> clean(nwords, 0);
+        std::vector<lanes::Word> noisy(nwords, 0);
+        lanes::scatter(ops.data() + 1, stride, count, slots, clean.data());
+        std::vector<std::uint64_t> high = ops;
+        for (std::size_t k = 0; k < count; ++k)
+          high[k * stride + 1] |= ~mask_n(width) & rng();
+        lanes::scatter(high.data() + 1, stride, count, slots, noisy.data());
+        ASSERT_EQ(noisy, clean) << count << " lanes, width " << width;
+
+        // gather: op k's bit i is lane k of word slots[i]; entries
+        // outside the stride and lanes >= count are not touched.
+        std::vector<lanes::Word> words(nwords);
+        for (lanes::Word& x : words) x = rng();
+        std::vector<std::uint64_t> out(count * stride, 0xBEEF);
+        lanes::gather(words.data(), slots, count, out.data() + 1, stride);
+        for (std::size_t k = 0; k < count; ++k) {
+          std::uint64_t ref = 0;
+          for (std::size_t i = 0; i < w; ++i)
+            ref |= ((words[slots[i]] >> k) & 1u) << i;
+          ASSERT_EQ(out[k * stride + 1], ref) << count << " " << width;
+          ASSERT_EQ(out[k * stride], 0xBEEFu);
+          ASSERT_EQ(out[k * stride + 2], 0xBEEFu);
+        }
+
+        // gather(scatter(x)) == x.
+        std::vector<std::uint64_t> back(count * stride, 0xDEAD);
+        lanes::gather(clean.data(), slots, count, back.data() + 1, stride);
+        ASSERT_EQ(back, ops) << count << " lanes, width " << width;
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------------------- stats

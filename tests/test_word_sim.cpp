@@ -1,5 +1,7 @@
 // Generic word-operator simulation on multiplier DUTs (the paper's
-// "different arithmetic configurations" extension), plus the deprecated
+// "different arithmetic configurations" extension): exactness at
+// relaxed clocks, mid-product failures under VOS, forward body bias,
+// operand and bus validation, and activity-dependent energy.
 #include <gtest/gtest.h>
 
 #include "src/netlist/dut.hpp"
