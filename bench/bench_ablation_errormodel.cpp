@@ -15,6 +15,7 @@
 #include "src/util/table.hpp"
 
 #include "bench/bench_common.hpp"
+#include "src/apps/approx_arith.hpp"
 #include "src/characterize/metrics.hpp"
 #include "src/model/evaluation.hpp"
 #include "src/model/vos_model.hpp"
@@ -87,13 +88,10 @@ int main() {
       // Carry-chain model trained from a replay oracle over the same
       // stream (deterministic streaming semantics).
       VosDutSim replay_sim(b.dut, lib, triad);
-      const HardwareOracle oracle = [&](std::uint64_t x, std::uint64_t y) {
-        return replay_sim.apply(x, y).sampled;
-      };
       TrainerConfig tcfg;
       tcfg.num_patterns = budget;
-      const VosAdderModel chain_model =
-          train_vos_model(b.width, triad, oracle, tcfg);
+      const VosAdderModel chain_model = train_vos_model(
+          b.width, triad, sim_batch_adder_fn(replay_sim), tcfg);
 
       // --- evaluate both on held-out patterns ---
       VosDutSim eval_sim(b.dut, lib, triad);

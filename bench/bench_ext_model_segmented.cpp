@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "bench/bench_common.hpp"
+#include "src/apps/approx_arith.hpp"
 #include "src/characterize/metrics.hpp"
 #include "src/model/segmented_model.hpp"
 #include "src/model/vos_model.hpp"
@@ -40,18 +41,12 @@ int main() {
       cfg.num_patterns = budget;
 
       VosDutSim train_base(b.dut, lib, triad);
-      const HardwareOracle obase = [&](std::uint64_t x, std::uint64_t y) {
-        return train_base.apply(x, y).sampled;
-      };
-      const VosAdderModel base =
-          train_vos_model(b.width, triad, obase, cfg);
+      const VosAdderModel base = train_vos_model(
+          b.width, triad, sim_batch_adder_fn(train_base), cfg);
 
       VosDutSim train_seg(b.dut, lib, triad);
-      const HardwareOracle oseg = [&](std::uint64_t x, std::uint64_t y) {
-        return train_seg.apply(x, y).sampled;
-      };
-      const SegmentedVosModel seg =
-          train_segmented_model(b.width, triad, oseg, segments, cfg);
+      const SegmentedVosModel seg = train_segmented_model(
+          b.width, triad, sim_batch_adder_fn(train_seg), segments, cfg);
 
       VosDutSim eval_base(b.dut, lib, triad);
       VosDutSim eval_seg(b.dut, lib, triad);

@@ -13,6 +13,7 @@
 #include "src/util/table.hpp"
 
 #include "bench/bench_common.hpp"
+#include "src/apps/approx_arith.hpp"
 #include "src/model/evaluation.hpp"
 #include "src/model/vos_model.hpp"
 #include "src/util/parallel.hpp"
@@ -41,24 +42,17 @@ int main() {
       parallel_for(b.triads.size(), [&](std::size_t t) {
         const OperatingTriad& triad = b.triads[t];
         VosDutSim train_sim(b.dut, lib, triad);
-        const HardwareOracle train_oracle = [&](std::uint64_t x,
-                                                std::uint64_t y) {
-          return train_sim.apply(x, y).sampled;
-        };
         TrainerConfig tcfg;
         tcfg.num_patterns = budget;
         tcfg.metric = metric;
-        const VosAdderModel model =
-            train_vos_model(b.width, triad, train_oracle, tcfg);
+        const VosAdderModel model = train_vos_model(
+            b.width, triad, sim_batch_adder_fn(train_sim), tcfg);
 
         VosDutSim eval_sim(b.dut, lib, triad);
-        const HardwareOracle eval_oracle = [&](std::uint64_t x,
-                                               std::uint64_t y) {
-          return eval_sim.apply(x, y).sampled;
-        };
         FidelityConfig fcfg;
         fcfg.num_patterns = budget;
-        runs[t] = evaluate_fidelity(model, eval_oracle, fcfg);
+        runs[t] =
+            evaluate_fidelity(model, sim_batch_adder_fn(eval_sim), fcfg);
       });
       const FidelitySummary s = summarize_fidelity(runs);
       ta.add_row({b.name, distance_metric_name(metric),

@@ -23,6 +23,7 @@
 #include <thread>
 
 #include "bench/bench_common.hpp"
+#include "src/apps/approx_arith.hpp"
 #include "src/model/vos_model.hpp"
 #include "src/model/windowed_add.hpp"
 #include "src/netlist/dut.hpp"
@@ -59,12 +60,9 @@ const std::vector<OperatingTriad>& table3_triads() {
 const VosAdderModel& trained_model() {
   static const VosAdderModel model = [] {
     VosDutSim sim(rca8(), lib(), stressed());
-    const HardwareOracle oracle = [&sim](std::uint64_t a, std::uint64_t b) {
-      return sim.apply(a, b).sampled;
-    };
     TrainerConfig cfg;
     cfg.num_patterns = 5000;
-    return train_vos_model(8, stressed(), oracle, cfg);
+    return train_vos_model(8, stressed(), sim_batch_adder_fn(sim), cfg);
   }();
   return model;
 }

@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "bench/bench_common.hpp"
+#include "src/apps/approx_arith.hpp"
 #include "src/model/trainer.hpp"
 #include "src/model/vos_model.hpp"
 #include "src/netlist/dut.hpp"
@@ -28,12 +29,10 @@ int main() {
   std::cout << "triad: " << triad_label(triad) << "  (Tclk = synthesis CP)\n";
 
   VosDutSim sim(rca, lib, triad);
-  const HardwareOracle oracle = [&sim](std::uint64_t a, std::uint64_t b) {
-    return sim.apply(a, b).sampled;
-  };
   TrainerConfig cfg;
   cfg.num_patterns = pattern_budget();
-  const CarryChainProbTable table = train_carry_table(4, oracle, cfg);
+  const CarryChainProbTable table =
+      train_carry_table(4, sim_batch_adder_fn(sim), cfg);
 
   const TextTable t = table.to_table(3);
   t.print(std::cout);

@@ -44,13 +44,12 @@ int main() {
                " the right answer, too late)\n"
             << "  E/op = " << format_double(energy / 5000.0, 2) << " fJ\n";
 
-  // 4. Train the statistical model against the simulator (Algorithm 1).
-  const HardwareOracle oracle = [&sim](std::uint64_t a, std::uint64_t b) {
-    return sim.apply(a, b).sampled;
-  };
+  // 4. Train the statistical model against the simulator (Algorithm 1),
+  //    which streams the training patterns through it as a batch adder.
   TrainerConfig tcfg;
   tcfg.num_patterns = 10000;
-  const VosAdderModel model = train_vos_model(8, vos, oracle, tcfg);
+  const VosAdderModel model =
+      train_vos_model(8, vos, sim_batch_adder_fn(sim), tcfg);
   std::cout << "\ntrained P(Cmax|Cth) table:\n";
   model.table().to_table(2).print(std::cout);
 
@@ -67,13 +66,10 @@ int main() {
 
   // Fidelity of the model against held-out simulator behaviour.
   VosDutSim eval_sim(adder, lib, vos);
-  const HardwareOracle eval_oracle = [&eval_sim](std::uint64_t a,
-                                                 std::uint64_t b) {
-    return eval_sim.apply(a, b).sampled;
-  };
   FidelityConfig fcfg;
   fcfg.num_patterns = 5000;
-  const FidelityResult fr = evaluate_fidelity(model, eval_oracle, fcfg);
+  const FidelityResult fr =
+      evaluate_fidelity(model, sim_batch_adder_fn(eval_sim), fcfg);
   std::cout << "\nmodel vs simulator on held-out patterns: SNR "
             << format_double(fr.snr_db, 1) << " dB, normalized Hamming "
             << format_double(fr.normalized_hamming, 3) << "\n";

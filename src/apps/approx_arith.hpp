@@ -4,30 +4,22 @@
 // "mapping error-resilient applications onto approximate operator
 // models" (paper Sections I and IV).
 //
-// The adder takes whole operand vectors. A kernel issues its additions
-// as passes of mutually independent additions, one vector per pass,
-// and every backend performs a pass's additions in element order. The
-// kernel alone fixes the operation schedule, so every backend runs the
-// same one (DESIGN.md §9).
+// The adder, BatchAdderFn (src/model/trainer.hpp, where it is also
+// Algorithm 1's training oracle), takes whole operand vectors. A kernel
+// issues its additions as passes of mutually independent additions, one
+// vector per pass, and every backend performs a pass's additions in
+// element order. The kernel alone fixes the operation schedule, so every
+// backend runs the same one (DESIGN.md §9).
 #ifndef VOSIM_APPS_APPROX_ARITH_HPP
 #define VOSIM_APPS_APPROX_ARITH_HPP
 
 #include <cstdint>
-#include <functional>
 #include <span>
 
 #include "src/model/vos_model.hpp"
 #include "src/sim/vos_dut.hpp"
 
 namespace vosim {
-
-/// An n-bit adder over equal-length operand vectors: out[i] = a[i] +
-/// b[i], each sum (n+1) bits wide; the kernel masks or saturates as it
-/// needs. The additions happen in element order. `out` may alias `a`
-/// or `b`.
-using BatchAdderFn = std::function<void(
-    std::span<const std::uint64_t>, std::span<const std::uint64_t>,
-    std::span<std::uint64_t>)>;
 
 /// Exact reference adder.
 BatchAdderFn exact_adder_fn(int width);

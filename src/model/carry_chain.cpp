@@ -9,44 +9,13 @@ int theoretical_max_carry_chain(std::uint64_t a, std::uint64_t b,
                                 int width) {
   VOSIM_EXPECTS(width >= 1 && width <= max_word_bits);
   VOSIM_EXPECTS((a & ~mask_n(width)) == 0 && (b & ~mask_n(width)) == 0);
-  const std::uint64_t g = a & b;
   const std::uint64_t p = a ^ b;
-  // run[i] = length of the propagate run starting at bit i (upwards).
-  // One downward pass keeps this O(width).
   int longest = 0;
-  int run_above = 0;  // run length starting at bit i+1
-  for (int i = width - 1; i >= 0; --i) {
-    if (bit_of(g, i) != 0) {
-      // Chain: born at i, rides the propagate run above, dies one past.
-      const int len = 1 + run_above;
-      if (len > longest) longest = len;
-    }
-    run_above = (bit_of(p, i) != 0) ? run_above + 1 : 0;
-  }
-  // A chain may not extend past the carry-out stage: born at j it can
-  // travel at most width - j positions. The formula already respects
-  // this because run_above never extends past bit width-1.
-  VOSIM_ENSURES(longest >= 0 && longest <= width);
+  for (std::uint64_t y = first_carry_word(a, b); y != 0;
+       y = next_carry_word(y, p))
+    ++longest;
+  VOSIM_ENSURES(longest <= width);
   return longest;
-}
-
-std::vector<int> carry_travel_distances(std::uint64_t a, std::uint64_t b,
-                                        int width) {
-  VOSIM_EXPECTS(width >= 1 && width <= max_word_bits);
-  std::vector<int> dist(static_cast<std::size_t>(width) + 1, 0);
-  const std::uint64_t g = a & b;
-  const std::uint64_t p = a ^ b;
-  int origin = -1;  // nearest live generate below the current position
-  for (int i = 0; i <= width; ++i) {
-    if (origin >= 0) dist[static_cast<std::size_t>(i)] = i - origin;
-    if (i == width) break;
-    if (bit_of(g, i) != 0) {
-      origin = i;  // a nearer carry source dominates
-    } else if (bit_of(p, i) == 0) {
-      origin = -1;  // kill: the carry dies here
-    }
-  }
-  return dist;
 }
 
 }  // namespace vosim

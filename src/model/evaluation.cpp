@@ -9,7 +9,7 @@
 namespace vosim {
 
 FidelityResult evaluate_fidelity(const VosAdderModel& model,
-                                 const HardwareOracle& oracle,
+                                 const BatchAdderFn& oracle,
                                  const FidelityConfig& config) {
   VOSIM_EXPECTS(config.num_patterns > 0);
   const int width = model.width();
@@ -20,15 +20,16 @@ FidelityResult evaluate_fidelity(const VosAdderModel& model,
   ErrorAccumulator model_vs_exact(width + 1);
   ErrorAccumulator oracle_vs_exact(width + 1);
 
-  for (std::size_t i = 0; i < config.num_patterns; ++i) {
-    const OperandPair pat = patterns.next();
-    const std::uint64_t hw = oracle(pat.a, pat.b);
-    const std::uint64_t md = model.add(pat.a, pat.b, model_rng);
-    const std::uint64_t gold = exact_add(pat.a, pat.b, width);
-    model_vs_oracle.add(hw, md);
-    model_vs_exact.add(gold, md);
-    oracle_vs_exact.add(gold, hw);
-  }
+  observe_stream(patterns, config.num_patterns, oracle,
+                 [&](const OperandPair& pat, std::uint64_t hw) {
+                   const std::uint64_t md =
+                       model.add(pat.a, pat.b, model_rng);
+                   const std::uint64_t gold =
+                       exact_add(pat.a, pat.b, width);
+                   model_vs_oracle.add(hw, md);
+                   model_vs_exact.add(gold, md);
+                   oracle_vs_exact.add(gold, hw);
+                 });
 
   FidelityResult out;
   out.triad = model.triad();

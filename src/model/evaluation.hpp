@@ -33,7 +33,7 @@ struct FidelityConfig {
 /// Compares model and oracle outputs pattern by pattern; the *oracle*
 /// output is the SNR reference (paper Section IV).
 FidelityResult evaluate_fidelity(const VosAdderModel& model,
-                                 const HardwareOracle& oracle,
+                                 const BatchAdderFn& oracle,
                                  const FidelityConfig& config = {});
 
 /// Aggregate of per-triad fidelity over a sweep, as plotted in Fig. 7:

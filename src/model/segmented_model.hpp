@@ -71,7 +71,7 @@ class SegmentedVosModel {
 /// restricted to that segment's bits.
 SegmentedVosModel train_segmented_model(int width,
                                         const OperatingTriad& triad,
-                                        const HardwareOracle& oracle,
+                                        const BatchAdderFn& oracle,
                                         int num_segments,
                                         const TrainerConfig& config = {});
 

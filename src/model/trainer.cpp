@@ -1,45 +1,67 @@
 #include "src/model/trainer.hpp"
 
 #include "src/model/carry_chain.hpp"
-#include "src/model/windowed_add.hpp"
+#include "src/util/bits.hpp"
 #include "src/util/contracts.hpp"
 
 namespace vosim {
 
-int best_window(std::uint64_t a, std::uint64_t b, int width,
-                std::uint64_t observed, DistanceMetric metric) {
-  const int cth = theoretical_max_carry_chain(a, b, width);
-  // Algorithm 1 iterates C from Cth_max down to 0 and keeps the last
-  // window with dist <= best, so ties resolve to the smallest window —
-  // the most pessimistic chain truncation consistent with the output.
-  double best = -1.0;
-  int best_c = cth;
-  for (int c = cth; c >= 0; --c) {
-    const std::uint64_t x = windowed_add(a, b, width, c);
-    const double d = distance(observed, x, width + 1, metric);
-    if (best < 0.0 || d <= best) {
+namespace {
+
+struct WindowFit {
+  int cth = 0;     ///< Cth_max of the pair
+  int window = 0;  ///< best_window()
+};
+
+/// Algorithm 1 iterates C from Cth_max down to 0 and keeps the last
+/// window with dist <= best, so ties resolve to the smallest window —
+/// the most pessimistic chain truncation consistent with the output.
+/// That is the first strict minimum of a scan from C = 0 upward, which
+/// grows the windowed sum one carry word at a time (carry_chain.hpp).
+WindowFit fit_window(std::uint64_t a, std::uint64_t b, int width,
+                     std::uint64_t observed, DistanceMetric metric) {
+  const std::uint64_t p = a ^ b;
+  std::uint64_t carries = 0;
+  WindowFit fit;
+  double best = distance(observed, p, width + 1, metric);
+  for (std::uint64_t y = first_carry_word(a, b); y != 0;
+       y = next_carry_word(y, p)) {
+    carries |= y;
+    ++fit.cth;
+    const double d = distance(observed, p ^ carries, width + 1, metric);
+    if (d < best) {
       best = d;
-      best_c = c;
+      fit.window = fit.cth;
     }
   }
-  return best_c;
+  return fit;
 }
 
-CarryChainProbTable train_carry_table(int width, const HardwareOracle& oracle,
+}  // namespace
+
+int best_window(std::uint64_t a, std::uint64_t b, int width,
+                std::uint64_t observed, DistanceMetric metric) {
+  VOSIM_EXPECTS(width >= 1 && width <= max_word_bits);
+  VOSIM_EXPECTS((a & ~mask_n(width)) == 0 && (b & ~mask_n(width)) == 0);
+  return fit_window(a, b, width, observed, metric).window;
+}
+
+CarryChainProbTable train_carry_table(int width, const BatchAdderFn& oracle,
                                       const TrainerConfig& config) {
+  VOSIM_EXPECTS(width >= 1 && width <= max_word_bits);
   VOSIM_EXPECTS(config.num_patterns > 0);
   const auto n = static_cast<std::size_t>(width) + 1;
   std::vector<std::vector<std::uint64_t>> counts(
       n, std::vector<std::uint64_t>(n, 0));
 
   PatternStream patterns(config.policy, width, config.pattern_seed);
-  for (std::size_t i = 0; i < config.num_patterns; ++i) {
-    const OperandPair pat = patterns.next();
-    const std::uint64_t observed = oracle(pat.a, pat.b);
-    const int cth = theoretical_max_carry_chain(pat.a, pat.b, width);
-    const int c = best_window(pat.a, pat.b, width, observed, config.metric);
-    ++counts[static_cast<std::size_t>(cth)][static_cast<std::size_t>(c)];
-  }
+  observe_stream(patterns, config.num_patterns, oracle,
+                 [&](const OperandPair& pat, std::uint64_t observed) {
+                   const WindowFit fit = fit_window(pat.a, pat.b, width,
+                                                    observed, config.metric);
+                   ++counts[static_cast<std::size_t>(fit.cth)]
+                           [static_cast<std::size_t>(fit.window)];
+                 });
   return CarryChainProbTable::from_counts(width, counts);
 }
 

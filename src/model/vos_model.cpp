@@ -55,7 +55,7 @@ VosAdderModel VosAdderModel::load(std::istream& is) {
 }
 
 VosAdderModel train_vos_model(int width, const OperatingTriad& triad,
-                              const HardwareOracle& oracle,
+                              const BatchAdderFn& oracle,
                               const TrainerConfig& config) {
   return VosAdderModel(width, triad, config.metric,
                        train_carry_table(width, oracle, config));
@@ -101,9 +101,15 @@ ModelLibrary train_model_library(const AdderNetlist& adder,
       [&](std::size_t t) {
         const DutNetlist dut = to_dut(adder);
         VosDutSim sim(dut, lib, triads[t], sim_config);
-        const HardwareOracle oracle = [&sim](std::uint64_t a,
-                                             std::uint64_t b) {
-          return sim.apply(a, b).sampled;
+        std::vector<VosOpResult> results;
+        const BatchAdderFn oracle = [&sim, &results](
+                                        std::span<const std::uint64_t> a,
+                                        std::span<const std::uint64_t> b,
+                                        std::span<std::uint64_t> out) {
+          results.resize(a.size());
+          sim.apply_batch(a, b, results);
+          for (std::size_t i = 0; i < a.size(); ++i)
+            out[i] = results[i].sampled;
         };
         slots[t] = train_vos_model(adder.width, triads[t], oracle, config);
       },

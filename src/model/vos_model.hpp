@@ -50,7 +50,7 @@ class VosAdderModel {
 
 /// Trains a model against a hardware oracle at one triad.
 VosAdderModel train_vos_model(int width, const OperatingTriad& triad,
-                              const HardwareOracle& oracle,
+                              const BatchAdderFn& oracle,
                               const TrainerConfig& config = {});
 
 /// A family of models for one adder across a triad sweep.

@@ -11,30 +11,17 @@ std::uint64_t windowed_add(std::uint64_t a, std::uint64_t b, int width,
   VOSIM_EXPECTS(width >= 1 && width <= max_word_bits);
   VOSIM_EXPECTS(window >= 0 && window <= width);
   VOSIM_EXPECTS((a & ~mask_n(width)) == 0 && (b & ~mask_n(width)) == 0);
-  const std::uint64_t g = a & b;
+  // The carries that travelled at most `window` positions are Y_1 | ...
+  // | Y_window (carry_chain.hpp); p < 2^width and every Y_d < 2^(width+1),
+  // so the sum is already (width+1) bits wide.
   const std::uint64_t p = a ^ b;
-
-  // Single pass tracking the nearest live generate: the carry into bit i
-  // exists exactly when a generate sits at most `window` positions below
-  // with an unbroken propagate run in between (the nearest origin gives
-  // the minimal travel distance, which is what the window bounds).
-  std::uint64_t result = 0;
-  int origin = -1;
-  for (int i = 0; i <= width; ++i) {
-    const bool carry_in = origin >= 0 && (i - origin) <= window;
-    if (i == width) {
-      if (carry_in) result |= (1ULL << width);
-      break;
-    }
-    const int pi = bit_of(p, i);
-    if ((pi != 0) != carry_in) result |= (1ULL << i);
-    if (bit_of(g, i) != 0) {
-      origin = i;
-    } else if (pi == 0) {
-      origin = -1;
-    }
+  std::uint64_t carries = 0;
+  std::uint64_t y = first_carry_word(a, b);
+  for (int d = 1; d <= window && y != 0; ++d) {
+    carries |= y;
+    y = next_carry_word(y, p);
   }
-  return result;
+  return p ^ carries;
 }
 
 }  // namespace vosim

@@ -30,16 +30,33 @@ std::vector<std::string> split_list(const std::string& csv) {
 }
 
 /// Writes the whole buffer, riding out short writes. Returns false on
-/// a broken connection (the client went away mid-stream).
-/// MSG_NOSIGNAL turns the SIGPIPE a disconnected peer would raise into
-/// an EPIPE return, so a vanishing client never kills the daemon.
+/// a broken connection (the client went away mid-stream) or once
+/// kResponseWriteDeadline passes with no byte taken (the peer stopped
+/// reading). MSG_NOSIGNAL turns the SIGPIPE a disconnected peer would
+/// raise into an EPIPE return, so a vanishing client never kills the
+/// daemon.
 bool write_all(int fd, const std::string& data) {
+  auto deadline = std::chrono::steady_clock::now() + kResponseWriteDeadline;
   std::size_t off = 0;
   while (off < data.size()) {
     const ssize_t n = ::send(fd, data.data() + off, data.size() - off,
-                             MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      off += static_cast<std::size_t>(n);
+      deadline = std::chrono::steady_clock::now() + kResponseWriteDeadline;
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) return false;
+    // The socket buffer is full. POLLOUT fires only once the reader has
+    // drained most of it, so also retry every 100 ms: any room the
+    // reader frees counts as progress.
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    pollfd pfd{fd, POLLOUT, 0};
+    ::poll(&pfd, 1,
+           static_cast<int>(std::min<std::int64_t>(left.count(), 100)));
   }
   return true;
 }

@@ -46,6 +46,8 @@
 //     self-diagnose; a request line not complete within
 //     kRequestReadDeadline answers {"error":"request timeout",
 //     "deadline_s":3}; other failures answer {"error":"<message>"}.
+//   a client that stops reading a response for kResponseWriteDeadline
+//     has its connection closed mid-stream (serve.disconnects).
 #ifndef VOSIM_SERVE_SERVER_HPP
 #define VOSIM_SERVE_SERVER_HPP
 
@@ -70,6 +72,12 @@ namespace vosim {
 /// connection closes, so it cannot hold a connection thread — or
 /// stop(), which joins them — for longer than this.
 inline constexpr std::chrono::seconds kRequestReadDeadline{3};
+
+/// Time a response write may wait with no byte taken by the client. A
+/// client that stops reading a campaign or watch stream then has its
+/// connection closed (counted in serve.disconnects), so it cannot hold
+/// a connection thread — or stop() — for longer than this.
+inline constexpr std::chrono::seconds kResponseWriteDeadline{3};
 
 /// Daemon configuration.
 struct ServeConfig {

@@ -1,11 +1,12 @@
-// Carry-chain analysis tests: hand cases, a brute-force reference and
-// the relationship to real carries of the addition.
+// Carry-chain analysis tests: hand cases, brute-force and bit-serial
+// references, and the relationship to real carries of the addition.
 #include <gtest/gtest.h>
 
 #include "src/model/carry_chain.hpp"
 #include "src/util/bits.hpp"
 #include "src/util/contracts.hpp"
 #include "src/util/rng.hpp"
+#include "tests/model_reference.hpp"
 
 namespace vosim {
 namespace {
@@ -68,6 +69,26 @@ TEST(CarryChain, MatchesBruteForceRandomWide) {
   }
 }
 
+TEST(CarryChain, MatchesBitSerialScan) {
+  // The carry-word count against the downward run scan, exhaustively
+  // at widths 1-6 and on random pairs up to the widest word.
+  for (int width = 1; width <= 6; ++width)
+    for (std::uint64_t a = 0; a <= mask_n(width); ++a)
+      for (std::uint64_t b = 0; b <= mask_n(width); ++b)
+        ASSERT_EQ(theoretical_max_carry_chain(a, b, width),
+                  reference::max_carry_chain(a, b, width))
+            << width << ": " << a << "+" << b;
+  Rng rng(2719);
+  for (const int width : {8, 16, 32, 63})
+    for (int t = 0; t < 20000; ++t) {
+      const std::uint64_t a = rng.bits(width);
+      const std::uint64_t b = rng.bits(width);
+      ASSERT_EQ(theoretical_max_carry_chain(a, b, width),
+                reference::max_carry_chain(a, b, width))
+          << width << ": " << a << "+" << b;
+    }
+}
+
 TEST(CarryChain, BoundsRespected) {
   Rng rng(3);
   for (int t = 0; t < 1000; ++t) {
@@ -81,13 +102,15 @@ TEST(CarryChain, BoundsRespected) {
   EXPECT_THROW(theoretical_max_carry_chain(0, 0, 0), ContractViolation);
 }
 
+// The per-bit travel distances are the reference the segmented model's
+// carry words are tested against (test_segmented_model.cpp).
 TEST(CarryTravelDistances, MatchRealCarries) {
   // dist[i] > 0 exactly when a carry enters bit i in the true addition.
   Rng rng(31);
   for (int t = 0; t < 2000; ++t) {
     const std::uint64_t a = rng.bits(8);
     const std::uint64_t b = rng.bits(8);
-    const auto dist = carry_travel_distances(a, b, 8);
+    const auto dist = reference::carry_travel_distances(a, b, 8);
     // carries word: c_i = bit i of (a+b) ^ a ^ b (carry into position i).
     const std::uint64_t carries = (a + b) ^ a ^ b;
     for (int i = 1; i <= 8; ++i)
@@ -102,7 +125,7 @@ TEST(CarryTravelDistances, MaxEqualsCthMax) {
   for (int t = 0; t < 2000; ++t) {
     const std::uint64_t a = rng.bits(12);
     const std::uint64_t b = rng.bits(12);
-    const auto dist = carry_travel_distances(a, b, 12);
+    const auto dist = reference::carry_travel_distances(a, b, 12);
     const int max_dist = *std::max_element(dist.begin(), dist.end());
     ASSERT_EQ(max_dist, theoretical_max_carry_chain(a, b, 12))
         << a << "+" << b;
@@ -112,14 +135,14 @@ TEST(CarryTravelDistances, MaxEqualsCthMax) {
 TEST(CarryTravelDistances, NearestGenerateWins) {
   // a=0b111, b=0b001: g0, p1, p2. Carry into 1 from g0 (dist 1); into 2
   // travels 2; into 3 travels 3.
-  const auto dist = carry_travel_distances(0b111, 0b001, 3);
+  const auto dist = reference::carry_travel_distances(0b111, 0b001, 3);
   EXPECT_EQ(dist[0], 0);
   EXPECT_EQ(dist[1], 1);
   EXPECT_EQ(dist[2], 2);
   EXPECT_EQ(dist[3], 3);
   // Insert a second generate at bit1: a=0b011,b=0b011 -> g0,g1; carry
   // into 2 comes from the nearer g1 (dist 1).
-  const auto dist2 = carry_travel_distances(0b011, 0b011, 3);
+  const auto dist2 = reference::carry_travel_distances(0b011, 0b011, 3);
   EXPECT_EQ(dist2[1], 1);
   EXPECT_EQ(dist2[2], 1);
 }

@@ -2,6 +2,7 @@
 // ladder → model → fidelity, plus report-shaping invariants.
 #include <gtest/gtest.h>
 
+#include "src/apps/approx_arith.hpp"
 #include "src/characterize/report.hpp"
 #include "src/characterize/triads.hpp"
 #include "src/model/evaluation.hpp"
@@ -126,12 +127,10 @@ TEST(Integration, ModelsTrackSimulatorAcrossTriads) {
     const VosAdderModel* m = ml.find(t);
     ASSERT_NE(m, nullptr);
     VosDutSim sim(p.dut, lib(), t);
-    const HardwareOracle oracle = [&](std::uint64_t a, std::uint64_t b) {
-      return sim.apply(a, b).sampled;
-    };
     FidelityConfig fcfg;
     fcfg.num_patterns = 2500;
-    const FidelityResult fr = evaluate_fidelity(*m, oracle, fcfg);
+    const FidelityResult fr =
+        evaluate_fidelity(*m, sim_batch_adder_fn(sim), fcfg);
     EXPECT_GT(fr.snr_db, 5.0) << triad_label(t);
     EXPECT_LT(fr.normalized_hamming, 0.3) << triad_label(t);
   }

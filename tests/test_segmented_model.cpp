@@ -5,6 +5,7 @@
 
 #include <sstream>
 
+#include "src/apps/approx_arith.hpp"
 #include "src/characterize/metrics.hpp"
 #include "src/model/carry_chain.hpp"
 #include "src/model/segmented_model.hpp"
@@ -15,6 +16,7 @@
 #include "src/sta/sta.hpp"
 #include "src/tech/library.hpp"
 #include "src/util/bits.hpp"
+#include "tests/model_reference.hpp"
 
 namespace vosim {
 namespace {
@@ -84,7 +86,7 @@ TEST(SegmentedAdd, MatchesBruteForcePerBitRule) {
     const std::vector<int> windows{static_cast<int>(rng.below(9)),
                                    static_cast<int>(rng.below(9)),
                                    static_cast<int>(rng.below(9))};
-    const auto dist = carry_travel_distances(a, b, 8);
+    const auto dist = reference::carry_travel_distances(a, b, 8);
     const std::uint64_t p = a ^ b;
     std::uint64_t expect = 0;
     for (int i = 0; i <= 8; ++i) {
@@ -101,6 +103,100 @@ TEST(SegmentedAdd, MatchesBruteForcePerBitRule) {
   }
 }
 
+TEST(SegmentedAdd, MatchesBitSerialScan) {
+  // Per-segment carry words against the per-bit scans, for the windowed
+  // sum and each segment's longest incoming carry: exhaustive operands
+  // at widths 1-6 with random segmentations and windows, and random
+  // pairs up to the widest word.
+  Rng rng(5);
+  const auto check = [&rng](int width, std::uint64_t a, std::uint64_t b) {
+    const int segments = 1 + static_cast<int>(rng.below(
+                                 static_cast<std::uint64_t>(width) + 1));
+    const std::vector<int> bounds = equal_segments(width, segments);
+    std::vector<int> windows;
+    for (int s = 0; s < segments; ++s)
+      windows.push_back(static_cast<int>(
+          rng.below(static_cast<std::uint64_t>(width) + 1)));
+    ASSERT_EQ(segmented_windowed_add(a, b, width, bounds, windows),
+              reference::segmented_windowed_add(a, b, width, bounds,
+                                                windows))
+        << width << ": " << a << "+" << b;
+    for (std::size_t s = 0; s + 1 < bounds.size(); ++s)
+      ASSERT_EQ(max_chain_into_segment(a, b, width, bounds[s],
+                                       bounds[s + 1]),
+                reference::max_chain_into_segment(a, b, width, bounds[s],
+                                                  bounds[s + 1]))
+          << width << ": " << a << "+" << b << " segment " << s;
+  };
+  for (int width = 1; width <= 6; ++width)
+    for (std::uint64_t a = 0; a <= mask_n(width); ++a)
+      for (std::uint64_t b = 0; b <= mask_n(width); ++b)
+        check(width, a, b);
+  for (const int width : {8, 16, 32, 63})
+    for (int t = 0; t < 5000; ++t)
+      check(width, rng.bits(width), rng.bits(width));
+}
+
+TEST(SegmentedModel, TrainingMatchesBitSerialReference) {
+  // The one-sweep, all-segments training step against Algorithm 1's
+  // downward scan run per segment on the bit-serial windowed sum, with
+  // an oracle whose outputs disagree with every window now and then.
+  const int width = 8;
+  const int segments = 3;
+  const BatchAdderFn oracle = reference::elementwise(
+      [](std::uint64_t a, std::uint64_t b) {
+        const std::uint64_t sum = windowed_add(a, b, width, 3);
+        return (a * 7 + b) % 5 == 0 ? sum ^ (1ULL << (a % 9)) : sum;
+      });
+  for (const DistanceMetric metric :
+       {DistanceMetric::kMse, DistanceMetric::kHamming,
+        DistanceMetric::kWeightedHamming}) {
+    TrainerConfig cfg;
+    cfg.num_patterns = 3000;
+    cfg.metric = metric;
+    const SegmentedVosModel model =
+        train_segmented_model(width, {1.0, 1.0, 0.0}, oracle, segments, cfg);
+
+    const std::vector<int> bounds = equal_segments(width, segments);
+    std::vector<std::vector<std::vector<std::uint64_t>>> counts(
+        segments, std::vector<std::vector<std::uint64_t>>(
+                      width + 1, std::vector<std::uint64_t>(width + 1, 0)));
+    PatternStream patterns(cfg.policy, width, cfg.pattern_seed);
+    for (std::size_t i = 0; i < cfg.num_patterns; ++i) {
+      const OperandPair pat = patterns.next();
+      std::uint64_t observed = 0;
+      oracle(std::span<const std::uint64_t>(&pat.a, 1),
+             std::span<const std::uint64_t>(&pat.b, 1), {&observed, 1});
+      for (std::size_t s = 0; s < bounds.size() - 1; ++s) {
+        const int lo = bounds[s];
+        const int hi = bounds[s + 1];
+        const std::uint64_t m = mask_n(hi) & ~mask_n(lo);
+        const int cth =
+            reference::max_chain_into_segment(pat.a, pat.b, width, lo, hi);
+        double best = -1.0;
+        int best_c = cth;
+        for (int c = cth; c >= 0; --c) {
+          const std::uint64_t x =
+              reference::windowed_add(pat.a, pat.b, width, c);
+          const double d = distance((observed & m) >> lo, (x & m) >> lo,
+                                    hi - lo, metric);
+          if (best < 0.0 || d <= best) {
+            best = d;
+            best_c = c;
+          }
+        }
+        ++counts[s][static_cast<std::size_t>(cth)]
+                [static_cast<std::size_t>(best_c)];
+      }
+    }
+    for (int s = 0; s < segments; ++s)
+      EXPECT_EQ(model.table(s),
+                CarryChainProbTable::from_counts(
+                    width, counts[static_cast<std::size_t>(s)]))
+          << distance_metric_name(metric) << " segment " << s;
+  }
+}
+
 TEST(SegmentedModel, MaxChainIntoSegment) {
   // 0xFF+0x01: distances rise 1..8 across the bits.
   EXPECT_EQ(max_chain_into_segment(0xFF, 0x01, 8, 0, 4), 3);
@@ -109,9 +205,8 @@ TEST(SegmentedModel, MaxChainIntoSegment) {
 }
 
 TEST(SegmentedModel, TrainOnExactOracleIsExact) {
-  const HardwareOracle exact = [](std::uint64_t a, std::uint64_t b) {
-    return a + b;
-  };
+  const BatchAdderFn exact = reference::elementwise(
+      [](std::uint64_t a, std::uint64_t b) { return a + b; });
   TrainerConfig cfg;
   cfg.num_patterns = 3000;
   const SegmentedVosModel model =
@@ -125,9 +220,10 @@ TEST(SegmentedModel, TrainOnExactOracleIsExact) {
 }
 
 TEST(SegmentedModel, SaveLoadRoundTrip) {
-  const HardwareOracle trunc = [](std::uint64_t a, std::uint64_t b) {
-    return windowed_add(a, b, 8, 4);
-  };
+  const BatchAdderFn trunc = reference::elementwise(
+      [](std::uint64_t a, std::uint64_t b) {
+        return windowed_add(a, b, 8, 4);
+      });
   TrainerConfig cfg;
   cfg.num_patterns = 1500;
   const SegmentedVosModel model =
@@ -151,20 +247,15 @@ TEST(SegmentedModel, ImprovesBrentKungFidelity) {
       1e-3;
   const OperatingTriad triad{cp_ns, 0.68, 0.0};
 
-  auto oracle_for = [&](VosDutSim& sim) {
-    return [&sim](std::uint64_t a, std::uint64_t b) {
-      return sim.apply(a, b).sampled;
-    };
-  };
   TrainerConfig cfg;
   cfg.num_patterns = 8000;
 
   VosDutSim train_base(bka, lib(), triad);
   const VosAdderModel base =
-      train_vos_model(8, triad, oracle_for(train_base), cfg);
+      train_vos_model(8, triad, sim_batch_adder_fn(train_base), cfg);
   VosDutSim train_seg(bka, lib(), triad);
   const SegmentedVosModel seg =
-      train_segmented_model(8, triad, oracle_for(train_seg), 3, cfg);
+      train_segmented_model(8, triad, sim_batch_adder_fn(train_seg), 3, cfg);
 
   // Evaluate both on held-out patterns against fresh simulators.
   VosDutSim eval_base(bka, lib(), triad);

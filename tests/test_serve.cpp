@@ -2,9 +2,9 @@
 // concurrent campaign requests, equivalence of the streamed cells with
 // an offline run of the same grid, streams longer than one send
 // buffer, malformed-request and mid-stream disconnect survival,
-// joining finished connection threads, the request read deadline that
-// keeps idle clients from holding stop(), and the stats introspection
-// verb.
+// joining finished connection threads, the request read and response
+// write deadlines that keep idle and stalled clients from holding
+// stop(), and the stats introspection verb.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -402,6 +402,43 @@ TEST(CampaignServer, StopReturnsWhileClientsHoldIdleConnections) {
     ::close(fd);
   }
   EXPECT_EQ(obs::metrics().counter("serve.errors").value() - errors0, 2u);
+}
+
+TEST(CampaignServer, StopReturnsWhileAClientStopsReading) {
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("stalled");
+  CampaignServer server(lib(), cfg);
+  server.start();
+  const std::uint64_t gone0 =
+      obs::metrics().counter("serve.disconnects").value();
+
+  // The client asks for the ~370 KB stream and never reads a byte, so
+  // the daemon's writes stall once the socket buffer is full.
+  const int fd = connect_client(cfg.socket_path);
+  ASSERT_GE(fd, 0);
+  const std::string req = kLongGrid + "\n";
+  ASSERT_EQ(::write(fd, req.data(), req.size()),
+            static_cast<ssize_t>(req.size()));
+  // Every cell is stored before the stream starts.
+  const auto computed_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (server.store().size() < 1024u &&
+         std::chrono::steady_clock::now() < computed_by)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(server.store().size(), 1024u);
+
+  // stop() joins the stalled connection thread, so it waits out the
+  // write deadline and no longer. Run it on the side: if it hangs,
+  // closing the client releases it and the test fails instead.
+  auto stopped = std::async(std::launch::async, [&] { server.stop(); });
+  const bool in_time =
+      stopped.wait_for(kResponseWriteDeadline + std::chrono::seconds(1)) ==
+      std::future_status::ready;
+  ::close(fd);
+  stopped.wait();
+  EXPECT_TRUE(in_time) << "stop() blocked past the response write deadline";
+  EXPECT_EQ(obs::metrics().counter("serve.disconnects").value() - gone0,
+            1u);
 }
 
 TEST(CampaignServer, StatsVerbReportsManifestAndMetrics) {

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "src/apps/approx_arith.hpp"
 #include "src/model/evaluation.hpp"
 #include "src/model/vos_model.hpp"
 #include "src/netlist/dut.hpp"
@@ -31,22 +32,17 @@ OperatingTriad stressed_triad() { return {rca8_cp_ns(), 0.7, 0.0}; }
 TEST(VosModel, TrainedModelTracksSimulatorClosely) {
   const DutNetlist rca = to_dut(build_rca(8));
   VosDutSim train_sim(rca, lib(), stressed_triad());
-  const HardwareOracle train_oracle = [&](std::uint64_t a, std::uint64_t b) {
-    return train_sim.apply(a, b).sampled;
-  };
   TrainerConfig cfg;
   cfg.num_patterns = 6000;
-  const VosAdderModel model =
-      train_vos_model(8, stressed_triad(), train_oracle, cfg);
+  const VosAdderModel model = train_vos_model(
+      8, stressed_triad(), sim_batch_adder_fn(train_sim), cfg);
   EXPECT_FALSE(model.is_exact());
 
   VosDutSim eval_sim(rca, lib(), stressed_triad());
-  const HardwareOracle eval_oracle = [&](std::uint64_t a, std::uint64_t b) {
-    return eval_sim.apply(a, b).sampled;
-  };
   FidelityConfig fcfg;
   fcfg.num_patterns = 6000;
-  const FidelityResult fr = evaluate_fidelity(model, eval_oracle, fcfg);
+  const FidelityResult fr =
+      evaluate_fidelity(model, sim_batch_adder_fn(eval_sim), fcfg);
   EXPECT_GT(fr.oracle_ber, 0.0);
   EXPECT_GT(fr.snr_db, 8.0);
   EXPECT_LT(fr.normalized_hamming, 0.25);
@@ -60,12 +56,10 @@ TEST(VosModel, RelaxedTriadYieldsExactModel) {
   const DutNetlist rca = to_dut(build_rca(8));
   const OperatingTriad relaxed{rca8_cp_ns() * 2.0, 1.0, 0.0};
   VosDutSim sim(rca, lib(), relaxed);
-  const HardwareOracle oracle = [&](std::uint64_t a, std::uint64_t b) {
-    return sim.apply(a, b).sampled;
-  };
   TrainerConfig cfg;
   cfg.num_patterns = 3000;
-  const VosAdderModel model = train_vos_model(8, relaxed, oracle, cfg);
+  const VosAdderModel model =
+      train_vos_model(8, relaxed, sim_batch_adder_fn(sim), cfg);
   Rng rng(1);
   for (int t = 0; t < 2000; ++t) {
     const std::uint64_t a = rng.bits(8);

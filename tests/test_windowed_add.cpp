@@ -1,5 +1,6 @@
 // Windowed ("modified") adder tests: exactness conditions, degenerate
-// windows and equivalence with an O(n·C) brute-force reference.
+// windows and equivalence with an O(n·C) brute-force reference and the
+// bit-serial scan.
 #include <gtest/gtest.h>
 
 #include "src/model/carry_chain.hpp"
@@ -7,6 +8,7 @@
 #include "src/util/bits.hpp"
 #include "src/util/contracts.hpp"
 #include "src/util/rng.hpp"
+#include "tests/model_reference.hpp"
 
 namespace vosim {
 namespace {
@@ -98,6 +100,30 @@ TEST(WindowedAdd, MatchesBruteForceRandomWide) {
               brute_force_windowed(a, b, width, window))
         << width << "/" << window << ": " << a << "+" << b;
   }
+}
+
+TEST(WindowedAdd, MatchesBitSerialScan) {
+  // The OR of the first `window` carry words against the nearest-origin
+  // bit scan: every window, exhaustively at widths 1-6, and random
+  // pairs up to the widest word.
+  for (int width = 1; width <= 6; ++width)
+    for (int window = 0; window <= width; ++window)
+      for (std::uint64_t a = 0; a <= mask_n(width); ++a)
+        for (std::uint64_t b = 0; b <= mask_n(width); ++b)
+          ASSERT_EQ(windowed_add(a, b, width, window),
+                    reference::windowed_add(a, b, width, window))
+              << width << "/" << window << ": " << a << "+" << b;
+  Rng rng(1001);
+  for (const int width : {8, 16, 32, 63})
+    for (int t = 0; t < 20000; ++t) {
+      const int window = static_cast<int>(
+          rng.below(static_cast<std::uint64_t>(width) + 1));
+      const std::uint64_t a = rng.bits(width);
+      const std::uint64_t b = rng.bits(width);
+      ASSERT_EQ(windowed_add(a, b, width, window),
+                reference::windowed_add(a, b, width, window))
+          << width << "/" << window << ": " << a << "+" << b;
+    }
 }
 
 TEST(WindowedAdd, ErrorMagnitudeShrinksWithWindowOnAverage) {

@@ -613,24 +613,18 @@ int run_command(const ArgParser& args) {
     TimingSimConfig sim_cfg;
     sim_cfg.engine = engine;
     VosDutSim sim(dut, lib, triad, sim_cfg);
-    const HardwareOracle oracle = [&sim](std::uint64_t a, std::uint64_t b) {
-      return sim.apply(a, b).sampled;
-    };
     const VosAdderModel model =
-        train_vos_model(width, triad, oracle, cfg);
+        train_vos_model(width, triad, sim_batch_adder_fn(sim), cfg);
     std::cout << "trained model at " << triad_label(triad) << " ("
               << distance_metric_name(cfg.metric) << ", "
               << engine_kind_name(engine) << " engine)\n";
     model.table().to_table(3).print(std::cout);
     // Held-out fidelity check against a fresh simulator.
     VosDutSim eval_sim(dut, lib, triad, sim_cfg);
-    const HardwareOracle eval_oracle = [&eval_sim](std::uint64_t a,
-                                                   std::uint64_t b) {
-      return eval_sim.apply(a, b).sampled;
-    };
     FidelityConfig fcfg;
     fcfg.num_patterns = cfg.num_patterns;
-    const FidelityResult fr = evaluate_fidelity(model, eval_oracle, fcfg);
+    const FidelityResult fr =
+        evaluate_fidelity(model, sim_batch_adder_fn(eval_sim), fcfg);
     std::cout << "held-out fidelity: SNR "
               << format_double(std::min(fr.snr_db, snr_display_cap_db), 1)
               << " dB, normalized Hamming "
