@@ -1,6 +1,7 @@
 #include "src/characterize/characterizer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <numeric>
 
@@ -246,9 +247,13 @@ std::vector<TriadResult> characterize_levelized_sweep(
 /// BER exactly 0, dynamic energy and settle rescaled. The remaining
 /// (error-onset and beyond) triads replay on per-worker normalized
 /// pipelines via SeqSim::retarget_capture_ps, skipping the per-triad
-/// die rebuild. Error counts match the per-triad path up to
-/// delay-product rounding at the window boundary and energies to FP
-/// rescaling — the same caveats the combinational fast path carries.
+/// die rebuild, against the recorded reference run
+/// (SeqSim::replay_cycle_batch): a lane word the reference entered
+/// settled and never crossed the replay's capture edge in is copied,
+/// bit-exact, instead of simulated. Error counts match the per-triad
+/// path up to delay-product rounding at the window boundary and
+/// energies to FP rescaling — the same caveats the combinational fast
+/// path carries.
 std::vector<TriadResult> characterize_seq_levelized_norm(
     const SeqDut& seq, const CellLibrary& lib,
     const std::vector<OperatingTriad>& triads,
@@ -296,86 +301,75 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
   std::vector<std::uint64_t> ops(cycles * nops, 0);
   std::copy(pats.begin(), pats.end(), ops.begin());
 
-  // A saturated threshold is recognizable from its first probe word:
+  // A saturated threshold is recognizable from its first lane word:
   // past the onset cliff the op-error rate is high enough that 62-odd
   // samples pin it, and the full budget adds nothing but wall clock.
-  const std::size_t probe_cycles = std::min<std::size_t>(cycles, 64);
   const bool probe_enabled = config.seq_saturation_threshold <= 1.0 &&
-                             probe_cycles < cycles &&
-                             probe_cycles >= latency;
+                             cycles > lanes::kWordLanes &&
+                             latency <= lanes::kWordLanes;
 
-  // One normalized replay at threshold tau[t]; aggregates are in the
-  // ref time/energy base and rescaled into the triad's own units.
-  // allow_probe lets a replay stop at the probe word when saturated;
-  // the reference run always spends the full budget (its trajectory
-  // and worst commit bound seed every synthesized triad).
-  const auto run_at = [&](SeqSim& sim, std::vector<SeqCycleResult>& rs,
-                          std::size_t t, double* worst_out,
-                          bool allow_probe) {
-    sim.reset();
-    sim.retarget_capture_ps(tau[t]);
-    std::size_t n_cycles = cycles;
-    if (allow_probe && probe_enabled) {
-      sim.step_cycle_batch({ops.data(), probe_cycles * nops},
-                           probe_cycles,
-                           {rs.data(), probe_cycles});
-      ErrorAccumulator probe_acc(sim.output_width());
-      for (std::size_t c = 0; c < probe_cycles; ++c)
-        if (rs[c].output_valid)
-          probe_acc.add(rs[c].expected, rs[c].captured);
-      if (probe_acc.op_error_rate() >= config.seq_saturation_threshold) {
-        n_cycles = probe_cycles;  // saturated: the probe IS the sample
-      } else {
-        sim.reset();
-        sim.retarget_capture_ps(tau[t]);
-      }
-    }
-    if (n_cycles == cycles)
-      sim.step_cycle_batch(ops, cycles, rs);
-    const double const_fj = sim.leakage_energy_fj_per_cycle() +
-                            sim.clock_energy_fj_per_cycle();
-    ErrorAccumulator acc(sim.output_width());
+  // Aggregates of one normalized run, folded in cycle order, in the ref
+  // time/energy base.
+  struct RunSums {
+    ErrorAccumulator acc;
     double dyn = 0.0;
     double settle = 0.0;
     double worst = 0.0;
-    for (std::size_t c = 0; c < n_cycles; ++c) {
-      const SeqCycleResult& r = rs[c];
-      dyn += r.energy_fj - const_fj;
-      settle += r.max_settle_ps;
-      worst = std::max(worst, r.max_settle_ps);
-      if (r.output_valid) acc.add(r.expected, r.captured);
-    }
-    if (worst_out != nullptr) *worst_out = worst;
+    std::size_t cycles = 0;
 
+    void add(std::span<const SeqCycleResult> rs, double const_fj) {
+      for (const SeqCycleResult& r : rs) {
+        dyn += r.energy_fj - const_fj;
+        settle += r.max_settle_ps;
+        worst = std::max(worst, r.max_settle_ps);
+        if (r.output_valid) acc.add(r.expected, r.captured);
+      }
+      cycles += rs.size();
+    }
+  };
+  // Rescales a run at tau[t] into the triad's own units.
+  const auto score = [&](std::size_t t, const RunSums& sums) {
     TriadResult& res = results[t];
     res.triad = triads[t];
-    res.ber = acc.ber();
-    res.bitwise_ber = acc.bitwise_error_probability();
-    res.op_error_rate = acc.op_error_rate();
-    res.mse = acc.mse();
-    res.mred = acc.mred();
-    const auto n = static_cast<double>(n_cycles);
+    res.ber = sums.acc.ber();
+    res.bitwise_ber = sums.acc.bitwise_error_probability();
+    res.op_error_rate = sums.acc.op_error_rate();
+    res.mse = sums.acc.mse();
+    res.mred = sums.acc.mred();
+    const auto n = static_cast<double>(sums.cycles);
     res.energy_per_op_fj =
-        dyn * escale[t] / n + leak_fj[t] + clock_fj[t];
-    res.dynamic_energy_fj = dyn * escale[t] / n + clock_fj[t];
+        sums.dyn * escale[t] / n + leak_fj[t] + clock_fj[t];
+    res.dynamic_energy_fj = sums.dyn * escale[t] / n + clock_fj[t];
     res.leakage_energy_fj = leak_fj[t];
-    res.mean_settle_ps = settle * sscale[t] / n;
-    res.patterns = n_cycles - latency + 1;
+    res.mean_settle_ps = sums.settle * sscale[t] / n;
+    res.patterns = sums.cycles - latency + 1;
+  };
+  const auto const_fj = [](const SeqSim& sim) {
+    return sim.leakage_energy_fj_per_cycle() +
+           sim.clock_energy_fj_per_cycle();
   };
 
-  // Phase 1: the reference (largest-threshold) run bounds every commit.
+  // Phase 1: the reference (largest-threshold) run bounds every commit
+  // and is recorded for the replays. It always spends the full budget:
+  // its trajectory and worst commit seed every synthesized triad.
   double worst_norm = 0.0;
-  {
+  const SeqRecording rec = [&] {
     SeqSim sim(seq, lib, norm, sim_cfg);
-    std::vector<SeqCycleResult> rs(cycles);
-    run_at(sim, rs, ref_t, &worst_norm, false);
-  }
+    sim.retarget_capture_ps(tau[ref_t]);
+    sim.reset();
+    SeqRecording recorded = sim.record_cycle_batch(ops, cycles);
+    RunSums sums{ErrorAccumulator(sim.output_width())};
+    sums.add(recorded.results(), const_fj(sim));
+    score(ref_t, sums);
+    worst_norm = sums.worst;
+    return recorded;
+  }();
   const TriadResult& ref_res = results[ref_t];
 
   // Phase 2: classify. Provably truncation-free triads reuse the
   // reference trajectory's aggregates (their own run would retrace it
-  // commit for commit); the rest replay, sharded across the pool with
-  // one normalized pipeline per worker.
+  // commit for commit); the rest replay against the recording, sharded
+  // across the pool with one normalized pipeline per worker.
   std::vector<std::size_t> active;
   for (std::size_t t = 0; t < nthr; ++t) {
     if (t == ref_t) continue;
@@ -398,6 +392,26 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
     }
   }
 
+  // A replay folds its results one lane word at a time. Its first word
+  // is the saturation probe: a saturated triad is scored from it alone.
+  const auto replay = [&](SeqSim& sim, std::size_t t) {
+    sim.retarget_capture_ps(tau[t]);
+    sim.reset();
+    const double cfj = const_fj(sim);
+    RunSums sums{ErrorAccumulator(sim.output_width())};
+    std::array<SeqCycleResult, lanes::kWordLanes> buf;
+    for (std::size_t first = 0; first < cycles;
+         first += lanes::kWordLanes) {
+      const std::size_t n = std::min(lanes::kWordLanes, cycles - first);
+      sim.replay_cycle_batch(rec, {ops.data() + first * nops, n * nops}, n,
+                             buf);
+      sums.add({buf.data(), n}, cfj);
+      if (first == 0 && probe_enabled &&
+          sums.acc.op_error_rate() >= config.seq_saturation_threshold)
+        break;
+    }
+    score(t, sums);
+  };
   if (!active.empty()) {
     const unsigned workers =
         config.threads == 0 ? hardware_parallelism() : config.threads;
@@ -407,9 +421,8 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
         nshard,
         [&](std::size_t s) {
           SeqSim sim(seq, lib, norm, sim_cfg);
-          std::vector<SeqCycleResult> rs(cycles);
           for (std::size_t i = s; i < active.size(); i += nshard)
-            run_at(sim, rs, active[i], nullptr, true);
+            replay(sim, active[i]);
         },
         config.threads);
   }

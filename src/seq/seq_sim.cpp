@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/netlist/eval.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/tech/library.hpp"
 #include "src/util/contracts.hpp"
 #include "src/util/lanes.hpp"
@@ -63,6 +64,11 @@ SeqSim::SeqSim(const SeqDut& seq, const CellLibrary& lib,
     stage_leak_fj_.push_back(engines_[k]->leakage_energy_fj_per_op() *
                              leakage_scale_);
   }
+  state_offset_.assign(1, 0);
+  for (const DutNetlist& stage : seq.stages)
+    state_offset_.push_back(state_offset_.back() +
+                            lanes::words_for(stage.netlist.num_nets()));
+  state_bits_.resize(state_offset_.back());
   stage_sampled_.assign(seq.stages.size(), 0);
   monitors_.reserve(seq.stages.size());
   for (std::size_t k = 0; k < seq.stages.size(); ++k)
@@ -84,6 +90,9 @@ void SeqSim::reset() {
   golden_.clear();
   traces_.clear();
   cycles_ = 0;
+  replay_ = nullptr;
+  replay_synced_ = false;
+  replay_lagging_ = false;
 }
 
 bool SeqSim::retarget_capture_ps(double capture_ps) {
@@ -170,6 +179,13 @@ void SeqSim::record_cycle_trace(std::span<const std::uint64_t> operands,
 void SeqSim::step_cycle_batch(std::span<const std::uint64_t> operands,
                               std::size_t count,
                               std::span<SeqCycleResult> results) {
+  VOSIM_EXPECTS(replay_ == nullptr);
+  run_cycles(operands, count, results);
+}
+
+void SeqSim::run_cycles(std::span<const std::uint64_t> operands,
+                        std::size_t count,
+                        std::span<SeqCycleResult> results) {
   const std::size_t nops = seq_.num_operands();
   VOSIM_EXPECTS(operands.size() == count * nops);
   VOSIM_EXPECTS(results.size() >= count);
@@ -241,6 +257,159 @@ void SeqSim::step_cycle_batch(std::span<const std::uint64_t> operands,
     for (std::size_t k = 0; k < stages; ++k)
       stage_sampled_[k] = batch_sampled_w_[k * row + chunk];
     done += chunk;
+  }
+}
+
+bool SeqSim::stage_settled(std::size_t k,
+                           std::span<const lanes::Word> bits) {
+  const Netlist& nl = seq_.stages[k].netlist;
+  const auto value = [&](NetId n) {
+    return bits[n / lanes::kWordLanes] >> (n % lanes::kWordLanes) & 1;
+  };
+  const auto pis = nl.primary_inputs();
+  pi_words_.resize(pis.size());
+  for (std::size_t j = 0; j < pis.size(); ++j) pi_words_[j] = value(pis[j]);
+  golden_values_.resize(nl.num_nets());
+  evaluate_logic_packed(nl, pi_words_, golden_values_);
+  for (NetId n = 0; n < nl.num_nets(); ++n)
+    if (((golden_values_[n] ^ value(n)) & 1) != 0) return false;
+  return true;
+}
+
+bool SeqSim::save_checkpoint(SeqRecording& rec) {
+  const std::size_t base = rec.nets_.size();
+  rec.nets_.resize(base + state_offset_.back());
+  bool settled = true;
+  for (std::size_t k = 0; k < engines_.size(); ++k) {
+    const std::span<lanes::Word> bits(
+        rec.nets_.data() + base + state_offset_[k],
+        state_offset_[k + 1] - state_offset_[k]);
+    VOSIM_EXPECTS(engines_[k]->save_carried_state(bits));
+    settled = settled && stage_settled(k, bits);
+  }
+  rec.banks_.insert(rec.banks_.end(), stage_sampled_.begin(),
+                    stage_sampled_.end());
+  for (std::size_t i = 0; i + 1 < latency_cycles(); ++i)
+    rec.golden_.push_back(i < golden_.size() ? golden_[i] : 0);
+  return settled;
+}
+
+void SeqSim::restore_checkpoint(const SeqRecording& rec, std::size_t w) {
+  const std::size_t stages = engines_.size();
+  const lanes::Word* nets = rec.nets_.data() + w * state_offset_.back();
+  for (std::size_t k = 0; k < stages; ++k)
+    VOSIM_EXPECTS(engines_[k]->restore_carried_state(
+        {nets + state_offset_[k], state_offset_[k + 1] - state_offset_[k]}));
+  std::copy_n(rec.banks_.begin() + static_cast<std::ptrdiff_t>(w * stages),
+              stages, stage_sampled_.begin());
+  // The queue holds the goldens of the last latency − 1 cycles (fewer
+  // only while the stream is shorter than that).
+  const std::size_t slots = latency_cycles() - 1;
+  const std::size_t exit_cycle =
+      std::min((w + 1) * lanes::kWordLanes, rec.results_.size());
+  const auto first =
+      rec.golden_.begin() + static_cast<std::ptrdiff_t>(w * slots);
+  const auto kept = static_cast<std::ptrdiff_t>(std::min(slots, exit_cycle));
+  golden_.assign(first, first + kept);
+}
+
+bool SeqSim::matches_checkpoint(const SeqRecording& rec, std::size_t w) {
+  const std::size_t stages = engines_.size();
+  for (std::size_t k = 0; k < stages; ++k)
+    VOSIM_EXPECTS(engines_[k]->save_carried_state(
+        {state_bits_.data() + state_offset_[k],
+         state_offset_[k + 1] - state_offset_[k]}));
+  const auto nets = rec.nets_.begin() +
+                    static_cast<std::ptrdiff_t>(w * state_offset_.back());
+  const auto banks =
+      rec.banks_.begin() + static_cast<std::ptrdiff_t>(w * stages);
+  return std::equal(state_bits_.begin(), state_bits_.end(), nets) &&
+         std::equal(stage_sampled_.begin(), stage_sampled_.end(), banks);
+}
+
+SeqRecording SeqSim::record_cycle_batch(
+    std::span<const std::uint64_t> operands, std::size_t count) {
+  const std::size_t nops = seq_.num_operands();
+  const std::size_t stages = engines_.size();
+  VOSIM_EXPECTS(operands.size() == count * nops);
+  VOSIM_EXPECTS(cycles_ == 0 && replay_ == nullptr);
+  SeqRecording rec;
+  rec.capture_ps_ = capture_tclk_ps_;
+  rec.results_.resize(count);
+  rec.stage_window_fj_.resize(count * stages);
+  bool settled = true;  // reset() settles every stage
+  for (std::size_t first = 0; first < count; first += lanes::kWordLanes) {
+    const std::size_t n = std::min(lanes::kWordLanes, count - first);
+    run_cycles(operands.subspan(first * nops, n * nops), n,
+               std::span<SeqCycleResult>(rec.results_).subspan(first, n));
+    double latest = 0.0;
+    for (std::size_t c = 0; c < n; ++c) {
+      latest = std::max(latest, rec.results_[first + c].max_settle_ps);
+      for (std::size_t k = 0; k < stages; ++k)
+        rec.stage_window_fj_[(first + c) * stages + k] =
+            batch_results_[k * n + c].window_energy_fj;
+    }
+    rec.latest_commit_ps_.push_back(latest);
+    rec.entered_settled_.push_back(settled ? 1 : 0);
+    settled = save_checkpoint(rec);
+  }
+  return rec;
+}
+
+void SeqSim::replay_cycle_batch(const SeqRecording& rec,
+                                std::span<const std::uint64_t> operands,
+                                std::size_t count,
+                                std::span<SeqCycleResult> results) {
+  const std::size_t nops = seq_.num_operands();
+  const std::size_t stages = engines_.size();
+  const std::size_t total = rec.results_.size();
+  VOSIM_EXPECTS(operands.size() == count * nops);
+  VOSIM_EXPECTS(results.size() >= count);
+  VOSIM_EXPECTS(capture_tclk_ps_ <= rec.capture_ps_);
+  VOSIM_EXPECTS(cycles_ % lanes::kWordLanes == 0);
+  VOSIM_EXPECTS(cycles_ + count <= total);
+  if (cycles_ == 0 && replay_ == nullptr) {
+    VOSIM_EXPECTS(engine_kind() == EngineKind::kLevelized);
+    replay_ = &rec;
+    replay_synced_ = true;  // both runs start from reset()
+  }
+  VOSIM_EXPECTS(replay_ == &rec);
+  static obs::Counter& reused_counter =
+      obs::metrics().counter("sim.seq.reused_cycles");
+  std::size_t done = 0;
+  while (done < count) {
+    const std::size_t w = cycles_ / lanes::kWordLanes;
+    const std::size_t first = w * lanes::kWordLanes;
+    const std::size_t n = std::min(lanes::kWordLanes, total - first);
+    VOSIM_EXPECTS(count - done >= n);
+    const std::span<SeqCycleResult> out = results.subspan(done, n);
+    if (replay_synced_ && rec.entered_settled_[w] != 0 &&
+        rec.latest_commit_ps_[w] < capture_tclk_ps_) {
+      // Every cycle of the word ends settled, so no stage flags: the
+      // monitors see the zero difference words step_cycle_batch feeds.
+      for (std::size_t c = 0; c < n; ++c) {
+        SeqCycleResult& r = out[c];
+        r = rec.results_[first + c];
+        r.energy_fj = clock_energy_fj_;
+        for (std::size_t k = 0; k < stages; ++k) {
+          r.energy_fj +=
+              rec.stage_window_fj_[(first + c) * stages + k] +
+              stage_leak_fj_[k];
+          monitors_[k].record_word(0);
+        }
+      }
+      cycles_ += n;
+      replay_lagging_ = true;
+      reused_counter.add(n);
+    } else {
+      if (replay_lagging_) {
+        restore_checkpoint(rec, w - 1);
+        replay_lagging_ = false;
+      }
+      run_cycles(operands.subspan(done * nops, n * nops), n, out);
+      replay_synced_ = first + n < total && matches_checkpoint(rec, w);
+    }
+    done += n;
   }
 }
 

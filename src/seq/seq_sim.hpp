@@ -61,6 +61,37 @@ struct SeqCycleTrace {
   std::vector<std::uint64_t> bank_words;  ///< latched banks, input first
 };
 
+/// A clocked stream recorded at one capture threshold by
+/// SeqSim::record_cycle_batch, for replays at smaller thresholds on the
+/// same die (SeqSim::replay_cycle_batch). Lane word w is cycles
+/// [64w, 64w + 64) of the stream (the last word may be shorter).
+class SeqRecording {
+ public:
+  /// The capture threshold the stream was recorded at (ps).
+  double capture_ps() const noexcept { return capture_ps_; }
+  /// Every cycle's result, exactly as step_cycle_batch produced it.
+  std::span<const SeqCycleResult> results() const noexcept {
+    return results_;
+  }
+
+ private:
+  friend class SeqSim;
+  double capture_ps_ = 0.0;
+  std::vector<SeqCycleResult> results_;
+  std::vector<double> stage_window_fj_;  ///< cycle c, stage k at c·stages+k
+  /// Per lane word: the latest commit of any stage inside it (ps), and
+  /// whether every stage entered it settled (each net at the settled
+  /// function of the stage's carried inputs).
+  std::vector<double> latest_commit_ps_;
+  std::vector<std::uint8_t> entered_settled_;
+  /// Per lane word, the state it leaves: every stage's carried net
+  /// values (SimEngine::save_carried_state, stages back to back), the
+  /// bank words and the golden queue (latency − 1 slots).
+  std::vector<lanes::Word> nets_;
+  std::vector<std::uint64_t> banks_;
+  std::vector<std::uint64_t> golden_;
+};
+
 /// Streams clocked operations through a pipelined DUT at one operating
 /// triad. All register banks start at the all-zero settled state.
 class SeqSim {
@@ -74,8 +105,8 @@ class SeqSim {
          std::size_t monitor_window = 256);
 
   /// Re-settles every stage and bank to the all-zero state; clears the
-  /// golden queue and trace accumulator (monitors keep lifetime counts,
-  /// windows are reset).
+  /// golden queue, trace accumulator and replay (monitors keep lifetime
+  /// counts, windows are reset).
   void reset();
 
   /// One clock cycle: a one-cycle step_cycle_batch(). operands.size()
@@ -95,10 +126,42 @@ class SeqSim {
   /// the register banks between stages become lane words shifted by
   /// one cycle) and the golden pipeline is evaluated lane-parallel. A
   /// tracing simulator runs one-cycle chunks and records each stage's
-  /// trace per cycle.
+  /// trace per cycle. A replayed stream (replay_cycle_batch) does not
+  /// continue here: reset() first.
   void step_cycle_batch(std::span<const std::uint64_t> operands,
                         std::size_t count,
                         std::span<SeqCycleResult> results);
+
+  /// step_cycle_batch() over a whole stream from reset, recording what
+  /// replay_cycle_batch() reads: every result, each stage's window
+  /// energy per cycle, each lane word's latest commit and whether every
+  /// stage entered it settled, and a bit-packed checkpoint of the state
+  /// each lane word leaves. Levelized stages only.
+  SeqRecording record_cycle_batch(std::span<const std::uint64_t> operands,
+                                  std::size_t count);
+
+  /// Runs the next cycles of the stream `rec` recorded — the same
+  /// operands, on the same die (SeqDut, library, config, Vdd and Vbb)
+  /// — at this simulator's capture threshold, which must not exceed
+  /// rec.capture_ps(). Results, monitor statistics and cycles() are
+  /// bit-identical to step_cycle_batch() at this threshold. A replay
+  /// starts at reset() and advances in whole lane words: `count` ends
+  /// on a word boundary or at the stream's end. A lane word is copied
+  /// from the recording, with every cycle's energy recomposed from the
+  /// recorded stage window energies and this threshold's leakage, when
+  ///   - every commit the recording made inside it lands before this
+  ///     threshold,
+  ///   - the recording entered it with every stage settled, and
+  ///   - the replay's state entering it equals the recording's.
+  /// Then both runs make the same commits at the same times, all inside
+  /// the window (DESIGN.md §10). Any other word is simulated, from the
+  /// recording's checkpoint when the words before it were copied, and
+  /// the state it leaves is compared with the recording's. Each copied
+  /// cycle adds to the `sim.seq.reused_cycles` counter.
+  void replay_cycle_batch(const SeqRecording& rec,
+                          std::span<const std::uint64_t> operands,
+                          std::size_t count,
+                          std::span<SeqCycleResult> results);
 
   const SeqDut& seq() const noexcept { return seq_; }
   std::size_t num_stages() const noexcept { return engines_.size(); }
@@ -168,6 +231,21 @@ class SeqSim {
   void clear_traces() { traces_.clear(); }
 
  private:
+  /// The step_cycle_batch body, shared with record and replay.
+  void run_cycles(std::span<const std::uint64_t> operands,
+                  std::size_t count, std::span<SeqCycleResult> results);
+
+  /// Appends the current state to rec's checkpoints; returns whether
+  /// every stage's carried state is settled.
+  bool save_checkpoint(SeqRecording& rec);
+  /// Loads the checkpoint that lane word `w` of rec left behind.
+  void restore_checkpoint(const SeqRecording& rec, std::size_t w);
+  /// True when the current state equals that checkpoint.
+  bool matches_checkpoint(const SeqRecording& rec, std::size_t w);
+  /// True when stage k's carried net values (one bit per net) are the
+  /// settled function of its carried input values.
+  bool stage_settled(std::size_t k, std::span<const lanes::Word> bits);
+
   /// Lane-parallel golden: out[c] = the pipeline's settled function of
   /// cycle c's operands for up to lanes::kWordLanes cycles, one packed
   /// evaluate_logic pass per stage.
@@ -218,6 +296,16 @@ class SeqSim {
   std::vector<std::uint64_t> batch_shadow_w_;   ///< stages × chunk
   std::vector<std::uint64_t> batch_golden_;     ///< per-cycle golden
   std::vector<std::uint64_t> golden_values_;    ///< per-net lane words
+  /// Stage k's carried net values start at word state_offset_[k] of a
+  /// checkpoint; state_offset_.back() words per checkpoint.
+  std::vector<std::size_t> state_offset_;
+  std::vector<lanes::Word> state_bits_;  ///< one checkpoint, scratch
+  /// Replay cursor: the recording being replayed, whether the stream's
+  /// state at cycles_ equals the recording's, and whether the engines,
+  /// banks and golden queue lag it because the last words were copied.
+  const SeqRecording* replay_ = nullptr;
+  bool replay_synced_ = false;
+  bool replay_lagging_ = false;
 };
 
 }  // namespace vosim

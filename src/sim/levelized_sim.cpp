@@ -218,6 +218,24 @@ bool LevelizedSimulator::retarget_tclk_ps(double tclk_ps) {
   return true;
 }
 
+bool LevelizedSimulator::save_carried_state(
+    std::span<lanes::Word> bits) const {
+  VOSIM_EXPECTS(bits.size() == lanes::words_for(state_.size()));
+  std::fill(bits.begin(), bits.end(), Word{0});
+  for (std::size_t n = 0; n < state_.size(); ++n)
+    bits[n / kLanes] |= Word{state_[n]} << (n % kLanes);
+  return true;
+}
+
+bool LevelizedSimulator::restore_carried_state(
+    std::span<const lanes::Word> bits) {
+  VOSIM_EXPECTS(bits.size() == lanes::words_for(state_.size()));
+  for (std::size_t n = 0; n < state_.size(); ++n)
+    state_[n] = sampled_state_[n] = lanes::lane_bit(bits[n / kLanes],
+                                                    n % kLanes);
+  return true;
+}
+
 void LevelizedSimulator::reset(std::span<const lanes::Word> pi_words) {
   VOSIM_EXPECTS(pi_words.size() == netlist_.primary_inputs().size());
   std::vector<std::uint8_t> inputs;

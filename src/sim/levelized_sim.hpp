@@ -100,6 +100,13 @@ class LevelizedSimulator final : public SimEngine {
   /// period would produce. O(gates), no RNG redraw.
   bool retarget_tclk_ps(double tclk_ps) override;
 
+  /// The carried state of a clocked stream is the per-net sampled
+  /// value (state_ == sampled_state_ after every cycle pass); a restore
+  /// sets both. The per-pass scratch is rewritten before it is read,
+  /// so nothing else carries from one pass to the next.
+  bool save_carried_state(std::span<lanes::Word> bits) const override;
+  bool restore_carried_state(std::span<const lanes::Word> bits) override;
+
   double leakage_energy_fj_per_op() const noexcept override {
     return leakage_energy_fj_;
   }

@@ -177,6 +177,22 @@ class SimEngine {
   /// unchanged. Call reset() afterwards before reading state.
   virtual bool retarget_tclk_ps(double) { return false; }
 
+  /// Checkpoints of a clocked stream. Between step_cycle_batch() calls
+  /// the levelized backend carries one value per net, the at-edge
+  /// sample of the last cycle. save_carried_state packs it one bit per
+  /// net (net n at lane n % 64 of word n / 64) into `bits`, which holds
+  /// lanes::words_for(netlist().num_nets()) words;
+  /// restore_carried_state loads such a pack, after which the stream
+  /// continues exactly as it did from the saved point. Both return
+  /// true there. Backends that carry more than net values (the event
+  /// engine's in-flight transitions) return false and touch nothing.
+  virtual bool save_carried_state(std::span<lanes::Word>) const {
+    return false;
+  }
+  virtual bool restore_carried_state(std::span<const lanes::Word>) {
+    return false;
+  }
+
   /// Per-operation leakage energy at this triad (fJ): leakage power
   /// integrated over one clock period.
   virtual double leakage_energy_fj_per_op() const noexcept = 0;

@@ -37,6 +37,11 @@ constexpr Word mask(std::size_t n) {
   return n >= kWordLanes ? ~Word{0} : ((Word{1} << n) - Word{1});
 }
 
+/// Words needed to hold `n` lanes (one bit each).
+constexpr std::size_t words_for(std::size_t n) {
+  return (n + kWordLanes - 1) / kWordLanes;
+}
+
 /// Number of set lanes in `w`.
 constexpr int popcount(Word w) { return std::popcount(w); }
 

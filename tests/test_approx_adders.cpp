@@ -29,7 +29,8 @@ std::uint64_t functional_add(const AdderNetlist& adder, std::uint64_t a,
 }
 
 /// Bit-level reference for the lower-part OR adder.
-std::uint64_t loa_reference(std::uint64_t a, std::uint64_t b, int n, int k) {
+std::uint64_t loa_reference(std::uint64_t a, std::uint64_t b, int /*n*/,
+                            int k) {
   const std::uint64_t low = (a | b) & mask_n(k);
   const std::uint64_t carry = bit_of(a, k - 1) & bit_of(b, k - 1);
   const std::uint64_t hi =

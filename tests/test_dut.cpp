@@ -22,8 +22,6 @@
 namespace vosim {
 namespace {
 
-const CellLibrary& lib() { return make_fdsoi28_lvt(); }
-
 /// Functional output of a DUT for given operands, via the zero-delay
 /// golden evaluator and the same pin map the simulators use (a
 /// one-operation lane scatter).

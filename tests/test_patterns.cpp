@@ -90,8 +90,9 @@ TEST(WalkPatterns, StepsAreLocal) {
     const auto diff = static_cast<std::int64_t>(cur.a) -
                       static_cast<std::int64_t>(prev.a);
     // Steps are bounded (modulo wraparound at the ends).
-    if (std::abs(diff) < (1 << 14))
+    if (std::abs(diff) < (1 << 14)) {
       EXPECT_LE(std::abs(diff), 1 << 10);
+    }
     prev = cur;
   }
 }

@@ -117,7 +117,9 @@ TEST(SeqSimTest, RelaxedPipelineIsExactAndRazorClean) {
       const SeqCycleResult r = sim.step_cycle(ops);
       EXPECT_EQ(r.razor_flags, 0u) << spec;
       EXPECT_EQ(r.output_valid, c + 1 >= (int)seq.latency_cycles());
-      if (r.output_valid) EXPECT_EQ(r.captured, r.expected) << spec;
+      if (r.output_valid) {
+        EXPECT_EQ(r.captured, r.expected) << spec;
+      }
       EXPECT_GT(r.energy_fj, 0.0);
     }
     for (std::size_t k = 0; k < seq.num_stages(); ++k)

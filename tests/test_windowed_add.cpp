@@ -145,7 +145,9 @@ TEST(WindowedAdd, ErrorMagnitudeShrinksWithWindowOnAverage) {
           static_cast<double>(as[i] + bs[i]);
       err += std::abs(d);
     }
-    if (prev >= 0.0) EXPECT_LT(err, prev) << "window " << window;
+    if (prev >= 0.0) {
+      EXPECT_LT(err, prev) << "window " << window;
+    }
     prev = err;
   }
 }

@@ -14,7 +14,8 @@
 #   VOSIM_PATTERNS   patterns per triad (default 200 here; the binaries
 #                    themselves default to the paper's 20000).
 #   VOSIM_BENCH_OUT  output directory for BENCH_*.json and bench CSVs
-#                    (default: BUILD_DIR).
+#                    (default: BUILD_DIR). When set, the repo root is
+#                    left alone.
 #   VOSIM_MIN_ENGINE_SPEEDUP
 #                    floor for the levelized-vs-event speedup printed by
 #                    bench_fig8_ber_energy (adders) and
@@ -94,8 +95,8 @@
 #                streamed cells are bit-identical to the same grids run
 #                offline.
 #
-# Finally the BENCH_*.json set is copied to the repo root so the perf
-# trajectory is tracked in-tree.
+# Each BENCH_*.json the run writes is also copied to the repo root so
+# the perf trajectory is tracked in-tree.
 set -u
 
 build_dir="${1:-build}"
@@ -111,6 +112,16 @@ export VOSIM_PATTERNS="${VOSIM_PATTERNS:-200}"
 out_dir="${VOSIM_BENCH_OUT:-${build_dir}}"
 mkdir -p "${out_dir}"
 out_dir="$(cd "${out_dir}" && pwd)"
+
+# Track the perf trajectory in-tree: every BENCH_*.json this run writes
+# is copied to the repo root (the canonical committed set), unless
+# VOSIM_BENCH_OUT sends the run's output elsewhere.
+repo_root="$(cd "$(dirname "$0")/.." && pwd)"
+publish() {
+  if [ -z "${VOSIM_BENCH_OUT:-}" ] && [ "${out_dir}" != "${repo_root}" ]; then
+    cp -f "$1" "${repo_root}/"
+  fi
+}
 
 # "campaign_smoke", "fleet_shard" and "serve_smoke" are pseudo-benches:
 # they select the vosim_cli-driven checks below instead of a bench_*
@@ -350,6 +361,7 @@ for name in ${benches[@]+"${benches[@]}"}; do
   "log": "$(basename "${log}")"${engine_fields}${metrics_field}
 }
 EOF
+  publish "${json}"
   if [ "${status}" -ne 0 ]; then
     echo "FAIL ${name} (exit ${status}, ${wall_s}s) -> ${json}"
     failures=$((failures + 1))
@@ -459,6 +471,7 @@ if [ "${run_smoke}" -eq 1 ]; then
   "provenance_metrics": "campaign_smoke_prov_metrics.json"${telemetry_field}
 }
 EOF
+  publish "${out_dir}/BENCH_campaign_smoke.json"
   if [ "${smoke_status}" -ne 0 ]; then
     echo "FAIL campaign_smoke (${wall_s}s) -> BENCH_campaign_smoke.json"
     failures=$((failures + 1))
@@ -565,6 +578,7 @@ if [ "${run_fleet_shard}" -eq 1 ]; then
   "store": "fleet_shard_merged.jsonl"
 }
 EOF
+  publish "${out_dir}/BENCH_fleet_shard.json"
   if [ "${fs_status}" -ne 0 ]; then
     echo "FAIL fleet_shard (${wall_s}s) -> BENCH_fleet_shard.json"
     failures=$((failures + 1))
@@ -654,19 +668,13 @@ if [ "${run_serve}" -eq 1 ]; then
   "log": "serve_smoke.log"
 }
 EOF
+  publish "${out_dir}/BENCH_serve_smoke.json"
   if [ "${sv_status}" -ne 0 ]; then
     echo "FAIL serve_smoke (${wall_s}s) -> BENCH_serve_smoke.json"
     failures=$((failures + 1))
   else
     echo "ok   serve_smoke (${wall_s}s, ${served} cells served) -> BENCH_serve_smoke.json"
   fi
-fi
-
-# Track the perf trajectory in-tree: whatever BENCH_*.json this run
-# refreshed is copied to the repo root (the canonical committed set).
-repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-if [ "${out_dir}" != "${repo_root}" ]; then
-  cp -f "${out_dir}"/BENCH_*.json "${repo_root}/" 2>/dev/null || true
 fi
 
 echo "bench results: $((total - failures))/${total} ok, JSON in ${out_dir}"
