@@ -231,6 +231,14 @@ std::vector<TriadResult> characterize_levelized_sweep(
   return results;
 }
 
+/// A replay whose first lane word flags at least this share of its
+/// operations is far past the error-onset knee (register feedback makes
+/// onset a cliff) and is scored from that word alone. Estimates stay
+/// unbiased; only the sample count shrinks. A true rate under ~12% has
+/// vanishing probability of reading 0.25 on 62 samples, so the
+/// event-vs-levelized conformance band never trips the probe.
+constexpr double kSeqSaturationRate = 0.25;
+
 /// Sequential grid fast path for the levelized engine — the clocked
 /// analogue of characterize_levelized_sweep. Supply and body bias scale
 /// every gate delay by one common factor, so the whole Tclk/Vdd/Vbb
@@ -304,8 +312,7 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
   // A saturated threshold is recognizable from its first lane word:
   // past the onset cliff the op-error rate is high enough that 62-odd
   // samples pin it, and the full budget adds nothing but wall clock.
-  const bool probe_enabled = config.seq_saturation_threshold <= 1.0 &&
-                             cycles > lanes::kWordLanes &&
+  const bool probe_enabled = cycles > lanes::kWordLanes &&
                              latency <= lanes::kWordLanes;
 
   // Aggregates of one normalized run, folded in cycle order, in the ref
@@ -407,7 +414,7 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
                              buf);
       sums.add({buf.data(), n}, cfj);
       if (first == 0 && probe_enabled &&
-          sums.acc.op_error_rate() >= config.seq_saturation_threshold)
+          sums.acc.op_error_rate() >= kSeqSaturationRate)
         break;
     }
     score(t, sums);
@@ -437,15 +444,13 @@ std::vector<TriadResult> characterize_dut(
     const CharacterizeConfig& config) {
   VOSIM_EXPECTS(!triads.empty());
   VOSIM_EXPECTS(config.num_patterns > 0);
-  VOSIM_EXPECTS(config.batch_size > 0);
 
   const std::vector<std::uint64_t> pats = generate_patterns(config, dut);
   const std::size_t nops = dut.num_operands();
 
   // Provenance needs observer dispatch, which the multi-threshold
   // sweep pass does not do — route those sweeps to the per-triad loop.
-  if (config.engine == EngineKind::kLevelized && config.streaming_state &&
-      !config.provenance)
+  if (config.engine == EngineKind::kLevelized && !config.provenance)
     return characterize_levelized_sweep(dut, lib, triads, config, pats);
 
   std::vector<TriadResult> results(triads.size());
@@ -477,17 +482,15 @@ std::vector<TriadResult> characterize_dut(
         // Establish a settled initial state from the first pattern.
         sim.reset({pats.data(), nops});
 
-        const std::size_t batch =
-            config.streaming_state ? config.batch_size : 1;
-        std::vector<VosOpResult> r_buf(batch);
+        constexpr std::size_t kBatch = 256;  // patterns per apply_batch
+        std::vector<VosOpResult> r_buf(kBatch);
 
         std::size_t done = 0;
         while (done < config.num_patterns) {
           const std::size_t n =
-              std::min(batch, config.num_patterns - done);
+              std::min(kBatch, config.num_patterns - done);
           const std::span<const std::uint64_t> ops_flat{
               pats.data() + (1 + done) * nops, n * nops};
-          if (!config.streaming_state) sim.reset({pats.data(), nops});
           sim.apply_batch(ops_flat, n, {r_buf.data(), n});
           for (std::size_t i = 0; i < n; ++i) {
             const VosOpResult& r = r_buf[i];
@@ -549,12 +552,10 @@ std::vector<TriadResult> characterize_seq_dut(
     stream.next({pats.data() + p * nops, nops});
 
   // Levelized grids ride the normalized fast path (one die, sliding
-  // capture threshold); streaming_state = false forces the per-triad
-  // reference loop below — the fast path's conformance baseline.
-  // Provenance also forces the per-triad loop: the normalized replay
-  // retargets one shared pipeline and never dispatches observers.
-  if (config.engine == EngineKind::kLevelized && config.streaming_state &&
-      !config.provenance)
+  // capture threshold). Provenance forces the per-triad loop below: the
+  // normalized replay retargets one shared pipeline and never
+  // dispatches observers.
+  if (config.engine == EngineKind::kLevelized && !config.provenance)
     return characterize_seq_levelized_norm(seq, lib, triads, config,
                                            pats);
 

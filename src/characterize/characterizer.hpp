@@ -35,27 +35,11 @@ struct CharacterizeConfig {
   double variation_sigma = 0.03;     ///< per-gate process variation
   std::uint64_t variation_seed = 7;  ///< "one die" across all triads
   unsigned threads = 0;              ///< 0 = hardware default
-  /// Keep circuit state between operations (pipeline semantics). When
-  /// false every operation starts from a settled previous pattern.
-  bool streaming_state = true;
   /// Simulation backend: the event-driven reference (default) or the
   /// bit-parallel levelized engine (same stimuli, ~10x+ faster sweeps;
-  /// see DESIGN.md §7 for where the two diverge).
+  /// see DESIGN.md §7 for where the two diverge). Both keep circuit
+  /// state between operations (DESIGN.md §6.5).
   EngineKind engine = EngineKind::kEvent;
-  /// Patterns streamed per apply_batch call in the sweep hot loop.
-  std::size_t batch_size = 256;
-  /// Sequential levelized fast path only: a capture threshold whose
-  /// first 64-cycle probe word already shows an op-error rate at or
-  /// above this fraction is far past the error-onset knee (register
-  /// feedback makes onset a cliff), and its replay stops at the probe
-  /// instead of spending the full pattern budget. Estimates stay
-  /// unbiased — only the sample count shrinks, and TriadResult::
-  /// patterns reports the count actually used. Thresholds near the
-  /// onset band never trip the probe (a true rate under ~12% has
-  /// vanishing probability of reading >= 0.25 on 62 samples), so the
-  /// event-vs-levelized conformance band is unaffected. Set above 1.0
-  /// to force every replay through the full budget.
-  double seq_saturation_threshold = 0.25;
   /// Error reference. Default (empty): the DUT's own settled function,
   /// so BER/MRED measure timing errors only and stay meaningful for
   /// approximate adders and multipliers alike (DESIGN.md §8). Supply a
@@ -117,8 +101,11 @@ struct SeqDut;
 /// corrupt later cycles are charged to the pattern that suffered them.
 /// Per-op energy is per *cycle*: stage window dynamic + stage leakage +
 /// register clock/latch energy. config.golden is ignored (the reference
-/// is always the pipeline's own settled composition);
-/// config.streaming_state is inherent (registers carry state).
+/// is always the pipeline's own settled composition). On the levelized
+/// engine a replay whose first 64-cycle lane word already flags at
+/// least a quarter of its operations is past the error-onset cliff and
+/// is scored from that word alone; TriadResult::patterns reports the
+/// count actually used (DESIGN.md §10).
 std::vector<TriadResult> characterize_seq_dut(
     const SeqDut& seq, const CellLibrary& lib,
     const std::vector<OperatingTriad>& triads,

@@ -97,12 +97,6 @@ SeqSim& ClosedLoopSeqUnit::sim_for_rung(std::size_t rung) {
   return *slot;
 }
 
-const SeqSim& ClosedLoopSeqUnit::current_sim() const {
-  const auto& slot = sims_.at(controller_.rung());
-  VOSIM_EXPECTS(slot != nullptr);
-  return *slot;
-}
-
 ClosedLoopCycleResult ClosedLoopSeqUnit::step_cycle(
     std::span<const std::uint64_t> operands) {
   ClosedLoopCycleResult r;

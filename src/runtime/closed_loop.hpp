@@ -1,20 +1,30 @@
-// Closed-loop VOS control: climbs the TriadRung ladder from *measured*
-// per-stage Razor error rates instead of open-loop speculation. The
-// sensors are the DoubleSamplingMonitors inside the clocked pipeline
-// simulator (src/seq/seq_sim.hpp) — shadow-vs-main samples produced by
-// the simulator itself, the in-silicon feedback loop of
+// Closed-loop VOS control, the paper's dynamic speculation (Section V):
+// climbs the TriadRung ladder from *measured* per-stage Razor error
+// rates. The sensors are the DoubleSamplingMonitors inside the clocked
+// pipeline simulator (src/seq/seq_sim.hpp) — shadow-vs-main samples
+// produced by the simulator itself, the in-silicon feedback loop of
 // timing-error-correction DVS (Kaul et al.) closed over our gate-level
-// truth.
+// truth. A combinational operator runs here as a single-stage pipeline
+// (wrap_as_pipeline).
 #ifndef VOSIM_RUNTIME_CLOSED_LOOP_HPP
 #define VOSIM_RUNTIME_CLOSED_LOOP_HPP
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
-#include "src/runtime/speculation.hpp"
+#include "src/runtime/triad_ladder.hpp"
 #include "src/seq/seq_sim.hpp"
 
 namespace vosim {
+
+/// Decision issued after an observation.
+enum class SpeculationAction : std::uint8_t {
+  kHold,
+  kStepDown,  ///< move to a cheaper, riskier rung
+  kStepUp,    ///< back off to a safer rung
+};
 
 /// Controller tuning. The regulated signal is the worst per-stage
 /// flagged-operation rate over the Razor monitor window — a rate the
@@ -134,8 +144,6 @@ class ClosedLoopSeqUnit {
   /// Mean energy per cycle so far, register clock energy included (fJ).
   double mean_energy_fj() const noexcept;
   std::uint64_t cycles() const noexcept { return cycles_; }
-  /// The active rung's simulator (e.g. to read its stage monitors).
-  const SeqSim& current_sim() const;
 
  private:
   SeqSim& sim_for_rung(std::size_t rung);

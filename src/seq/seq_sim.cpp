@@ -120,10 +120,6 @@ double SeqSim::worst_stage_op_error_rate() const {
   return worst;
 }
 
-void SeqSim::reset_monitor_windows() {
-  for (DoubleSamplingMonitor& m : monitors_) m.reset_window();
-}
-
 SeqCycleResult SeqSim::step_cycle(std::span<const std::uint64_t> operands) {
   SeqCycleResult r;
   step_cycle_batch(operands, 1, {&r, 1});

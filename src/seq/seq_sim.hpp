@@ -213,15 +213,9 @@ class SeqSim {
   const DoubleSamplingMonitor& stage_monitor(std::size_t k) const {
     return monitors_.at(k);
   }
-  /// Stage k's flagged-operation rate over the monitor window.
-  double stage_op_error_rate(std::size_t k) const {
-    return monitors_.at(k).window_op_error_rate();
-  }
   /// Highest windowed flagged-op rate across stages — the signal the
   /// closed-loop controller regulates.
   double worst_stage_op_error_rate() const;
-  /// Clears every stage monitor's window (after a triad switch).
-  void reset_monitor_windows();
 
   /// Per-cycle traces accumulated since the last reset/clear (event
   /// engine with record_trace; empty otherwise).

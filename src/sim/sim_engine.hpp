@@ -72,7 +72,7 @@ struct TimingSimConfig {
   /// engines themselves no longer record ad-hoc traces.
   bool record_trace = false;
   /// Backend built by make_engine() and the engine-generic wrappers
-  /// (VosDutSim, characterize_dut, AdaptiveVosUnit).
+  /// (VosDutSim, SeqSim, characterize_dut, ClosedLoopSeqUnit).
   EngineKind engine = EngineKind::kEvent;
 };
 

@@ -10,9 +10,10 @@
 //   4. characterize under VOS    (src/characterize/characterizer.hpp)
 //   5. train statistical models  (src/model/vos_model.hpp)
 //   6. run applications on them  (src/apps/*.hpp)
-//   7. adapt triads at runtime   (src/runtime/adaptive_unit.hpp)
-//   8. pipeline + close the loop (src/seq/*.hpp,
-//                                 src/runtime/closed_loop.hpp)
+//   7. pipeline the operator     (src/seq/*.hpp — wrap_as_pipeline
+//                                 registers a combinational DUT)
+//   8. adapt triads at runtime   (src/runtime/closed_loop.hpp — Razor
+//                                 flags walk the triad ladder)
 //   9. scale to a fleet          (src/fleet/fleet.hpp — chip-instance
 //                                 Monte-Carlo, sharded campaigns;
 //                                 src/serve/server.hpp — sweep daemon)
@@ -57,10 +58,8 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/probe.hpp"
 #include "src/obs/trace.hpp"
-#include "src/runtime/adaptive_unit.hpp"
 #include "src/runtime/closed_loop.hpp"
 #include "src/runtime/error_monitor.hpp"
-#include "src/runtime/speculation.hpp"
 #include "src/runtime/triad_ladder.hpp"
 #include "src/serve/server.hpp"
 #include "src/seq/seq_dut.hpp"

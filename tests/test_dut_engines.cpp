@@ -14,13 +14,11 @@
 #include "src/characterize/patterns.hpp"
 #include "src/characterize/triads.hpp"
 #include "src/netlist/dut.hpp"
-#include "src/runtime/adaptive_unit.hpp"
 #include "src/sim/vos_dut.hpp"
 #include "src/sta/sta.hpp"
 #include "src/sta/synthesis_report.hpp"
 #include "src/tech/library.hpp"
 #include "src/util/bits.hpp"
-#include "src/util/rng.hpp"
 
 namespace vosim {
 namespace {
@@ -227,28 +225,6 @@ TEST(DutEngines, GoldenOverrideMatchesSettledOnExactCircuit) {
   const auto exact_ref = characterize_dut(dut, lib(), triads, cfg);
   EXPECT_DOUBLE_EQ(settled_ref[0].ber, exact_ref[0].ber);
   EXPECT_GT(settled_ref[0].ber, 0.0);
-}
-
-// The adaptive runtime walks a multiplier's triad ladder just like an
-// adder's — the end-to-end generalization.
-TEST(DutEngines, AdaptiveUnitRunsOnMultiplier) {
-  const DutNetlist dut = build_circuit("mul4-array");
-  const double cp = critical_path_ns(dut.netlist, {1.0, 1.0, 0.0});
-  std::vector<TriadRung> ladder{
-      {{cp * 1.6, 1.0, 0.0}, 0.0, 0.0},
-      {{cp * 1.6, 0.8, 2.0}, 0.0, 0.0},  // FBB: still error-free
-  };
-  SpeculationConfig scfg;
-  scfg.ber_margin = 0.05;
-  scfg.window_ops = 64;
-  scfg.min_dwell_ops = 64;
-  AdaptiveVosUnit unit(dut, lib(), ladder, scfg);
-  Rng rng(21);
-  std::size_t final_rung = 0;
-  for (int i = 0; i < 600; ++i)
-    final_rung = unit.apply(rng.bits(4), rng.bits(4)).rung;
-  EXPECT_EQ(final_rung, 1u);  // moved to the cheaper error-free rung
-  EXPECT_GT(unit.mean_energy_fj(), 0.0);
 }
 
 }  // namespace

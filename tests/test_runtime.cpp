@@ -1,17 +1,11 @@
-// Runtime module tests: double-sampling monitor, Pareto triad ladder,
-// dynamic speculation controller and the adaptive adder integration.
+// Runtime module tests: the double-sampling monitor and the Pareto
+// triad ladder. The controller that walks the ladder is tested in
+// test_closed_loop.cpp.
 #include <gtest/gtest.h>
 
-#include "src/netlist/adders.hpp"
-#include "src/netlist/dut.hpp"
-#include "src/runtime/adaptive_unit.hpp"
 #include "src/runtime/error_monitor.hpp"
-#include "src/runtime/speculation.hpp"
 #include "src/runtime/triad_ladder.hpp"
-#include "src/sta/sta.hpp"
-#include "src/tech/library.hpp"
 #include "src/util/contracts.hpp"
-#include "src/util/rng.hpp"
 
 namespace vosim {
 namespace {
@@ -200,181 +194,6 @@ TEST(Monitor, ResetBetweenCampaigns) {
   EXPECT_EQ(mon.window_fill(), 2u);
   EXPECT_DOUBLE_EQ(mon.window_op_error_rate(), 0.5);
   EXPECT_DOUBLE_EQ(mon.lifetime_ber(), (6.0 * 8 + 1) / (8.0 * 8));
-}
-
-// -------------------------------------------------------------- controller
-std::vector<TriadRung> synthetic_ladder() {
-  return {
-      {{0.5, 1.0, 0.0}, 0.000, 100.0},
-      {{0.4, 0.8, 0.0}, 0.010, 60.0},
-      {{0.3, 0.6, 0.0}, 0.040, 40.0},
-      {{0.3, 0.5, 0.0}, 0.200, 25.0},
-  };
-}
-
-/// Simulates running the controller where each rung has its true BER.
-std::size_t run_controller(DynamicSpeculationController& ctl,
-                           std::uint64_t seed, int ops) {
-  Rng rng(seed);
-  for (int i = 0; i < ops; ++i) {
-    // Draw per-bit flags according to the current rung's BER.
-    const double ber = ctl.current().expected_ber;
-    std::uint64_t settled = 0;
-    std::uint64_t sampled = 0;
-    for (int bit = 0; bit < 9; ++bit)
-      if (rng.flip(ber)) sampled |= (1ULL << bit);
-    ctl.observe(sampled, settled);
-  }
-  return ctl.rung_index();
-}
-
-TEST(Controller, ConvergesToCheapestFeasibleRung) {
-  SpeculationConfig cfg;
-  cfg.ber_margin = 0.05;
-  cfg.window_ops = 256;
-  cfg.min_dwell_ops = 256;
-  DynamicSpeculationController ctl(synthetic_ladder(), 9, cfg);
-  const std::size_t rung = run_controller(ctl, 42, 20000);
-  // Rung 2 (BER 0.04) fits the 5% margin; rung 3 (0.20) does not.
-  EXPECT_EQ(rung, 2u);
-}
-
-TEST(Controller, TightMarginStaysSafe) {
-  SpeculationConfig cfg;
-  cfg.ber_margin = 0.004;
-  cfg.window_ops = 256;
-  cfg.min_dwell_ops = 256;
-  DynamicSpeculationController ctl(synthetic_ladder(), 9, cfg);
-  const std::size_t rung = run_controller(ctl, 43, 20000);
-  EXPECT_EQ(rung, 0u);  // only the error-free rung fits
-}
-
-TEST(Controller, LooseMarginGoesAggressive) {
-  SpeculationConfig cfg;
-  cfg.ber_margin = 0.5;
-  cfg.window_ops = 128;
-  cfg.min_dwell_ops = 128;
-  DynamicSpeculationController ctl(synthetic_ladder(), 9, cfg);
-  const std::size_t rung = run_controller(ctl, 44, 20000);
-  EXPECT_EQ(rung, synthetic_ladder().size() - 1);
-}
-
-TEST(Controller, HysteresisLimitsFlapping) {
-  SpeculationConfig cfg;
-  cfg.ber_margin = 0.05;
-  cfg.window_ops = 256;
-  cfg.min_dwell_ops = 512;
-  DynamicSpeculationController ctl(synthetic_ladder(), 9, cfg);
-  run_controller(ctl, 45, 30000);
-  // Walking down the ladder takes 2 switches; allow a few corrections
-  // but far fewer than constant oscillation.
-  EXPECT_LE(ctl.switches(), 8u);
-}
-
-TEST(Controller, BacksOffWhenErrorsSpike) {
-  SpeculationConfig cfg;
-  cfg.ber_margin = 0.05;
-  cfg.window_ops = 128;
-  cfg.min_dwell_ops = 128;
-  // Start the ladder at an infeasible rung by giving only bad rungs
-  // below the first.
-  std::vector<TriadRung> ladder{
-      {{0.5, 1.0, 0.0}, 0.00, 100.0},
-      {{0.3, 0.5, 0.0}, 0.30, 25.0},
-  };
-  DynamicSpeculationController ctl(ladder, 9, cfg);
-  // The controller never steps down because rung 1's prior exceeds the
-  // margin.
-  const std::size_t rung = run_controller(ctl, 46, 5000);
-  EXPECT_EQ(rung, 0u);
-  // Force it down by pretending the prior was fine.
-  std::vector<TriadRung> lying{
-      {{0.5, 1.0, 0.0}, 0.00, 100.0},
-      {{0.3, 0.5, 0.0}, 0.01, 25.0},  // prior says fine; reality: 30%
-  };
-  DynamicSpeculationController ctl2(lying, 9, cfg);
-  Rng rng(47);
-  std::size_t deepest = 0;
-  bool recovered = false;
-  for (int i = 0; i < 20000; ++i) {
-    const double real_ber = ctl2.rung_index() == 0 ? 0.0 : 0.30;
-    std::uint64_t sampled = 0;
-    for (int bit = 0; bit < 9; ++bit)
-      if (rng.flip(real_ber)) sampled |= (1ULL << bit);
-    ctl2.observe(sampled, 0);
-    deepest = std::max(deepest, ctl2.rung_index());
-    if (deepest > 0 && ctl2.rung_index() == 0) recovered = true;
-  }
-  EXPECT_EQ(deepest, 1u);   // it tried the cheap rung
-  EXPECT_TRUE(recovered);   // and backed off when reality disagreed
-}
-
-TEST(Controller, Validation) {
-  EXPECT_THROW(DynamicSpeculationController({}, 9), ContractViolation);
-  SpeculationConfig bad;
-  bad.ber_margin = 2.0;
-  EXPECT_THROW(DynamicSpeculationController(synthetic_ladder(), 9, bad),
-               ContractViolation);
-}
-
-// ----------------------------------------------------------- adaptive unit
-TEST(AdaptiveUnitTest, WalksDownLadderAndSavesEnergy) {
-  const CellLibrary& lib = make_fdsoi28_lvt();
-  const DutNetlist rca = to_dut(build_rca(8));
-  const double cp_ns =
-      analyze_timing(rca.netlist, lib, {1, 1.0, 0.0}).critical_path_ps * 1e-3;
-
-  std::vector<TriadRung> ladder{
-      {{cp_ns * 1.6, 1.0, 0.0}, 0.0, 0.0},
-      {{cp_ns * 1.6, 0.8, 2.0}, 0.0, 0.0},  // FBB: still error-free
-  };
-  SpeculationConfig cfg;
-  cfg.ber_margin = 0.05;
-  cfg.window_ops = 64;
-  cfg.min_dwell_ops = 64;
-  AdaptiveVosUnit adder(rca, lib, ladder, cfg);
-
-  Rng rng(48);
-  std::size_t final_rung = 0;
-  for (int i = 0; i < 1000; ++i) {
-    const AdaptiveOpResult r = adder.apply(rng.bits(8), rng.bits(8));
-    final_rung = r.rung;
-  }
-  EXPECT_EQ(final_rung, 1u);  // moved to the cheaper error-free rung
-  EXPECT_GT(adder.controller().switches(), 0u);
-  EXPECT_GT(adder.mean_energy_fj(), 0.0);
-}
-
-TEST(AdaptiveUnitTest, RespectsMarginUnderRealErrors) {
-  const CellLibrary& lib = make_fdsoi28_lvt();
-  const DutNetlist rca = to_dut(build_rca(8));
-  const double cp_ns =
-      analyze_timing(rca.netlist, lib, {1, 1.0, 0.0}).critical_path_ps * 1e-3;
-
-  // Second rung is deep VOS with massive BER; prior pretends it's okay,
-  // the monitor must bounce back up.
-  std::vector<TriadRung> ladder{
-      {{cp_ns * 1.6, 1.0, 0.0}, 0.0, 0.0},
-      {{cp_ns * 1.6, 0.5, 0.0}, 0.01, 0.0},
-  };
-  SpeculationConfig cfg;
-  cfg.ber_margin = 0.02;
-  cfg.window_ops = 64;
-  cfg.min_dwell_ops = 64;
-  AdaptiveVosUnit adder(rca, lib, ladder, cfg);
-  Rng rng(49);
-  std::size_t deepest = 0;
-  int ops_on_risky_rung = 0;
-  for (int i = 0; i < 3000; ++i) {
-    const AdaptiveOpResult r = adder.apply(rng.bits(8), rng.bits(8));
-    deepest = std::max(deepest, r.rung);
-    if (r.rung == 1) ++ops_on_risky_rung;
-  }
-  EXPECT_EQ(deepest, 1u);  // it probed the cheap rung...
-  // ...but the monitor kept pulling it back: the majority of operations
-  // run on the safe rung despite the optimistic prior.
-  EXPECT_LT(ops_on_risky_rung, 1500);
-  EXPECT_GT(adder.controller().switches(), 1u);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // buffer, malformed-request and mid-stream disconnect survival,
 // joining finished connection threads, the request read and response
 // write deadlines that keep idle and stalled clients from holding
-// stop(), and the stats introspection verb.
+// stop(), a slow reader that is served in full without holding up
+// other clients, and the stats introspection verb.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -439,6 +440,77 @@ TEST(CampaignServer, StopReturnsWhileAClientStopsReading) {
   EXPECT_TRUE(in_time) << "stop() blocked past the response write deadline";
   EXPECT_EQ(obs::metrics().counter("serve.disconnects").value() - gone0,
             1u);
+}
+
+TEST(CampaignServer, SlowReaderIsServedWithoutBlockingOthers) {
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("slow");
+  CampaignServer server(lib(), cfg);
+  server.start();
+  const std::uint64_t gone0 =
+      obs::metrics().counter("serve.disconnects").value();
+
+  // The client asks for the ~370 KB stream and reads it 2 KiB every
+  // 20 ms (at most ~100 KiB/s): slow, but well above the ~11 KB/s a
+  // reader must keep up to hold its stream (DESIGN.md §11).
+  const int fd = connect_client(cfg.socket_path);
+  ASSERT_GE(fd, 0);
+  const std::string req = kLongGrid + "\n";
+  ASSERT_EQ(::write(fd, req.data(), req.size()),
+            static_cast<ssize_t>(req.size()));
+  std::string got;
+  std::atomic<std::size_t> bytes_read{0};
+  std::atomic<bool> reading{true};
+  std::thread reader([&] {
+    char buf[2048];
+    ssize_t n = 0;
+    while ((n = ::read(fd, buf, sizeof buf)) > 0) {
+      got.append(buf, static_cast<std::size_t>(n));
+      bytes_read += static_cast<std::size_t>(n);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    reading = false;
+  });
+
+  // Mid-stream, another client's ping is answered promptly.
+  const auto streaming_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (bytes_read < 64u * 1024u && reading &&
+         std::chrono::steady_clock::now() < streaming_by)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_GE(bytes_read.load(), 64u * 1024u);
+  const auto asked = std::chrono::steady_clock::now();
+  const auto pong = send_request(cfg.socket_path, "{\"cmd\":\"ping\"}");
+  const auto answered_in = std::chrono::steady_clock::now() - asked;
+  EXPECT_TRUE(reading) << "the slow stream ended before the ping";
+  ASSERT_EQ(pong.size(), 1u);
+  EXPECT_EQ(pong[0], "{\"ok\":true,\"cmd\":\"ping\"}");
+  EXPECT_LT(answered_in, std::chrono::seconds(1));
+
+  reader.join();
+  ::close(fd);
+  server.stop();
+  EXPECT_EQ(obs::metrics().counter("serve.disconnects").value() - gone0,
+            0u);
+
+  // Every line arrived: the store's lines in grid order, then the
+  // footer.
+  std::vector<std::string> stream;
+  for (std::size_t at = 0, nl = 0;
+       (nl = got.find('\n', at)) != std::string::npos; at = nl + 1)
+    stream.push_back(got.substr(at, nl - at));
+  ASSERT_EQ(stream.size(), 1025u);
+  EXPECT_EQ(stream.back(),
+            "{\"done\":true,\"cells\":1024,\"reused\":0,"
+            "\"computed\":1024}");
+  const CampaignOutcome outcome =
+      run_campaign(lib(), long_grid(), server.store());
+  ASSERT_EQ(outcome.reused, 1024u);
+  for (std::size_t i = 0; i < outcome.cells.size(); ++i) {
+    const auto stored = server.store().find(outcome.cells[i].key);
+    ASSERT_TRUE(stored.has_value());
+    ASSERT_EQ(stream[i], CampaignStore::to_jsonl(*stored)) << "cell " << i;
+  }
 }
 
 TEST(CampaignServer, StatsVerbReportsManifestAndMetrics) {

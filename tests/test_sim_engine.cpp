@@ -293,23 +293,6 @@ TEST(SimEngine, SweepFastPathMatchesPerTriadLevelized) {
   }
 }
 
-// Non-streaming (reset-per-op) characterization works on both engines.
-TEST(SimEngine, NonStreamingCharacterizeBothEngines) {
-  const DutNetlist rca = to_dut(build_rca(8));
-  const double cp = critical_path_ns(rca.netlist, {1.0, 1.0, 0.0});
-  const std::vector<OperatingTriad> relaxed{{2.0 * cp, 1.0, 0.0}};
-  for (const EngineKind kind :
-       {EngineKind::kEvent, EngineKind::kLevelized}) {
-    CharacterizeConfig cfg;
-    cfg.num_patterns = 300;
-    cfg.streaming_state = false;
-    cfg.engine = kind;
-    const auto res = characterize_dut(rca, lib(), relaxed, cfg);
-    EXPECT_EQ(res[0].ber, 0.0) << engine_kind_name(kind);
-    EXPECT_GT(res[0].energy_per_op_fj, 0.0);
-  }
-}
-
 // The levelized arrival model must reproduce STA: its per-net arrivals
 // at zero variation equal analyze_timing's, and its critical path too.
 TEST(SimEngine, LevelizedArrivalsMatchSta) {
