@@ -124,7 +124,11 @@ int main() {
   cl_cfg.op_error_margin = 0.05;  // quality floor: <=5% flagged cycles
   cl_cfg.window_cycles = 128;
   cl_cfg.min_dwell_cycles = 128;
+  // The unit runs on the die the ladder was characterized on.
+  const CharacterizeConfig char_cfg = bench_config();
   TimingSimConfig sim_cfg;
+  sim_cfg.variation_sigma = char_cfg.variation_sigma;
+  sim_cfg.variation_seed = char_cfg.variation_seed;
   sim_cfg.engine = EngineKind::kLevelized;
   ClosedLoopSeqUnit unit(seq, lib, mul_ladder, cl_cfg, sim_cfg);
 

@@ -41,7 +41,11 @@ int main() {
   cl.op_error_margin = 0.20;
   cl.window_cycles = 256;
   cl.min_dwell_cycles = 256;
-  ClosedLoopSeqUnit unit(pipe, lib, ladder, cl);
+  // The unit runs on the die the ladder was characterized on.
+  TimingSimConfig die;
+  die.variation_sigma = ccfg.variation_sigma;
+  die.variation_seed = ccfg.variation_seed;
+  ClosedLoopSeqUnit unit(pipe, lib, ladder, cl, die);
 
   constexpr std::size_t kCycles = 20000;
   PatternStream patterns(PatternPolicy::kCarryBalanced, 8, 4242);

@@ -35,7 +35,10 @@ int main() {
   cl.op_error_margin = 0.05;
   cl.window_cycles = 128;
   cl.min_dwell_cycles = 128;
+  // The unit runs on the die the ladder was characterized on.
   TimingSimConfig sim_cfg;
+  sim_cfg.variation_sigma = cfg.variation_sigma;
+  sim_cfg.variation_seed = cfg.variation_seed;
   sim_cfg.engine = EngineKind::kLevelized;
   ClosedLoopSeqUnit unit(seq, lib, ladder, cl, sim_cfg);
 

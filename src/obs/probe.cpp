@@ -174,7 +174,7 @@ void ErrorProvenance::on_step_end(const SimEngine& engine,
     bit_err_[i] += (err >> i) & 1ULL;
 }
 
-void ErrorProvenance::on_lane_word(const SimEngine&, const LaneWordSummary&) {
+void ErrorProvenance::on_lane_word(const SimEngine&, std::size_t) {
   ++lane_words_;
 }
 

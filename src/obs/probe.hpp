@@ -12,8 +12,7 @@
 // coverage differs by backend:
 //
 //   event      on_step_begin, on_transition (every committed net
-//              transition), on_late_arrival (transitions at/after the
-//              capture edge), on_step_end.
+//              transition), on_step_end.
 //   levelized  on_step_end once per evaluated lane (per-net values
 //              transposed out of the lane words) and on_lane_word once
 //              per packed pass. No per-transition callbacks — the
@@ -37,24 +36,6 @@
 
 namespace vosim {
 
-/// Summary of one levelized packed pass (a lane word of patterns or
-/// cycles), emitted via SimObserver::on_lane_word.
-struct LaneWordSummary {
-  /// Lanes evaluated in this pass (<= 64, one lane word).
-  std::size_t lanes = 0;
-  /// Lanes whose sampled output word differs from the settled one.
-  std::size_t failing_lanes = 0;
-  /// Failing net (sampled != settled in some lane) with the lowest
-  /// topological level, ties broken towards the earlier topo position;
-  /// invalid_net when no lane failed.
-  NetId first_failing_net = invalid_net;
-  /// Topological level of first_failing_net (-1 when none failed).
-  int first_failing_level = -1;
-  /// Worst slack consumed past the capture edge across the pass:
-  /// max(0, settle_time - Tclk) in ps.
-  double slack_consumed_ps = 0.0;
-};
-
 /// Callback interface for simulation introspection. All callbacks have
 /// empty default bodies so observers override only what they consume;
 /// they are invoked synchronously on the simulating thread.
@@ -77,18 +58,6 @@ class SimObserver {
     (void)ev;
   }
 
-  /// A transition that arrived at or after the capture edge — the
-  /// timing-error mechanism itself. `slack_ps` = arrival - Tclk >= 0.
-  /// Event engine only; in step_cycle the still-in-flight events at the
-  /// edge are reported before they carry into the next cycle.
-  virtual void on_late_arrival(const SimEngine& engine, NetId net,
-                               double arrival_ps, double slack_ps) {
-    (void)engine;
-    (void)net;
-    (void)arrival_ps;
-    (void)slack_ps;
-  }
-
   /// End of one simulated operation (or one lane of a levelized pass):
   /// per-net values sampled at the capture edge and fully settled, plus
   /// the operation's StepResult. Both engines.
@@ -102,12 +71,12 @@ class SimObserver {
     (void)result;
   }
 
-  /// One levelized packed pass finished (after the per-lane
-  /// on_step_end calls). Levelized engine only.
-  virtual void on_lane_word(const SimEngine& engine,
-                            const LaneWordSummary& summary) {
+  /// One levelized packed pass of `lanes` lanes (<= 64 patterns or
+  /// cycles) finished, after its per-lane on_step_end calls.
+  /// Levelized engine only.
+  virtual void on_lane_word(const SimEngine& engine, std::size_t lanes) {
     (void)engine;
-    (void)summary;
+    (void)lanes;
   }
 };
 
@@ -221,8 +190,7 @@ class ErrorProvenance final : public SimObserver {
                    std::span<const std::uint8_t> sampled,
                    std::span<const std::uint8_t> settled,
                    const StepResult& result) override;
-  void on_lane_word(const SimEngine& engine,
-                    const LaneWordSummary& summary) override;
+  void on_lane_word(const SimEngine& engine, std::size_t lanes) override;
 
   /// Snapshot of everything accumulated so far.
   ProvenanceSummary summary() const;

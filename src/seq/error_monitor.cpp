@@ -1,4 +1,4 @@
-#include "src/runtime/error_monitor.hpp"
+#include "src/seq/error_monitor.hpp"
 
 #include "src/util/bits.hpp"
 #include "src/util/contracts.hpp"

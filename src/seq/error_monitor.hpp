@@ -1,9 +1,11 @@
 // Runtime error estimation, emulating the double-sampling shadow
 // registers of the paper's dynamic speculation reference [17]: the main
 // register samples at Tclk, the shadow register samples after the
-// circuit settled; a mismatch flags a timing error.
-#ifndef VOSIM_RUNTIME_ERROR_MONITOR_HPP
-#define VOSIM_RUNTIME_ERROR_MONITOR_HPP
+// circuit settled; a mismatch flags a timing error. SeqSim keeps one
+// per pipeline stage (the in-simulator Razor pair); the runtime
+// controller reads them.
+#ifndef VOSIM_SEQ_ERROR_MONITOR_HPP
+#define VOSIM_SEQ_ERROR_MONITOR_HPP
 
 #include <cstdint>
 #include <deque>
@@ -57,4 +59,4 @@ class DoubleSamplingMonitor {
 
 }  // namespace vosim
 
-#endif  // VOSIM_RUNTIME_ERROR_MONITOR_HPP
+#endif  // VOSIM_SEQ_ERROR_MONITOR_HPP

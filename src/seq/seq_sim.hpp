@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "src/obs/probe.hpp"
-#include "src/runtime/error_monitor.hpp"
+#include "src/seq/error_monitor.hpp"
 #include "src/seq/seq_dut.hpp"
 #include "src/sim/sim_engine.hpp"
 

@@ -155,9 +155,6 @@ void TimingSimulator::run_events(double until_ps) {
     const NetId out = netlist_.gate(e.gate).out;
     VOSIM_ENSURES(e.value != values_[out]);
     commit(out, e.value, e.time_ps);
-    if (!observers_.empty() && e.time_ps >= tclk_ps_)
-      for (SimObserver* o : observers_)
-        o->on_late_arrival(*this, out, e.time_ps, e.time_ps - tclk_ps_);
     enqueue_fanout(out, e.time_ps);
   }
 }
@@ -225,19 +222,13 @@ StepResult TimingSimulator::step_cycle(std::span<const std::uint8_t> inputs) {
   current_.toggles_total = current_.toggles_in_window;
 
   // Rebase the surviving in-flight events onto the next cycle's time
-  // axis (their times are >= Tclk, so they stay non-negative). Live
-  // events here are exactly the transitions that missed the edge —
-  // reported as late arrivals before the rebase moves their clock.
+  // axis (their times are >= Tclk, so they stay non-negative).
   if (!queue_.empty()) {
     std::vector<Event> carried;
     carried.reserve(queue_.size());
     while (!queue_.empty()) {
       Event e = queue_.top();
       queue_.pop();
-      if (!observers_.empty() && e.serial == gate_serial_[e.gate])
-        for (SimObserver* o : observers_)
-          o->on_late_arrival(*this, netlist_.gate(e.gate).out, e.time_ps,
-                             e.time_ps - tclk_ps_);
       e.time_ps -= tclk_ps_;
       carried.push_back(e);
     }

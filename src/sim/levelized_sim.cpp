@@ -7,6 +7,7 @@
 #include "src/netlist/eval.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/probe.hpp"
+#include "src/sim/lane_walk.hpp"
 #include "src/sta/sta.hpp"
 #include "src/tech/gate_timing.hpp"
 #include "src/util/contracts.hpp"
@@ -342,20 +343,20 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
 
   // One levelized pass. Values: packed 64-lane evaluation per gate.
   // Timing: each lane with input activity runs a miniature event
-  // simulation of just this gate over its ≤6 input events (one flip
-  // per changed input at its final transition time, a flip-and-return
-  // pair per pulsing input), with the event engine's inertial rule —
-  // in binary logic a scheduled commit is only ever cancelled (input
-  // pulse shorter than the gate delay), never rescheduled. Commits
-  // yield the output's transition time, glitch-pulse window, toggle
-  // energy, and the value the capture register samples at Tclk.
+  // simulation of just this gate over its input events (one flip per
+  // changed input at its final transition time, a flip-and-return pair
+  // per pulse), with the event engine's inertial rule — the one walk
+  // of src/sim/lane_walk.hpp. Commits yield the output's transition
+  // time, glitch-pulse windows, toggle energy, and the value the
+  // capture register samples at Tclk.
   //
-  // The hot path dispatches lanes by changed-input count using packed
-  // subset words W[s] (the gate function with the inputs in s still at
-  // their stale values, evaluated for all kLanes lanes at once): a
-  // non-sensitized single change costs nothing, sensitized one- and
-  // two-change lanes collapse to a handful of scalar operations, and
-  // only lanes fed by a glitch pulse take the generic event walk.
+  // The hot path dispatches lanes by class using packed subset words
+  // W[s] (the gate function with the inputs in s still at their stale
+  // values, evaluated for all kLanes lanes at once): a non-sensitized
+  // single change costs nothing, one- and two-change lanes and single
+  // pulses are closed forms of the walk, the common pulse-fed classes
+  // build their event lists from W[s] bits, and only the rest pay the
+  // generic build-and-sort.
   //
   // The approximations relative to the full event engine: a changed
   // input is forwarded as one transition at its commit time — or, when
@@ -521,22 +522,18 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
     // one surviving pulse on input i (no changed inputs, no second
     // pulse, no pulse on another input) splits by sensitization at the
     // lane's settled (== stale) input state: not sensitized means the
-    // generic walk would build zero output events — the lane needs no
-    // walk at all (pulse_skip) — and sensitized means the walk is a
-    // single closed-form excursion (thru[i] → pulse_through_lane).
-    // Both reproduce pulse_lane bit-exactly; at deep over-scaling,
-    // where glitch fanout makes the generic walk the dominant cost,
-    // most pulse-fed lanes fall into these two classes.
+    // walk would commit nothing — the lane needs no walk at all
+    // (pulse_skip) — and sensitized means the walk is a single
+    // closed-form excursion (thru[i] → lane_walk::pulse_through).
     Word thru[3] = {};
     Word pulse_skip{};
     // Changed+pulse pairs: lanes whose only activity is one changed
     // input j (no bounce) plus one surviving pulse on unchanged input
-    // i. Their generic walk has exactly three events with values drawn
-    // from four packed words, so it collapses to a closed-form walk
-    // (changed_pulse_lane) with no event-list build, truth lookups or
-    // per-input pointer chasing. cp_m/cp_j/cp_i/cp_est/cp_ese hold the
-    // per-pair lane masks and the two extra packed evaluations (input
-    // i complemented, with j stale resp. settled).
+    // i. Their walk has exactly three events with values drawn from
+    // four packed words (lane_walk::changed_pulse_events).
+    // cp_m/cp_j/cp_i/cp_est/cp_ese hold the per-pair lane masks and the
+    // two extra packed evaluations (input i complemented, with j stale
+    // resp. settled).
     int cp_j[6];
     int cp_i[6];
     Word cp_m[6];
@@ -545,7 +542,7 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
     int ncp = 0;
     Word cp_all{};
     // Pure bounce class: one changed input j carrying its own return
-    // pulse, every other input quiet (bounce_lane below).
+    // pulse, every other input quiet (lane_walk::bounce_events).
     Word bn[3] = {};
     Word bn_all{};
     int bc_j[6];
@@ -615,7 +612,8 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
       // Two changed inputs, one of them bouncing: j carries its first
       // flip plus a return pulse, l flips once, nothing else is
       // active. All four reachable gate values are subset words, so
-      // the walk needs no extra packed evaluations (bc_lane below).
+      // the walk needs no extra packed evaluations
+      // (lane_walk::bounce_change_events).
       for (int j = 0; lanes::any(any_changed) && j < n; ++j) {
         Word mj = in_changed[j] & in_pulsing[j] & ~in_pulsing2[j] & used;
         if (!lanes::any(mj)) continue;
@@ -634,483 +632,106 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
     }
     const Word thru_all = thru[0] | thru[1] | thru[2];
 
-    // -- shared per-lane bodies -------------------------------------------
+    // -- per-lane kernels (src/sim/lane_walk.hpp) ---------------------------
 
-    // Sensitized single flip at tc (one-changed lanes and the
-    // single-commit branch of two-changed lanes).
-    const auto commit_flip = [&](std::size_t k, double tc) {
-      if (acct.commit(out, k, tc, energy)) lanes::toggle_lane(sampled, k);
-      lanes::set_lane(committed, k);
-      tout[k] = tc;
+    const auto bit = [](Word w, std::size_t k) {
+      return static_cast<unsigned>(lanes::lane_bit(w, k));
+    };
+    // Lane k's output commits, in time order.
+    const auto commit_to = [&](std::size_t k) {
+      return [&, k](double tc) {
+        if (acct.commit(out, k, tc, energy)) lanes::toggle_lane(sampled, k);
+        lanes::set_lane(committed, k);
+      };
+    };
+    const auto store = [&](std::size_t k, const lane_walk::Trajectory& f) {
+      if (f.flips) tout[k] = f.flip;
+      if (f.pulses > 0) {
+        lanes::set_lane(pulsing, k);
+        pout_s[k] = f.ps[0];
+        pout_e[k] = f.pe[0];
+      }
+      if (f.pulses > 1) {
+        lanes::set_lane(pulsing2, k);
+        pout2_s[k] = f.ps[1];
+        pout2_e[k] = f.pe[1];
+      }
+    };
+    const auto walk_lane = [&](std::size_t k,
+                               const lane_walk::LaneEvents& ev) {
+      store(k, lane_walk::forward(lane_walk::walk(ev, delay, commit_to(k)),
+                                  bit(changed, k) != 0));
+    };
+    // Bit s: lane k of W[s].
+    const auto subset_bits = [&](std::size_t k) {
+      unsigned w = 0;
+      for (unsigned s = 0; s <= full; ++s) w |= bit(W[s], k) << s;
+      return w;
     };
 
-    // Exactly two changed inputs i and j (i < j): the trajectory is
-    // stale → mid → settled with mid = the gate with only the later
-    // input still old.
+    const auto single_flip_lane = [&](std::size_t k, int i) {
+      store(k, lane_walk::single_flip(in_time[i][k], delay, commit_to(k)));
+    };
     const auto two_changed_lane = [&](std::size_t k, int i, int j) {
-      double tf = in_time[i][k];
-      double ts = in_time[j][k];
-      unsigned mid = 1u << j;
-      if (ts < tf) {
-        std::swap(tf, ts);
-        mid = 1u << i;
-      }
-      const std::uint8_t mid_diff =
-          lanes::lane_bit(W[mid], k) ^ lanes::lane_bit(settled, k);
-      if (lanes::lane_bit(changed, k) != 0) {
-        // Single commit: at the first flip when it already produces
-        // the final value, else at the second.
-        const double tc = (mid_diff == 0 ? tf : ts) + delay;
-        commit_flip(k, tc);
-      } else if (mid_diff != 0 && tf + delay <= ts) {
-        // Surviving glitch pulse [tf+delay, ts+delay) on an unchanged
-        // output: two commits, forwarded downstream; a capture edge
-        // inside it samples the transient.
-        const double t1 = tf + delay;
-        const double t2 = ts + delay;
-        if (acct.commit(out, k, t1, energy)) lanes::toggle_lane(sampled, k);
-        if (acct.commit(out, k, t2, energy)) lanes::toggle_lane(sampled, k);
-        lanes::set_lane(pulsing, k);
-        pout_s[k] = t1;
-        pout_e[k] = t2;
-      }
+      store(k, lane_walk::two_changed(in_time[i][k], in_time[j][k],
+                                      bit(W[1u << i], k), bit(W[1u << j], k),
+                                      bit(settled, k), bit(changed, k) != 0,
+                                      delay, commit_to(k)));
     };
-
-    // Three changed inputs: walk the four subset states in transition
-    // order with the inertial rule.
-    const auto three_changed_lane = [&](std::size_t k, unsigned cur0) {
-      int order[3] = {0, 1, 2};
-      if (in_time[order[1]][k] < in_time[order[0]][k])
-        std::swap(order[0], order[1]);
-      if (in_time[order[2]][k] < in_time[order[1]][k])
-        std::swap(order[1], order[2]);
-      if (in_time[order[1]][k] < in_time[order[0]][k])
-        std::swap(order[0], order[1]);
-      unsigned s = full;
-      unsigned cur = cur0;
-      bool pending = false;
-      double commit_t = 0.0;
-      // At most three commits here (three input events), so first /
-      // second / last capture the whole trajectory exactly.
-      double cts[3] = {0.0, 0.0, 0.0};
-      double last_c = 0.0;
-      int ncommits = 0;
-      const auto do_commit = [&](double tc) {
-        cur ^= 1u;
-        if (ncommits < 3) cts[ncommits] = tc;
-        ++ncommits;
-        last_c = tc;
-        if (acct.commit(out, k, tc, energy))
-          lanes::toggle_lane(sampled, k);
-        lanes::set_lane(committed, k);
-      };
-      for (int j = 0; j < 3; ++j) {
-        const double t = in_time[order[j]][k];
-        if (pending && commit_t <= t) {
-          do_commit(commit_t);
-          pending = false;
-        }
-        s &= ~(1u << order[j]);
-        const auto v = static_cast<unsigned>(lanes::lane_bit(W[s], k));
-        if (v != cur && !pending) {
-          pending = true;
-          commit_t = t + delay;
-        } else if (v == cur && pending) {
-          pending = false;  // inertial cancellation
-        }
-      }
-      if (pending) do_commit(commit_t);
-      if (lanes::lane_bit(changed, k) != 0) {
-        if (ncommits >= 3) {
-          // The output bounced on its way to the settled value
-          // (stale → settled → stale → settled). Forward the full
-          // trajectory — first flip plus a return pulse — instead of
-          // one late flip: collapsing it to the final commit time
-          // systematically over-ages downstream transitions on
-          // reconvergent structures (array multipliers) and inflates
-          // deep-VOS BER versus the event engine.
-          tout[k] = cts[0];
-          lanes::set_lane(pulsing, k);
-          pout_s[k] = cts[1];
-          pout_e[k] = last_c;
-        } else {
-          tout[k] = last_c;
-        }
-      } else if (ncommits >= 2) {
-        lanes::set_lane(pulsing, k);
-        pout_s[k] = cts[0];
-        pout_e[k] = cts[1];
-      }
-    };
-
-    // Lane fed by a glitch pulse: generic event walk over the ≤9 input
-    // events (flip per changed input, flip-and-return pair per pulsing
-    // input, all three for a bouncing changed input).
-    const auto pulse_lane = [&](std::size_t k) {
-      // Up to five events per input: a changed input that bounced
-      // twice carries its first flip plus two return pulses.
-      double ev_t[15];
-      std::uint8_t ev_i[15];
-      std::uint8_t ev_bit[15];
-      int ne = 0;
-      unsigned idx = 0;
-      for (int i = 0; i < n; ++i) {
-        const std::uint8_t sbit = lanes::lane_bit(in_stale[i], k);
-        idx |= static_cast<unsigned>(sbit) << i;
-        const auto push = [&](double t, std::uint8_t v) {
-          ev_t[ne] = t;
-          ev_i[ne] = static_cast<std::uint8_t>(i);
-          ev_bit[ne] = v;
-          ++ne;
-        };
-        const auto nbit = static_cast<std::uint8_t>(sbit ^ 1u);
-        if (lanes::lane_bit(in_changed[i], k) != 0) {
-          // First flip to the settled value; each forwarded pulse is
-          // a late return trip back to the stale value and out again.
-          push(in_time[i][k], nbit);
-          if (lanes::lane_bit(in_pulsing[i], k) != 0) {
-            push(in_ps[i][k], sbit);
-            push(in_pe[i][k], nbit);
-          }
-          if (lanes::lane_bit(in_pulsing2[i], k) != 0) {
-            push(in_ps2[i][k], sbit);
-            push(in_pe2[i][k], nbit);
-          }
-        } else {
-          // Unchanged input: each pulse is an excursion to the
-          // complement of the settled value and back.
-          if (lanes::lane_bit(in_pulsing[i], k) != 0) {
-            push(in_ps[i][k], nbit);
-            push(in_pe[i][k], sbit);
-          }
-          if (lanes::lane_bit(in_pulsing2[i], k) != 0) {
-            push(in_ps2[i][k], nbit);
-            push(in_pe2[i][k], sbit);
-          }
-        }
-      }
-      if (ne == 0) return;
-      for (int x = 1; x < ne; ++x)  // insertion sort, ascending time
-        for (int y = x; y > 0 && ev_t[y] < ev_t[y - 1]; --y) {
-          std::swap(ev_t[y], ev_t[y - 1]);
-          std::swap(ev_i[y], ev_i[y - 1]);
-          std::swap(ev_bit[y], ev_bit[y - 1]);
-        }
-      unsigned cur = (truth >> idx) & 1u;
-      bool pending = false;
-      double commit_t = 0.0;
-      double cts[4] = {0.0, 0.0, 0.0, 0.0};
-      double last_c = 0.0;
-      int ncommits = 0;
-      const auto do_commit = [&](double tc) {
-        cur ^= 1u;
-        if (ncommits < 4) cts[ncommits] = tc;
-        ++ncommits;
-        last_c = tc;
-        if (acct.commit(out, k, tc, energy))
-          lanes::toggle_lane(sampled, k);
-        lanes::set_lane(committed, k);
-      };
-      for (int j = 0; j < ne; ++j) {
-        if (pending && commit_t <= ev_t[j]) {
-          do_commit(commit_t);
-          pending = false;
-        }
-        idx = (idx & ~(1u << ev_i[j])) |
-              (static_cast<unsigned>(ev_bit[j]) << ev_i[j]);
-        const unsigned v = (truth >> idx) & 1u;
-        if (v != cur && !pending) {
-          pending = true;
-          commit_t = ev_t[j] + delay;
-        } else if (v == cur && pending) {
-          pending = false;  // inertial cancellation
-        }
-      }
-      if (pending) do_commit(commit_t);
-      if (lanes::lane_bit(changed, k) != 0) {
-        if (ncommits >= 3) {
-          // Bouncing changed output: first flip + return pulses (see
-          // the three-changed walk above). Five or more commits
-          // merge the tail bounces into the second pulse.
-          tout[k] = cts[0];
-          lanes::set_lane(pulsing, k);
-          pout_s[k] = cts[1];
-          pout_e[k] = ncommits == 3 ? last_c : cts[2];
-          if (ncommits >= 5) {
-            lanes::set_lane(pulsing2, k);
-            pout2_s[k] = cts[3];
-            pout2_e[k] = last_c;
-          }
-        } else {
-          tout[k] = last_c;
-        }
-      } else if (ncommits >= 2) {
-        lanes::set_lane(pulsing, k);
-        pout_s[k] = cts[0];
-        pout_e[k] = ncommits == 2 ? last_c : cts[1];
-        if (ncommits >= 4) {
-          lanes::set_lane(pulsing2, k);
-          pout2_s[k] = cts[2];
-          pout2_e[k] = last_c;
-        }
-      }
-    };
-
-    // Quiet lane fed by exactly one surviving pulse on input i, with
-    // the gate sensitized to i (thru[i]): the generic walk reduces to
-    // one excursion — a pending flip at ps + delay, inertially
-    // cancelled when the pulse is narrower than the gate delay, else
-    // two commits and a forwarded pulse. Matches pulse_lane commit for
-    // commit on these lanes (same times, same bookkeeping) without
-    // building and sorting the event list.
     const auto pulse_through_lane = [&](std::size_t k, int i) {
-      const double ps = in_ps[i][k];
-      const double pe = in_pe[i][k];
-      const double t1 = ps + delay;
-      if (t1 > pe) return;  // absorbed; a changed lane takes catch-up
-      const double t2 = pe + delay;
-      if (acct.commit(out, k, t1, energy)) lanes::toggle_lane(sampled, k);
-      if (acct.commit(out, k, t2, energy)) lanes::toggle_lane(sampled, k);
-      lanes::set_lane(committed, k);
-      if (lanes::lane_bit(changed, k) != 0) {
-        tout[k] = t2;  // two-commit changed output: merged single flip
-      } else {
-        lanes::set_lane(pulsing, k);
-        pout_s[k] = t1;
-        pout_e[k] = t2;
-      }
+      store(k, lane_walk::pulse_through(in_ps[i][k], in_pe[i][k],
+                                        bit(changed, k) != 0, delay,
+                                        commit_to(k)));
     };
-
-    // Lane whose only activity is one bouncing changed input j (its
-    // first flip plus one forwarded return pulse, no other input
-    // active): three events on a single input, already in ascending
-    // time order by construction (a forwarded pulse window always
-    // trails the flip it returns from), toggling the gate between two
-    // packed values — W[1<<j] (j stale) and the settled word. Same
-    // inertial walk and tail as pulse_lane, commit for commit.
+    // The output's value before the walk is its own stale bit: in cycle
+    // mode the previous cycle's sampled value, not a function of the
+    // stale inputs.
+    const auto three_changed_lane = [&](std::size_t k, unsigned v0) {
+      walk_lane(k, lane_walk::three_changed_events(
+                       in_time[0][k], in_time[1][k], in_time[2][k],
+                       subset_bits(k), v0));
+    };
     const auto bounce_lane = [&](std::size_t k, int j, const Word& w_jst) {
-      const double et[3] = {in_time[j][k], in_ps[j][k], in_pe[j][k]};
-      const unsigned a = static_cast<unsigned>(lanes::lane_bit(w_jst, k));
-      const unsigned b = static_cast<unsigned>(lanes::lane_bit(settled, k));
-      const unsigned vs[3] = {b, a, b};
-      unsigned cur = a;
-      bool pending = false;
-      double commit_t = 0.0;
-      double cts[3] = {0.0, 0.0, 0.0};
-      double last_c = 0.0;
-      int ncommits = 0;
-      const auto do_commit = [&](double tc) {
-        cur ^= 1u;
-        if (ncommits < 3) cts[ncommits] = tc;
-        ++ncommits;
-        last_c = tc;
-        if (acct.commit(out, k, tc, energy))
-          lanes::toggle_lane(sampled, k);
-        lanes::set_lane(committed, k);
-      };
-      for (int e = 0; e < 3; ++e) {
-        if (pending && commit_t <= et[e]) {
-          do_commit(commit_t);
-          pending = false;
-        }
-        const unsigned v = vs[e];
-        if (v != cur && !pending) {
-          pending = true;
-          commit_t = et[e] + delay;
-        } else if (v == cur && pending) {
-          pending = false;  // inertial cancellation
-        }
-      }
-      if (pending) do_commit(commit_t);
-      if (lanes::lane_bit(changed, k) != 0) {
-        if (ncommits >= 3) {
-          tout[k] = cts[0];
-          lanes::set_lane(pulsing, k);
-          pout_s[k] = cts[1];
-          pout_e[k] = last_c;
-        } else {
-          tout[k] = last_c;
-        }
-      } else if (ncommits >= 2) {
-        lanes::set_lane(pulsing, k);
-        pout_s[k] = cts[0];
-        pout_e[k] = ncommits == 2 ? last_c : cts[1];
-      }
+      walk_lane(k, lane_walk::bounce_events(in_time[j][k], in_ps[j][k],
+                                            in_pe[j][k], bit(w_jst, k),
+                                            bit(settled, k)));
     };
-
-    // Lane with two changed inputs where j bounces (flip + return
-    // pulse) and l flips once, nothing else active: four events whose
-    // reachable values are all subset words W[s]. Event order is the
-    // ascending-time stable order of pulse_lane's build list — the
-    // bounce chain (tj <= ps <= pe) is pre-sorted, so only l's flip
-    // needs placing, with tie-breaking by build position. Up to four
-    // commits, so the full generic tail (including the second
-    // forwarded pulse of an unchanged output) is replicated.
     const auto bc_lane = [&](std::size_t k, int j, int l) {
-      const double tl = in_time[l][k];
-      double et[4] = {in_time[j][k], in_ps[j][k], in_pe[j][k], 0.0};
-      // Actions: 0 = j to settled, 1 = j back to stale, 2 = j to
-      // settled, 3 = l to settled.
-      unsigned act[4] = {0, 1, 2, 3};
-      const int pos = l < j ? static_cast<int>(et[0] < tl) +
-                                  static_cast<int>(et[1] < tl) +
-                                  static_cast<int>(et[2] < tl)
-                            : static_cast<int>(et[0] <= tl) +
-                                  static_cast<int>(et[1] <= tl) +
-                                  static_cast<int>(et[2] <= tl);
-      for (int x = 2; x >= pos; --x) {
-        et[x + 1] = et[x];
-        act[x + 1] = act[x];
-      }
-      et[pos] = tl;
-      act[pos] = 3;
-      const unsigned bj = 1u << j;
-      const unsigned bl = 1u << l;
-      unsigned sub = bj | bl;
-      unsigned cur = static_cast<unsigned>(lanes::lane_bit(W[sub], k));
-      bool pending = false;
-      double commit_t = 0.0;
-      double cts[4] = {0.0, 0.0, 0.0, 0.0};
-      double last_c = 0.0;
-      int ncommits = 0;
-      const auto do_commit = [&](double tc) {
-        cur ^= 1u;
-        if (ncommits < 4) cts[ncommits] = tc;
-        ++ncommits;
-        last_c = tc;
-        if (acct.commit(out, k, tc, energy))
-          lanes::toggle_lane(sampled, k);
-        lanes::set_lane(committed, k);
-      };
-      for (int e = 0; e < 4; ++e) {
-        if (pending && commit_t <= et[e]) {
-          do_commit(commit_t);
-          pending = false;
-        }
-        switch (act[e]) {
-          case 0: sub &= ~bj; break;
-          case 1: sub |= bj; break;
-          case 2: sub &= ~bj; break;
-          default: sub &= ~bl; break;
-        }
-        const unsigned v = static_cast<unsigned>(lanes::lane_bit(W[sub], k));
-        if (v != cur && !pending) {
-          pending = true;
-          commit_t = et[e] + delay;
-        } else if (v == cur && pending) {
-          pending = false;  // inertial cancellation
-        }
-      }
-      if (pending) do_commit(commit_t);
-      if (lanes::lane_bit(changed, k) != 0) {
-        if (ncommits >= 3) {
-          tout[k] = cts[0];
-          lanes::set_lane(pulsing, k);
-          pout_s[k] = cts[1];
-          pout_e[k] = ncommits == 3 ? last_c : cts[2];
-        } else {
-          tout[k] = last_c;
-        }
-      } else if (ncommits >= 2) {
-        lanes::set_lane(pulsing, k);
-        pout_s[k] = cts[0];
-        pout_e[k] = ncommits == 2 ? last_c : cts[1];
-        if (ncommits >= 4) {
-          lanes::set_lane(pulsing2, k);
-          pout2_s[k] = cts[2];
-          pout2_e[k] = last_c;
-        }
-      }
+      walk_lane(k, lane_walk::bounce_change_events(
+                       j, l, in_time[j][k], in_ps[j][k], in_pe[j][k],
+                       in_time[l][k], subset_bits(k)));
     };
-
-    // Lane whose only activity is one changed input j plus one
-    // surviving pulse on unchanged input i: the generic walk over its
-    // three events (flip of j, excursion out and back of i), with the
-    // four reachable gate values precomputed as packed words. Same
-    // build order, stable sort, inertial rule and tail bookkeeping as
-    // pulse_lane, commit for commit — with at most three events there
-    // are at most three commits, so the second-pulse branches of the
-    // generic tail can never fire and are dropped.
     const auto changed_pulse_lane = [&](std::size_t k, int j, int i,
                                         const Word& w_jst,
                                         const Word& w_jst_ic,
                                         const Word& w_jse_ic) {
-      // Ascending-time event order with pulse_lane's tie-breaking: the
-      // generic walk builds events in ascending input index and sorts
-      // with strict comparisons, so ties keep build order. With one
-      // flip (tj) and one ordered excursion (ps <= pe) that leaves
-      // three possible orders, selected directly. Actions: 0 = input j
-      // flips to settled, 1 = excursion of i out, 2 = excursion back.
-      const double tj = in_time[j][k];
-      const double ps = in_ps[i][k];
-      const double pe = in_pe[i][k];
-      double et[3];
-      unsigned act[3];
-      const bool j_first = j < i ? !(ps < tj) : tj < ps;
-      const bool j_last = j < i ? pe < tj : !(tj < pe);
-      if (j_first) {
-        et[0] = tj; et[1] = ps; et[2] = pe;
-        act[0] = 0; act[1] = 1; act[2] = 2;
-      } else if (j_last) {
-        et[0] = ps; et[1] = pe; et[2] = tj;
-        act[0] = 1; act[1] = 2; act[2] = 0;
-      } else {
-        et[0] = ps; et[1] = tj; et[2] = pe;
-        act[0] = 1; act[1] = 0; act[2] = 2;
-      }
-      // Gate value per input state, indexed (j settled ? 2 : 0) |
-      // (i complemented ? 1 : 0). Unchanged inputs sit at their
-      // settled values on these lanes, so four words cover the walk.
-      const unsigned nib =
-          static_cast<unsigned>(lanes::lane_bit(w_jst, k)) |
-          (static_cast<unsigned>(lanes::lane_bit(w_jst_ic, k)) << 1) |
-          (static_cast<unsigned>(lanes::lane_bit(settled, k)) << 2) |
-          (static_cast<unsigned>(lanes::lane_bit(w_jse_ic, k)) << 3);
-      unsigned st = 0;
-      unsigned cur = nib & 1u;
-      bool pending = false;
-      double commit_t = 0.0;
-      double cts[3] = {0.0, 0.0, 0.0};
-      double last_c = 0.0;
-      int ncommits = 0;
-      const auto do_commit = [&](double tc) {
-        cur ^= 1u;
-        if (ncommits < 3) cts[ncommits] = tc;
-        ++ncommits;
-        last_c = tc;
-        if (acct.commit(out, k, tc, energy))
-          lanes::toggle_lane(sampled, k);
-        lanes::set_lane(committed, k);
-      };
-      for (int e = 0; e < 3; ++e) {
-        if (pending && commit_t <= et[e]) {
-          do_commit(commit_t);
-          pending = false;
+      const unsigned nib = bit(w_jst, k) | (bit(w_jst_ic, k) << 1) |
+                           (bit(settled, k) << 2) | (bit(w_jse_ic, k) << 3);
+      walk_lane(k, lane_walk::changed_pulse_events(
+                       j, i, in_time[j][k], in_ps[i][k], in_pe[i][k], nib));
+    };
+    // Any other pulse-fed lane: the generic builder over every input's
+    // trajectory.
+    const auto pulse_lane = [&](std::size_t k) {
+      lane_walk::Trajectory in[3];
+      unsigned stale_bits = 0;
+      for (int i = 0; i < n; ++i) {
+        stale_bits |= bit(in_stale[i], k) << i;
+        lane_walk::Trajectory& x = in[i];
+        x.flips = lanes::lane_bit(in_changed[i], k) != 0;
+        if (x.flips) x.flip = in_time[i][k];
+        if (lanes::lane_bit(in_pulsing[i], k) != 0) {
+          x.pulses = 1;
+          x.ps[0] = in_ps[i][k];
+          x.pe[0] = in_pe[i][k];
         }
-        st = act[e] == 0 ? (st | 2u) : (act[e] == 1 ? (st | 1u) : (st & ~1u));
-        const unsigned v = (nib >> st) & 1u;
-        if (v != cur && !pending) {
-          pending = true;
-          commit_t = et[e] + delay;
-        } else if (v == cur && pending) {
-          pending = false;  // inertial cancellation
+        if (lanes::lane_bit(in_pulsing2[i], k) != 0) {
+          x.pulses = 2;
+          x.ps[1] = in_ps2[i][k];
+          x.pe[1] = in_pe2[i][k];
         }
       }
-      if (pending) do_commit(commit_t);
-      if (lanes::lane_bit(changed, k) != 0) {
-        if (ncommits >= 3) {
-          tout[k] = cts[0];
-          lanes::set_lane(pulsing, k);
-          pout_s[k] = cts[1];
-          pout_e[k] = last_c;
-        } else {
-          tout[k] = last_c;
-        }
-      } else if (ncommits >= 2) {
-        lanes::set_lane(pulsing, k);
-        pout_s[k] = cts[0];
-        pout_e[k] = ncommits == 2 ? last_c : cts[1];
-      }
+      walk_lane(k, lane_walk::generic_events(truth, n, stale_bits, in));
     };
 
     // Cycle-mode catch-up: a lane whose truncated launch value differs
@@ -1146,9 +767,7 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
       // t + delay; a non-sensitized lane does nothing at all.
       for (int i = 0; i < n; ++i) {
         const Word m = one & in_changed[i] & (W[1u << i] ^ settled);
-        lanes::for_each_lane(m, [&](std::size_t k) {
-          commit_flip(k, in_time[i][k] + delay);
-        });
+        lanes::for_each_lane(m, [&](std::size_t k) { single_flip_lane(k, i); });
       }
 
       for (int i = 0; n >= 2 && i < n - 1; ++i) {
@@ -1252,7 +871,7 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
             const int i = c0 ? 0 : (c1 ? 1 : 2);
             if ((lanes::lane_bit(W[1u << i], k) ^
                  lanes::lane_bit(settled, k)) != 0)
-              commit_flip(k, in_time[i][k] + delay);
+              single_flip_lane(k, i);
           } else if (cnt == 2) {
             two_changed_lane(k, c0 ? 0 : 1, c2 ? 2 : 1);
           } else if (cnt == 3) {
@@ -1331,18 +950,6 @@ void LevelizedSimulator::run_lanes(std::size_t lanes,
 void LevelizedSimulator::dispatch_observers(
     std::size_t lanes, std::span<const StepResult> results) {
   const std::size_t nnets = netlist_.num_nets();
-  if (obs_level_.empty()) {
-    // Topological level per net (primary inputs at 0), built once.
-    obs_level_.assign(nnets, 0);
-    for (const GateId gid : netlist_.topo_order()) {
-      const Gate& g = netlist_.gate(gid);
-      int lvl = 0;
-      for (std::uint8_t i = 0; i < g.num_inputs; ++i)
-        lvl = std::max(lvl, obs_level_[g.in[i]]);
-      obs_level_[g.out] = lvl + 1;
-    }
-  }
-
   // Per-lane step_end: transpose each lane's per-net sampled/settled
   // bits into byte vectors so observers see exactly the spans the
   // event engine hands out.
@@ -1357,26 +964,7 @@ void LevelizedSimulator::dispatch_observers(
       o->on_step_end(*this, obs_sampled_, obs_settled_, results[k]);
   }
 
-  LaneWordSummary sum;
-  sum.lanes = lanes;
-  for (std::size_t k = 0; k < lanes; ++k) {
-    if (results[k].sampled_outputs != results[k].settled_outputs)
-      ++sum.failing_lanes;
-    sum.slack_consumed_ps =
-        std::max(sum.slack_consumed_ps,
-                 std::max(0.0, results[k].settle_time_ps - tclk_ps_));
-  }
-  const Word used = lanes::mask(lanes);
-  for (const GateId gid : netlist_.topo_order()) {
-    const NetId out = netlist_.gate(gid).out;
-    if (!lanes::any((sampled_w_[out] ^ settled_w_[out]) & used)) continue;
-    if (sum.first_failing_net == invalid_net ||
-        obs_level_[out] < sum.first_failing_level) {
-      sum.first_failing_net = out;
-      sum.first_failing_level = obs_level_[out];
-    }
-  }
-  for (SimObserver* o : observers_) o->on_lane_word(*this, sum);
+  for (SimObserver* o : observers_) o->on_lane_word(*this, lanes);
 }
 
 void LevelizedSimulator::run_lanes_sweep(

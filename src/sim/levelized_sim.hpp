@@ -159,7 +159,7 @@ class LevelizedSimulator final : public SimEngine {
 
   /// Observer fan-out after a single-threshold pass: per-lane
   /// on_step_end (per-net values transposed out of the lane words) and
-  /// one on_lane_word summary. Called only when observers are attached
+  /// one on_lane_word. Called only when observers are attached
   /// — run_lanes pays a single branch otherwise. The sweep path
   /// (run_lanes_sweep) never dispatches (see SimEngine::attach_observer).
   void dispatch_observers(std::size_t lanes,
@@ -221,11 +221,9 @@ class LevelizedSimulator final : public SimEngine {
   std::vector<std::uint32_t> acc_tot_t_;
 
   // Observer-dispatch scratch (only touched with observers attached):
-  // per-net transposed values for one lane and the lazily built
-  // per-net topological level table behind LaneWordSummary.
+  // per-net transposed values for one lane.
   std::vector<std::uint8_t> obs_sampled_;
   std::vector<std::uint8_t> obs_settled_;
-  std::vector<int> obs_level_;
 
   // Per-lane packed primary outputs of the last pass (lanes::gather).
   std::uint64_t po_sampled_[kLanes] = {};

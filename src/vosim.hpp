@@ -59,9 +59,9 @@
 #include "src/obs/probe.hpp"
 #include "src/obs/trace.hpp"
 #include "src/runtime/closed_loop.hpp"
-#include "src/runtime/error_monitor.hpp"
 #include "src/runtime/triad_ladder.hpp"
 #include "src/serve/server.hpp"
+#include "src/seq/error_monitor.hpp"
 #include "src/seq/seq_dut.hpp"
 #include "src/seq/seq_report.hpp"
 #include "src/seq/seq_sim.hpp"

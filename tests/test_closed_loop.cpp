@@ -10,8 +10,8 @@
 #include "src/characterize/characterizer.hpp"
 #include "src/netlist/dut.hpp"
 #include "src/runtime/closed_loop.hpp"
-#include "src/runtime/error_monitor.hpp"
 #include "src/runtime/triad_ladder.hpp"
+#include "src/seq/error_monitor.hpp"
 #include "src/seq/seq_dut.hpp"
 #include "src/seq/seq_report.hpp"
 #include "src/tech/library.hpp"

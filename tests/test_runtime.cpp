@@ -3,8 +3,8 @@
 // test_closed_loop.cpp.
 #include <gtest/gtest.h>
 
-#include "src/runtime/error_monitor.hpp"
 #include "src/runtime/triad_ladder.hpp"
+#include "src/seq/error_monitor.hpp"
 #include "src/util/contracts.hpp"
 
 namespace vosim {

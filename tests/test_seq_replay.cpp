@@ -17,13 +17,14 @@
 #include "src/characterize/triads.hpp"
 #include "src/netlist/dut.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/runtime/error_monitor.hpp"
+#include "src/seq/error_monitor.hpp"
 #include "src/seq/seq_dut.hpp"
 #include "src/seq/seq_report.hpp"
 #include "src/seq/seq_sim.hpp"
 #include "src/sim/sim_engine.hpp"
 #include "src/tech/library.hpp"
 #include "src/util/rng.hpp"
+#include "tests/triad_hash.hpp"
 
 namespace vosim {
 namespace {
@@ -295,34 +296,6 @@ TEST(SeqReplay, CarriedStateRoundTrips) {
   const auto ev = make_engine(dut.netlist, lib(), {0.08, 1.0, 0.0}, ev_cfg);
   EXPECT_FALSE(ev->save_carried_state(saved));
   EXPECT_FALSE(ev->restore_carried_state(saved));
-}
-
-/// FNV-1a over the bit patterns of every TriadResult field.
-std::uint64_t hash_results(const std::vector<TriadResult>& res) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto add = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  for (const TriadResult& r : res) {
-    add(bits(r.triad.tclk_ns));
-    add(bits(r.triad.vdd_v));
-    add(bits(r.triad.vbb_v));
-    add(bits(r.ber));
-    add(r.bitwise_ber.size());
-    for (const double b : r.bitwise_ber) add(bits(b));
-    add(bits(r.op_error_rate));
-    add(bits(r.mse));
-    add(bits(r.mred));
-    add(bits(r.energy_per_op_fj));
-    add(bits(r.dynamic_energy_fj));
-    add(bits(r.leakage_energy_fj));
-    add(bits(r.mean_settle_ps));
-    add(r.patterns);
-  }
-  return h;
 }
 
 // The clocked sweep on the levelized engine, pinned to hashes its

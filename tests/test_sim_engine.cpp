@@ -10,6 +10,7 @@
 
 #include "src/characterize/characterizer.hpp"
 #include "src/characterize/patterns.hpp"
+#include "src/characterize/triads.hpp"
 #include "src/netlist/adders.hpp"
 #include "src/netlist/approx_adders.hpp"
 #include "src/netlist/eval.hpp"
@@ -19,8 +20,10 @@
 #include "src/netlist/dut.hpp"
 #include "src/sim/vos_dut.hpp"
 #include "src/sta/sta.hpp"
+#include "src/sta/synthesis_report.hpp"
 #include "src/tech/library.hpp"
 #include "src/util/bits.hpp"
+#include "tests/triad_hash.hpp"
 
 namespace vosim {
 namespace {
@@ -326,6 +329,52 @@ TEST(SimEngine, StaArrivalBoundsSettleTimes) {
   for (int i = 0; i < 200; ++i) {
     const OperandPair p = patterns.next();
     EXPECT_LE(sim.apply(p.a, p.b).settle_time_ps, cp + 1e-9);
+  }
+}
+
+// The streaming lane semantics (step_batch and step_batch_sweep) on the
+// levelized engine, pinned to hashes of every TriadResult field: the
+// Table-III grid at 2 000 patterns through the sweep pass, and an
+// over-scaled seven-triad set at σ 0.05 with provenance on, which runs
+// the per-triad step_batch loop with observers attached.
+TEST(SimEngine, StreamingSweepMatchesGoldenPin) {
+  struct Pin {
+    const char* spec;
+    std::uint64_t grid;
+    std::uint64_t over;
+  };
+  const Pin pins[] = {
+      {"rca16", 0xf5ad4ef46c3f7fdbULL,
+       0x652290096e55b356ULL},
+      {"bka16", 0x1d8458ed8dd69581ULL,
+       0x6f5a4813991226f2ULL},
+      {"mul8-array", 0x4d22e6844bfb9d53ULL,
+       0x987263fcd1baf67cULL},
+      {"mul8-wallace", 0xe03d1ec1d431d7cbULL,
+       0xc808f4c57cd25d00ULL},
+      {"mac4x8", 0x2595cc44405760ccULL,
+       0xa897cac708b535a4ULL},
+  };
+  for (const Pin& pin : pins) {
+    const DutNetlist dut = build_circuit(pin.spec);
+    const double cp = synthesize_report(dut.netlist, lib()).critical_path_ns;
+    CharacterizeConfig cfg;
+    cfg.num_patterns = 2000;
+    cfg.pattern_seed = 2024;
+    cfg.engine = EngineKind::kLevelized;
+    EXPECT_EQ(hash_results(characterize_dut(dut, lib(),
+                                            make_circuit_triads(dut, cp), cfg)),
+              pin.grid)
+        << pin.spec;
+    const std::vector<OperatingTriad> over = {
+        {1.0 * cp, 1.0, 0.0}, {0.8 * cp, 1.0, 0.0},
+        {0.6 * cp, 1.0, 0.0}, {0.8 * cp, 0.9, 2.0},
+        {0.6 * cp, 0.8, 2.0}, {0.5 * cp, 0.7, 0.0},
+        {0.4 * cp, 0.6, 0.0}};
+    cfg.variation_sigma = 0.05;
+    cfg.provenance = true;
+    EXPECT_EQ(hash_results(characterize_dut(dut, lib(), over, cfg)), pin.over)
+        << pin.spec;
   }
 }
 
