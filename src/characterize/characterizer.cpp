@@ -80,11 +80,14 @@ ProvenanceSummary combine_stage_summaries(
 /// pattern against all triads at once: triad t becomes capture
 /// threshold tclk·scale_ref/scale_t, with window energy scaled by
 /// (Vdd/Vdd_ref)² and leakage computed per triad. The pattern stream
-/// is split into segments with exact warm starts (the streaming state
-/// is purely functional: the previous pattern's settled values), so
-/// segment-parallel results are bit-identical to the sequential chain.
-/// Nothing in the pass depends on the DUT being an adder — the same
-/// code serves multipliers and MAC trees.
+/// is split into at most four segments with exact warm starts (the
+/// streaming state is purely functional: the previous pattern's settled
+/// values), so every segment simulates exactly what the sequential
+/// chain would. The per-segment energy and settle sums merge in segment
+/// order, so the split is part of the result: it is fixed by the
+/// pattern count, and the results are the same bits at every thread
+/// count. Nothing in the pass depends on the DUT being an adder — the
+/// same code serves multipliers and MAC trees.
 std::vector<TriadResult> characterize_levelized_sweep(
     const DutNetlist& dut, const CellLibrary& lib,
     const std::vector<OperatingTriad>& triads,
@@ -131,14 +134,15 @@ std::vector<TriadResult> characterize_levelized_sweep(
 
   // Segment the stream across the pool; each segment is large enough
   // to amortize its simulator construction. The segment boundaries fix
-  // the floating-point merge order of the per-segment partials, so
-  // min_seg is part of the result, not just a tuning knob.
+  // the floating-point merge order of the per-segment partials, so the
+  // split depends on the pattern count alone: config.threads only caps
+  // how many pool threads run the segments, and every thread count
+  // gives the same bits.
   constexpr std::size_t kChunk = LevelizedSimulator::kLanes;
-  constexpr std::size_t min_seg = 256;
-  const unsigned workers =
-      config.threads == 0 ? hardware_parallelism() : config.threads;
-  const std::size_t nseg = std::clamp<std::size_t>(
-      std::min<std::size_t>(workers, num_patterns / min_seg), 1, 64);
+  constexpr std::size_t kMinSeg = 256;
+  constexpr std::size_t kMaxSegs = 4;
+  const std::size_t nseg =
+      std::clamp<std::size_t>(num_patterns / kMinSeg, 1, kMaxSegs);
 
   struct Partial {
     ErrorAccumulator acc;

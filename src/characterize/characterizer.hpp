@@ -34,7 +34,10 @@ struct CharacterizeConfig {
   std::uint64_t pattern_seed = 42;   ///< same stimuli at every triad
   double variation_sigma = 0.03;     ///< per-gate process variation
   std::uint64_t variation_seed = 7;  ///< "one die" across all triads
-  unsigned threads = 0;              ///< 0 = hardware default
+  /// Pool threads a sweep may use (0 = hardware default). Results are
+  /// the same bits at every count: the levelized sweep's pattern split
+  /// depends on num_patterns alone.
+  unsigned threads = 0;
   /// Simulation backend: the event-driven reference (default) or the
   /// bit-parallel levelized engine (same stimuli, ~10x+ faster sweeps;
   /// see DESIGN.md §7 for where the two diverge). Both keep circuit

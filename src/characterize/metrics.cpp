@@ -1,6 +1,7 @@
 #include "src/characterize/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -17,19 +18,23 @@ ErrorAccumulator::ErrorAccumulator(int nbits)
 
 void ErrorAccumulator::add(std::uint64_t reference, std::uint64_t actual) {
   ++ops_;
-  const std::uint64_t diff = (reference ^ actual) & mask_n(nbits_);
+  const double r = static_cast<double>(reference);
+  sum_ref_sq_ += r * r;
+  // Equal words (compared whole: a golden function may set bits above
+  // nbits) add +0.0 to each non-negative error sum and take a max with
+  // 0, so skipping those terms leaves every bit as it was.
+  if (reference == actual) return;
+  std::uint64_t diff = (reference ^ actual) & mask_n(nbits_);
   if (diff != 0) {
     ++err_ops_;
     const int h = popcount_u64(diff);
     bit_errors_ += static_cast<std::uint64_t>(h);
     hamming_total_ += static_cast<std::uint64_t>(h);
-    for (int i = 0; i < nbits_; ++i)
-      if (bit_of(diff, i) != 0) ++bit_err_count_[static_cast<std::size_t>(i)];
+    for (; diff != 0; diff &= diff - 1)
+      ++bit_err_count_[static_cast<std::size_t>(std::countr_zero(diff))];
   }
-  const double r = static_cast<double>(reference);
   const double e = static_cast<double>(actual) - r;
   sum_sq_err_ += e * e;
-  sum_ref_sq_ += r * r;
   sum_abs_err_ += std::abs(e);
   sum_rel_err_ += std::abs(e) / std::max(r, 1.0);
   max_abs_err_ = std::max(max_abs_err_, std::abs(e));

@@ -1,6 +1,7 @@
 #include "src/sim/levelized_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 
@@ -36,6 +37,14 @@ struct SingleThresholdAcct {
   /// Word-commit eligible: launch-edge (t = 0) commits account a whole
   /// lane word per call instead of per-lane commits.
   static constexpr bool kWordCommit = true;
+
+  /// Σ toggles_total over the pass's lanes.
+  std::uint64_t commits() const {
+    const std::uint32_t* t = kWindowOnly ? win_t : tot_t;
+    std::uint64_t sum = 0;
+    for (std::size_t k = 0; k < nlanes; ++k) sum += t[k];
+    return sum;
+  }
 
   bool commit(NetId /*net*/, std::size_t k, double tc, double energy) {
     if constexpr (!kWindowOnly) {
@@ -80,8 +89,9 @@ struct SingleThresholdAcct {
 };
 
 /// Accounting policy for a whole ascending threshold set: every commit
-/// lands in the bucket of the first threshold it misses, so one prefix
-/// pass later yields per-threshold window energy/toggle counts, and an
+/// lands in the bucket of the first threshold it misses (an O(1) table
+/// lookup, src/sim/threshold_buckets.hpp), so one prefix pass later
+/// yields per-threshold window energy/toggle counts, and an
 /// XOR-difference per primary output yields per-threshold sampled
 /// words (a net's sampled value at τ is its stale value XOR the parity
 /// of its commits before τ).
@@ -89,7 +99,7 @@ struct MultiThresholdAcct {
   static constexpr bool kWordCommit = false;  // every commit is bucketed
   static constexpr std::size_t kLanes = lanes::kWordLanes;
 
-  std::span<const double> thresholds_ps;
+  const ThresholdBuckets& buckets;
   double* ediff;              // (nthr+1) × kLanes, bucket-major
   std::uint32_t* tdiff;       // (nthr+1) × kLanes
   lanes::Word* sdiff;         // nPO × (nthr+1)
@@ -97,11 +107,16 @@ struct MultiThresholdAcct {
   std::uint32_t* tot_t;       // per lane
   double* settle;             // per lane
   const std::int32_t* po_index;
+  std::size_t nlanes;
+
+  std::uint64_t commits() const {
+    std::uint64_t sum = 0;
+    for (std::size_t k = 0; k < nlanes; ++k) sum += tot_t[k];
+    return sum;
+  }
 
   bool commit(NetId net, std::size_t k, double tc, double energy) {
-    const auto b = static_cast<std::size_t>(
-        std::upper_bound(thresholds_ps.begin(), thresholds_ps.end(), tc) -
-        thresholds_ps.begin());
+    const std::size_t b = buckets.bucket(tc);
     ediff[b * kLanes + k] += energy;
     ++tdiff[b * kLanes + k];
     tot_e[k] += energy;
@@ -110,10 +125,67 @@ struct MultiThresholdAcct {
     const std::int32_t po = po_index[net];
     if (po >= 0)
       lanes::toggle_lane(
-          sdiff[static_cast<std::size_t>(po) * (thresholds_ps.size() + 1) +
-                b],
+          sdiff[static_cast<std::size_t>(po) * (buckets.size() + 1) + b],
           k);
     return false;  // no single sampled word is maintained in sweep mode
+  }
+};
+
+/// Work counts of one pass, tallied in a local (lane counts are popcounts
+/// of the dispatch masks) and added to the metrics registry once per
+/// pass, one relaxed add per nonzero count (DESIGN.md §12).
+struct PassCounts {
+  enum Kind : std::size_t {
+    kCommits,  // Σ toggles_total over the pass's lanes
+    kGates,    // gate visits
+    kQuietGates,
+    kScannedGates,  // cycle mode: gates resolved by the serial lane scan
+    kSingleFlip,
+    kTwoChanged,
+    kThreeChanged,
+    kPulseThrough,
+    kChangedPulse,
+    kBounce,
+    kBounceChange,
+    kGeneric,
+    kCatchUp,
+    kScannedLanes,    // cycle mode: lanes the serial scan resolves
+    kLaunchMismatch,  // scanned lanes whose launch bit ≠ W[full]
+    kTruncated,       // scanned-gate lanes ending sampled ≠ settled
+    kKinds
+  };
+  std::uint64_t n[kKinds] = {};
+
+  void add_lanes(Kind kind, lanes::Word m) {
+    n[kind] += static_cast<std::uint64_t>(lanes::popcount(m));
+  }
+
+  void publish() const {
+    static constexpr const char* kNames[kKinds] = {
+        "sim.levelized.commits",
+        "sim.levelized.gates",
+        "sim.levelized.gates.quiet",
+        "sim.levelized.gates.scanned",
+        "sim.levelized.lanes.single_flip",
+        "sim.levelized.lanes.two_changed",
+        "sim.levelized.lanes.three_changed",
+        "sim.levelized.lanes.pulse_through",
+        "sim.levelized.lanes.changed_pulse",
+        "sim.levelized.lanes.bounce",
+        "sim.levelized.lanes.bounce_change",
+        "sim.levelized.lanes.generic",
+        "sim.levelized.lanes.catch_up",
+        "sim.levelized.lanes.scanned",
+        "sim.levelized.lanes.launch_mismatch",
+        "sim.levelized.lanes.truncated"};
+    static const std::array<obs::Counter*, kKinds> counters = [] {
+      std::array<obs::Counter*, kKinds> c{};
+      for (std::size_t i = 0; i < kKinds; ++i)
+        c[i] = &obs::metrics().counter(kNames[i]);
+      return c;
+    }();
+    for (std::size_t i = 0; i < kKinds; ++i)
+      if (n[i] != 0) counters[i]->add(n[i]);
   }
 };
 
@@ -305,7 +377,10 @@ void LevelizedSimulator::step_batch_sweep(
 
 template <bool kCycleMode, class Acct>
 void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
+  using C = PassCounts;
   const Word used = lanes::mask(lanes);
+  PassCounts counts;
+  counts.n[C::kGates] = netlist_.num_gates();
 
   // Primary inputs: lane k's stale value is lane k-1's value (lane 0
   // continues from the carried state); input transitions commit at
@@ -406,6 +481,7 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
     // lanes (cycle mode; empty under the streaming invariant) — commit
     // for commit what the full dispatch would do on such a gate.
     if (!lanes::any((any_changed | any_pulse) & used)) {
+      ++counts.n[C::kQuietGates];
       const Word settled =
           eval_cell_packed(g.kind, in_settled[0], in_settled[1],
                            in_settled[2]) &
@@ -430,6 +506,7 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
         m_catch = (settled ^ stale) & used;
       }
       if (lanes::any(m_catch)) {
+        counts.add_lanes(C::kCatchUp, m_catch);
         const double delay = gate_delay_ps_[gid];
         const double energy = net_energy_fj_[out];
         const double tc = std::min(delay, 0.999 * tclk_ps_);
@@ -753,22 +830,38 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
 
     // -- dispatch ---------------------------------------------------------
 
+    // Lane classes by changed-input count (pulse-free lanes only). With
+    // the pulse-fed masks above they are disjoint, and both dispatch
+    // loops below send each lane to the kernel its class names.
+    const Word pairs = (ch0 & ch1) | (ch0 & ch2) | (ch1 & ch2);
+    const Word three = ch0 & ch1 & ch2 & ~any_pulse & used;
+    const Word two = pairs & ~(ch0 & ch1 & ch2) & ~any_pulse & used;
+    const Word one = (ch0 ^ ch1 ^ ch2) & ~pairs & ~any_pulse & used;
+    // Exactly one changed input: a sensitized lane commits once at
+    // t + delay; a non-sensitized lane does nothing at all.
+    Word flip{};
+    for (int i = 0; i < n; ++i)
+      flip |= one & in_changed[i] & (W[1u << i] ^ settled);
+    const Word generic = any_pulse & used & ~thru_all & ~pulse_skip &
+                         ~cp_all & ~bn_all & ~bc_all;
+    counts.add_lanes(C::kSingleFlip, flip);
+    counts.add_lanes(C::kTwoChanged, two);
+    counts.add_lanes(C::kThreeChanged, three);
+    if (lanes::any(any_pulse)) {
+      counts.add_lanes(C::kPulseThrough, thru_all);
+      counts.add_lanes(C::kChangedPulse, cp_all);
+      counts.add_lanes(C::kBounce, bn_all);
+      counts.add_lanes(C::kBounceChange, bc_all);
+      counts.add_lanes(C::kGeneric, generic);
+    }
+
     if (word_recurrence) {
       // Streaming recurrence (streaming mode, or a cycle-safe gate in
-      // cycle mode): lanes are order-free, so each changed-input class
-      // is swept as a packed mask (pulse-free lanes only; pulse-fed
-      // lanes take the generic walk).
-      const Word pairs = (ch0 & ch1) | (ch0 & ch2) | (ch1 & ch2);
-      const Word three = ch0 & ch1 & ch2 & ~any_pulse & used;
-      const Word two = pairs & ~(ch0 & ch1 & ch2) & ~any_pulse & used;
-      const Word one = (ch0 ^ ch1 ^ ch2) & ~pairs & ~any_pulse & used;
-
-      // Exactly one changed input: a sensitized lane commits once at
-      // t + delay; a non-sensitized lane does nothing at all.
-      for (int i = 0; i < n; ++i) {
-        const Word m = one & in_changed[i] & (W[1u << i] ^ settled);
-        lanes::for_each_lane(m, [&](std::size_t k) { single_flip_lane(k, i); });
-      }
+      // cycle mode): lanes are order-free, so each class is swept as a
+      // packed mask.
+      for (int i = 0; i < n; ++i)
+        lanes::for_each_lane(flip & in_changed[i],
+                             [&](std::size_t k) { single_flip_lane(k, i); });
 
       for (int i = 0; n >= 2 && i < n - 1; ++i) {
         for (int j = i + 1; j < n; ++j) {
@@ -801,10 +894,7 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
         lanes::for_each_lane(bc_m[p], [&](std::size_t k) {
           bc_lane(k, bc_j[p], bc_l[p]);
         });
-      lanes::for_each_lane(
-          any_pulse & used & ~thru_all & ~pulse_skip & ~cp_all & ~bn_all &
-              ~bc_all,
-          [&](std::size_t k) { pulse_lane(k); });
+      lanes::for_each_lane(generic, [&](std::size_t k) { pulse_lane(k); });
 
       // Under the streaming invariant (stale = settled function of
       // stale inputs) nothing is ever changed-but-uncommitted, so this
@@ -813,8 +903,9 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
       // invariant also covers cycle-safe gates in cycle mode: their
       // whole fan-in cone is cycle-safe, so every stale input equals
       // its settled value of the previous lane.
-      lanes::for_each_lane(changed & ~committed & used,
-                           [&](std::size_t k) { catch_up_lane(k); });
+      const Word catch_up = changed & ~committed & used;
+      counts.add_lanes(C::kCatchUp, catch_up);
+      lanes::for_each_lane(catch_up, [&](std::size_t k) { catch_up_lane(k); });
     } else {
       // Cycle mode: lane k launches from lane k-1's sampled value, so
       // lanes with input activity resolve serially in ascending lane
@@ -885,15 +976,24 @@ void LevelizedSimulator::run_lanes_impl(std::size_t lanes, Acct& acct) {
       // Inactive lanes: stale(k) = sampled(k-1) is final now; the
       // changed ones take their catch-up commit (sampled stays settled).
       const Word stale_word = lanes::shift1_in(sampled, state0) & used;
-      lanes::for_each_lane((settled ^ stale_word) & ~active & used,
-                           [&](std::size_t k) { catch_up_lane(k); });
+      const Word catch_up = (settled ^ stale_word) & ~active & used;
+      lanes::for_each_lane(catch_up, [&](std::size_t k) { catch_up_lane(k); });
       stale_w_[out] = stale_word;
+      // Counted from the final words: lane k launched from bit k of
+      // stale_word, and took its catch-up when changed but uncommitted.
+      ++counts.n[C::kScannedGates];
+      counts.add_lanes(C::kScannedLanes, active);
+      counts.add_lanes(C::kLaunchMismatch, (stale_word ^ W[full]) & active);
+      counts.add_lanes(C::kCatchUp, (changed & ~committed & used) | catch_up);
+      counts.add_lanes(C::kTruncated, (sampled ^ settled) & used);
     }
 
     sampled_w_[out] = sampled;
     pulsing_w_[out] = pulsing;
     pulsing2_w_[out] = pulsing2;
   }
+  counts.n[C::kCommits] = acct.commits();
+  counts.publish();
 }
 
 void LevelizedSimulator::carry_state(std::size_t lanes,
@@ -981,10 +1081,14 @@ void LevelizedSimulator::run_lanes_sweep(
   sweep_tot_t_.assign(kLanes, 0);
   sweep_settle_.assign(kLanes, 0.0);
 
-  MultiThresholdAcct acct{thresholds_ps,       sweep_ediff_.data(),
+  // A grid sweep hands the same thresholds to every call.
+  if (!sweep_buckets_.built_for(thresholds_ps))
+    sweep_buckets_.build(thresholds_ps);
+  MultiThresholdAcct acct{sweep_buckets_,      sweep_ediff_.data(),
                               sweep_tdiff_.data(), sweep_sdiff_.data(),
                               sweep_tot_e_.data(), sweep_tot_t_.data(),
-                              sweep_settle_.data(), po_index_.data()};
+                              sweep_settle_.data(), po_index_.data(),
+                              lanes};
   run_lanes_impl<false>(lanes, acct);
 
   // Prefix over buckets: threshold j sees every commit in buckets ≤ j.

@@ -26,6 +26,7 @@
 
 #include "src/netlist/netlist.hpp"
 #include "src/sim/sim_engine.hpp"
+#include "src/sim/threshold_buckets.hpp"
 #include "src/tech/operating_point.hpp"
 #include "src/util/lanes.hpp"
 
@@ -137,7 +138,8 @@ class LevelizedSimulator final : public SimEngine {
   /// kCycleMode the lanes are consecutive clock cycles: each net's lane
   /// k launches from its own lane k-1 sampled value and active lanes
   /// resolve in ascending order (DESIGN.md §10); otherwise the lanes
-  /// are independent streamed patterns.
+  /// are independent streamed patterns. The pass's work counts go to
+  /// the metrics registry (DESIGN.md §12).
   template <bool kCycleMode, class Acct>
   void run_lanes_impl(std::size_t lanes, Acct& acct);
 
@@ -229,9 +231,12 @@ class LevelizedSimulator final : public SimEngine {
   std::uint64_t po_sampled_[kLanes] = {};
   std::uint64_t po_settled_[kLanes] = {};
 
-  // Sweep support: primary-output index per net (-1 if not a PO) and
-  // per-batch threshold-bucket scratch (sized on first sweep call).
+  // Sweep support: primary-output index per net (-1 if not a PO), the
+  // bucket table of the last threshold set (rebuilt only when the set
+  // changes) and per-batch threshold-bucket scratch (sized on first
+  // sweep call).
   std::vector<std::int32_t> po_index_;
+  ThresholdBuckets sweep_buckets_;
   std::vector<double> sweep_ediff_;        // (nthr+1) × kLanes
   std::vector<std::uint32_t> sweep_tdiff_;  // (nthr+1) × kLanes
   std::vector<Word> sweep_sdiff_;           // nPO × (nthr+1)

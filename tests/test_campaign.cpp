@@ -500,9 +500,12 @@ TEST(CampaignStore, LinesWithoutAStoreVersionAreRecomputed) {
 TEST(CampaignRunner, CacheKeyIdentityAcrossThreadCounts) {
   // The cache is only sound if a cell's value never depends on worker
   // scheduling: serial and 4-way runs must produce bit-identical cells.
+  // 2 000 characterization patterns split the levelized sweep into
+  // several segments (small_campaign's 300 are one).
   const CellLibrary& lib = make_fdsoi28_lvt();
   CampaignConfig cfg = small_campaign();
   cfg.workloads = {"fir", "kmeans"};
+  cfg.characterize_patterns = 2000;
 
   cfg.jobs = 1;
   CampaignStore serial;

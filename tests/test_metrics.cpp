@@ -1,11 +1,16 @@
-// Error-metric accumulator tests with hand-computed values.
+// Error-metric accumulator tests with hand-computed values, and the
+// accumulator held bit for bit to its reference (tests/metrics_reference.hpp).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "src/characterize/metrics.hpp"
+#include "src/util/bits.hpp"
 #include "src/util/contracts.hpp"
+#include "src/util/rng.hpp"
+#include "tests/metrics_reference.hpp"
 
 namespace vosim {
 namespace {
@@ -95,6 +100,80 @@ TEST(Metrics, WidthValidated) {
   EXPECT_THROW(ErrorAccumulator(0), ContractViolation);
   EXPECT_THROW(ErrorAccumulator(65), ContractViolation);
   EXPECT_NO_THROW(ErrorAccumulator(64));
+}
+
+// Same bits, not just the same value: the fast paths must not move a
+// single ulp, and snr_db's +infinity must stay +infinity.
+void expect_same_bits(double a, double b, const char* what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+      << what << ": " << a << " vs " << b;
+}
+
+void expect_matches_reference(const ErrorAccumulator& acc,
+                              const reference::ErrorAccumulator& ref) {
+  EXPECT_EQ(acc.ops(), ref.ops);
+  expect_same_bits(acc.ber(), ref.ber(), "ber");
+  const std::vector<double> pb = acc.bitwise_error_probability();
+  const std::vector<double> rb = ref.bitwise_error_probability();
+  ASSERT_EQ(pb.size(), rb.size());
+  for (std::size_t i = 0; i < pb.size(); ++i)
+    expect_same_bits(pb[i], rb[i], "bitwise_error_probability");
+  expect_same_bits(acc.op_error_rate(), ref.op_error_rate(), "op_error_rate");
+  expect_same_bits(acc.mse(), ref.mse(), "mse");
+  expect_same_bits(acc.snr_db(), ref.snr_db(), "snr_db");
+  expect_same_bits(acc.mean_hamming(), ref.mean_hamming(), "mean_hamming");
+  expect_same_bits(acc.mean_abs_error(), ref.mean_abs_error(),
+                   "mean_abs_error");
+  expect_same_bits(acc.max_abs_error(), ref.max_abs_err, "max_abs_error");
+  expect_same_bits(acc.mred(), ref.mred(), "mred");
+}
+
+TEST(Metrics, ScoringMatchesReferenceBitForBit) {
+  for (const int nbits : {1, 8, 16, 63, 64}) {
+    SCOPED_TRACE(nbits);
+    Rng rng(0x5eed0000u + static_cast<unsigned>(nbits));
+    ErrorAccumulator acc(nbits);
+    reference::ErrorAccumulator ref(nbits);
+    const auto add = [&](std::uint64_t r, std::uint64_t a) {
+      acc.add(r, a);
+      ref.add(r, a);
+    };
+    // A word that may carry bits above nbits, as a golden function can.
+    const auto word = [&] {
+      return rng.flip(0.5) ? rng() : rng() & mask_n(nbits);
+    };
+    // Only above nbits: scored as error-free bits with a numeric error.
+    const auto above = [&] {
+      return nbits == 64 ? std::uint64_t{0} : (rng() | 1u) << nbits;
+    };
+
+    for (int i = 0; i < 200; ++i) {  // equal pairs only
+      const std::uint64_t r = word();
+      add(r, r);
+    }
+    expect_matches_reference(acc, ref);
+
+    for (int i = 0; i < 200; ++i) {  // differ only above nbits
+      const std::uint64_t r = word();
+      add(r, r ^ above());
+    }
+    expect_matches_reference(acc, ref);
+
+    // Mostly equal pairs with errors between them, as a sweep scores.
+    for (int i = 0; i < 5000; ++i) {
+      const std::uint64_t r = word();
+      const double u = rng.uniform();
+      if (u < 0.6)
+        add(r, r);
+      else if (u < 0.7)
+        add(r, r ^ above());
+      else if (u < 0.9)
+        add(r, r ^ (std::uint64_t{1} << rng.below(64)));
+      else
+        add(r, word());
+    }
+    expect_matches_reference(acc, ref);
+  }
 }
 
 TEST(Metrics, EmptyAccumulatorSafe) {

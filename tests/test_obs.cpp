@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,8 +17,11 @@
 #include "src/obs/manifest.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/sim/levelized_sim.hpp"
 #include "src/sim/sim_engine.hpp"
+#include "src/sta/synthesis_report.hpp"
 #include "src/tech/library.hpp"
+#include "src/util/rng.hpp"
 
 namespace vosim {
 namespace {
@@ -113,6 +117,67 @@ TEST(Metrics, LevelizedScalarStepsAreCounted) {
   EXPECT_EQ(patterns.value() - p0, 1u);
   EXPECT_EQ(cycles.value() - c0, 1u);
   EXPECT_EQ(words.value() - w0, 2u);
+}
+
+TEST(Metrics, LevelizedPassCountersMatchResults) {
+  // sim.levelized.commits is the pass's Σ toggles_total in every mode,
+  // and at a relaxed clock every gate is cycle-safe, so the clocked
+  // pass scans no lane.
+  const DutNetlist dut = build_circuit("mul8-array");
+  const CellLibrary& lib = make_fdsoi28_lvt();
+  const double cp = synthesize_report(dut.netlist, lib).critical_path_ns;
+  TimingSimConfig cfg;
+  cfg.engine = EngineKind::kLevelized;
+  Rng rng(91);
+  std::vector<lanes::Word> inputs(dut.netlist.primary_inputs().size());
+  for (lanes::Word& w : inputs) w = rng();
+  obs::Counter& commits = obs::metrics().counter("sim.levelized.commits");
+  obs::Counter& scanned =
+      obs::metrics().counter("sim.levelized.lanes.scanned");
+  obs::Counter& scanned_gates =
+      obs::metrics().counter("sim.levelized.gates.scanned");
+  obs::Counter& truncated =
+      obs::metrics().counter("sim.levelized.lanes.truncated");
+  const auto toggles = [](std::span<const StepResult> rs) {
+    std::uint64_t sum = 0;
+    for (const StepResult& r : rs) sum += r.toggles_total;
+    return sum;
+  };
+  std::vector<StepResult> rs(lanes::kWordLanes);
+
+  LevelizedSimulator over(dut.netlist, lib, {0.5 * cp, 0.8, 0.0}, cfg);
+  std::uint64_t c0 = commits.value();
+  over.step_batch(inputs, rs.size(), rs);
+  EXPECT_GT(toggles(rs), 0u);
+  EXPECT_EQ(commits.value() - c0, toggles(rs));
+
+  c0 = commits.value();
+  std::uint64_t s0 = scanned.value();
+  const std::uint64_t t0 = truncated.value();
+  over.step_cycle_batch(inputs, rs.size(), rs);
+  EXPECT_EQ(commits.value() - c0, toggles(rs));
+  EXPECT_GT(scanned.value() - s0, 0u);  // over-scaled: the scan runs
+  EXPECT_LE(truncated.value() - t0, scanned.value() - s0);
+
+  // One sweep pass: every threshold of a lane shares its totals.
+  const std::vector<double> thresholds = {0.3 * cp * 1e3, 0.6 * cp * 1e3,
+                                          1.2 * cp * 1e3};
+  std::vector<StepResult> grid(lanes::kWordLanes * thresholds.size());
+  c0 = commits.value();
+  over.step_batch_sweep(inputs, lanes::kWordLanes, thresholds, grid);
+  std::uint64_t sweep_toggles = 0;
+  for (std::size_t k = 0; k < lanes::kWordLanes; ++k)
+    sweep_toggles += grid[k * thresholds.size()].toggles_total;
+  EXPECT_EQ(commits.value() - c0, sweep_toggles);
+
+  LevelizedSimulator relaxed(dut.netlist, lib, {10.0 * cp, 1.0, 0.0}, cfg);
+  c0 = commits.value();
+  s0 = scanned.value();
+  const std::uint64_t g0 = scanned_gates.value();
+  relaxed.step_cycle_batch(inputs, rs.size(), rs);
+  EXPECT_EQ(commits.value() - c0, toggles(rs));
+  EXPECT_EQ(scanned.value() - s0, 0u);
+  EXPECT_EQ(scanned_gates.value() - g0, 0u);
 }
 
 TEST(Trace, DisabledSpansRecordNothing) {

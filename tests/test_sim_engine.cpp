@@ -4,7 +4,9 @@
 // BER tolerance when over-scaled (DESIGN.md §7).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -17,12 +19,14 @@
 #include "src/sim/event_sim.hpp"
 #include "src/sim/levelized_sim.hpp"
 #include "src/sim/sim_engine.hpp"
+#include "src/sim/threshold_buckets.hpp"
 #include "src/netlist/dut.hpp"
 #include "src/sim/vos_dut.hpp"
 #include "src/sta/sta.hpp"
 #include "src/sta/synthesis_report.hpp"
 #include "src/tech/library.hpp"
 #include "src/util/bits.hpp"
+#include "src/util/rng.hpp"
 #include "tests/triad_hash.hpp"
 
 namespace vosim {
@@ -332,11 +336,55 @@ TEST(SimEngine, StaArrivalBoundsSettleTimes) {
   }
 }
 
+// The sweep's O(1) bucket lookup against std::upper_bound: random
+// ascending sets of 1–300 thresholds with duplicates, probed at 0, at
+// every threshold, one ulp either side of each, between them, past the
+// last and at infinity and NaN.
+TEST(SimEngine, ThresholdBucketsMatchUpperBound) {
+  Rng rng(0xb0c4e7);
+  ThresholdBuckets table;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng.below(300);
+    // Some sets crowd into a few cells, so lookups step far.
+    const double spread = rng.flip(0.3) ? 0.5 : 2000.0;
+    std::vector<double> thr(n);
+    for (double& t : thr) t = 1000.0 + spread * rng.uniform();
+    for (std::size_t i = 1; i < n; ++i)
+      if (rng.flip(0.15)) thr[i] = thr[i - 1];  // duplicates
+    std::sort(thr.begin(), thr.end());
+    ASSERT_FALSE(table.built_for(thr));
+    table.build(thr);
+    ASSERT_TRUE(table.built_for(thr));
+    ASSERT_EQ(table.size(), n);
+
+    std::vector<double> probes = {0.0,
+                                  thr.back() * 1.5,
+                                  thr.back() * 1e6,
+                                  std::numeric_limits<double>::max(),
+                                  std::numeric_limits<double>::infinity(),
+                                  std::numeric_limits<double>::quiet_NaN()};
+    for (const double t : thr) {
+      probes.push_back(t);
+      probes.push_back(std::nextafter(t, 0.0));
+      probes.push_back(std::nextafter(t, 1e300));
+    }
+    for (int i = 0; i < 500; ++i)
+      probes.push_back(thr.back() * 1.1 * rng.uniform());
+    for (const double t : probes) {
+      const auto expected = static_cast<std::size_t>(
+          std::upper_bound(thr.begin(), thr.end(), t) - thr.begin());
+      ASSERT_EQ(table.bucket(t), expected)
+          << "trial " << trial << " t " << t << " n " << n;
+    }
+  }
+}
+
 // The streaming lane semantics (step_batch and step_batch_sweep) on the
 // levelized engine, pinned to hashes of every TriadResult field: the
-// Table-III grid at 2 000 patterns through the sweep pass, and an
-// over-scaled seven-triad set at σ 0.05 with provenance on, which runs
-// the per-triad step_batch loop with observers attached.
+// Table-III grid at 2 000 patterns through the sweep pass, at four
+// thread counts, and an over-scaled seven-triad set at σ 0.05 with
+// provenance on, which runs the per-triad step_batch loop with
+// observers attached.
 TEST(SimEngine, StreamingSweepMatchesGoldenPin) {
   struct Pin {
     const char* spec;
@@ -362,10 +410,15 @@ TEST(SimEngine, StreamingSweepMatchesGoldenPin) {
     cfg.num_patterns = 2000;
     cfg.pattern_seed = 2024;
     cfg.engine = EngineKind::kLevelized;
-    EXPECT_EQ(hash_results(characterize_dut(dut, lib(),
-                                            make_circuit_triads(dut, cp), cfg)),
-              pin.grid)
-        << pin.spec;
+    // The sweep's pattern split depends on the pattern count alone.
+    for (const unsigned threads : {0u, 1u, 2u, 8u}) {
+      cfg.threads = threads;
+      EXPECT_EQ(hash_results(characterize_dut(
+                    dut, lib(), make_circuit_triads(dut, cp), cfg)),
+                pin.grid)
+          << pin.spec << " at threads " << threads;
+    }
+    cfg.threads = 0;
     const std::vector<OperatingTriad> over = {
         {1.0 * cp, 1.0, 0.0}, {0.8 * cp, 1.0, 0.0},
         {0.6 * cp, 1.0, 0.0}, {0.8 * cp, 0.9, 2.0},
