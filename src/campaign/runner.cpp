@@ -1,6 +1,7 @@
 #include "src/campaign/runner.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -27,6 +28,22 @@
 
 namespace vosim {
 
+/// A prepared circuit: what PreparedCircuits keeps between campaigns.
+/// A campaign reads it under `m` only, and takes shared pointers to
+/// results that never change once set, so its cells never read an
+/// entry another campaign is filling.
+struct PreparedCircuits::Entry {
+  std::string spec;
+  std::vector<OperatingTriad> triads;
+  std::size_t characterize_patterns = 0;
+  /// Held across a preparation, so a campaign that misses this entry
+  /// while another prepares it waits and then reuses the result.
+  std::mutex m;
+  std::shared_ptr<const std::vector<TriadResult>> characterized;
+  std::uint64_t train_patterns = 0;  ///< the budget of `models`
+  std::vector<std::shared_ptr<const VosAdderModel>> models;  ///< per triad
+};
+
 namespace {
 
 /// FNV-1a over the cell key, mixed with the campaign seed — a
@@ -41,13 +58,29 @@ std::uint64_t content_seed(std::uint64_t seed, const std::string& key) {
   return h;
 }
 
+/// Bit-for-bit triad list equality: the cache must never answer a list
+/// that merely compares equal (0.0 vs -0.0).
+bool same_bits(const std::vector<OperatingTriad>& a,
+               const std::vector<OperatingTriad>& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (bits(a[i].tclk_ns) != bits(b[i].tclk_ns) ||
+        bits(a[i].vdd_v) != bits(b[i].vdd_v) ||
+        bits(a[i].vbb_v) != bits(b[i].vbb_v))
+      return false;
+  return true;
+}
+
 /// Everything computed once per circuit and shared by its cells.
 struct CircuitContext {
   DutNetlist dut;
   double critical_path_ns = 0.0;
   std::vector<OperatingTriad> triads;
-  std::vector<TriadResult> characterized;  ///< energy/BER join, per triad
-  std::vector<std::optional<VosAdderModel>> models;  ///< model backend
+  /// Energy/BER join, per triad.
+  std::shared_ptr<const std::vector<TriadResult>> characterized;
+  /// Model backend, per triad (null where no pending cell reads one).
+  std::vector<std::shared_ptr<const VosAdderModel>> models;
   std::optional<SeqDut> seq;  ///< registered view, sim-seq backend only
 };
 
@@ -114,59 +147,103 @@ CircuitContext make_context(const CellLibrary& lib,
 /// simulator. `model_triads[t]` marks the triads some pending cell
 /// will actually read a model for; only those are trained (resuming a
 /// finished model grid with a new cheap backend must not re-train 43
-/// models nobody reads).
+/// models nobody reads). What `prepared` already holds is reused.
 void prepare_context(const CellLibrary& lib, const CampaignConfig& config,
-                     CircuitContext& ctx,
+                     const std::string& spec, CircuitContext& ctx,
                      const std::vector<char>& model_triads,
-                     std::ostream* progress) {
-  // Gate-level energy + BER for the join, once per (circuit, triad):
-  // the levelized engine collapses the whole grid into one normalized
-  // timing pass.
-  CharacterizeConfig ccfg;
-  ccfg.num_patterns = config.characterize_patterns;
-  ccfg.engine = EngineKind::kLevelized;
-  ccfg.threads = config.jobs;
-  if (progress != nullptr)
-    *progress << "campaign: characterizing " << ctx.dut.display_name
-              << " over " << ctx.triads.size() << " triads\n";
-  {
+                     PreparedCircuits& prepared, std::ostream* progress) {
+  const std::shared_ptr<PreparedCircuits::Entry> entry =
+      prepared.entry(spec, ctx.triads, config.characterize_patterns);
+  // Held across the sweep and the training, which run on the pool; no
+  // pool body takes it.
+  const std::lock_guard<std::mutex> lock(entry->m);
+  if (entry->characterized != nullptr) {
+    obs::metrics().counter("campaign.prepared.reused").add();
+  } else {
+    // Gate-level energy + BER for the join, once per (circuit, triad):
+    // the levelized engine collapses the whole grid into one normalized
+    // timing pass.
+    CharacterizeConfig ccfg;
+    ccfg.num_patterns = config.characterize_patterns;
+    ccfg.engine = EngineKind::kLevelized;
+    ccfg.threads = config.jobs;
+    if (progress != nullptr)
+      *progress << "campaign: characterizing " << ctx.dut.display_name
+                << " over " << ctx.triads.size() << " triads\n";
     obs::ScopedSpan span("campaign.characterize", "campaign");
     span.arg("circuit", ctx.dut.display_name)
         .arg("triads", static_cast<std::uint64_t>(ctx.triads.size()));
     obs::metrics().counter("campaign.characterize.calls").add();
-    ctx.characterized = characterize_dut(ctx.dut, lib, ctx.triads, ccfg);
+    entry->characterized = std::make_shared<const std::vector<TriadResult>>(
+        characterize_dut(ctx.dut, lib, ctx.triads, ccfg));
   }
+  ctx.characterized = entry->characterized;
 
+  if (entry->train_patterns != config.train_patterns) {
+    entry->models.assign(ctx.triads.size(), nullptr);
+    entry->train_patterns = config.train_patterns;
+  }
   std::vector<std::size_t> to_train;
   for (std::size_t t = 0; t < model_triads.size(); ++t)
-    if (model_triads[t] != 0) to_train.push_back(t);
-  if (to_train.empty()) return;
-  if (progress != nullptr)
-    *progress << "campaign: training " << to_train.size()
-              << " models for " << ctx.dut.display_name << "\n";
-  obs::ScopedSpan train_span("campaign.train", "campaign");
-  train_span.arg("circuit", ctx.dut.display_name)
-      .arg("models", static_cast<std::uint64_t>(to_train.size()));
-  obs::metrics().counter("campaign.train.calls").add(to_train.size());
-  ctx.models.resize(ctx.triads.size());
-  auto& ctx_ref = ctx;
-  parallel_for(
-      to_train.size(),
-      [&lib, &config, &ctx_ref, &to_train](std::size_t i) {
-        const std::size_t t = to_train[i];
-        TimingSimConfig sim_cfg;
-        sim_cfg.engine = EngineKind::kLevelized;
-        VosDutSim sim(ctx_ref.dut, lib, ctx_ref.triads[t], sim_cfg);
-        TrainerConfig tcfg;
-        tcfg.num_patterns = config.train_patterns;
-        ctx_ref.models[t] = train_vos_model(
-            ctx_ref.dut.operand_width(0), ctx_ref.triads[t],
-            sim_batch_adder_fn(sim), tcfg);
-      },
-      config.jobs);
+    if (model_triads[t] != 0 && entry->models[t] == nullptr)
+      to_train.push_back(t);
+  if (!to_train.empty()) {
+    if (progress != nullptr)
+      *progress << "campaign: training " << to_train.size()
+                << " models for " << ctx.dut.display_name << "\n";
+    obs::ScopedSpan train_span("campaign.train", "campaign");
+    train_span.arg("circuit", ctx.dut.display_name)
+        .arg("models", static_cast<std::uint64_t>(to_train.size()));
+    obs::metrics().counter("campaign.train.calls").add(to_train.size());
+    auto& models = entry->models;
+    parallel_for(
+        to_train.size(),
+        [&lib, &config, &ctx, &to_train, &models](std::size_t i) {
+          const std::size_t t = to_train[i];
+          TimingSimConfig sim_cfg;
+          sim_cfg.engine = EngineKind::kLevelized;
+          VosDutSim sim(ctx.dut, lib, ctx.triads[t], sim_cfg);
+          TrainerConfig tcfg;
+          tcfg.num_patterns = config.train_patterns;
+          models[t] = std::make_shared<const VosAdderModel>(train_vos_model(
+              ctx.dut.operand_width(0), ctx.triads[t],
+              sim_batch_adder_fn(sim), tcfg));
+        },
+        config.jobs);
+  }
+  ctx.models = entry->models;
 }
 
 }  // namespace
+
+std::size_t PreparedCircuits::size() const {
+  const std::lock_guard<std::mutex> lock(m_);
+  return entries_.size();
+}
+
+std::shared_ptr<PreparedCircuits::Entry> PreparedCircuits::entry(
+    const std::string& spec, const std::vector<OperatingTriad>& triads,
+    std::size_t characterize_patterns) {
+  const std::lock_guard<std::mutex> lock(m_);
+  const auto hit = std::find_if(
+      entries_.begin(), entries_.end(), [&](const auto& e) {
+        return e->spec == spec &&
+               e->characterize_patterns == characterize_patterns &&
+               same_bits(e->triads, triads);
+      });
+  if (hit != entries_.end()) {
+    std::rotate(entries_.begin(), hit, hit + 1);
+    return entries_.front();
+  }
+  auto fresh = std::make_shared<Entry>();
+  fresh->spec = spec;
+  fresh->triads = triads;
+  fresh->characterize_patterns = characterize_patterns;
+  fresh->models.resize(triads.size());
+  if (entries_.size() == kMaxEntries) entries_.pop_back();
+  entries_.insert(entries_.begin(), fresh);
+  return fresh;
+}
 
 std::uint64_t workload_data_seed(std::uint64_t campaign_seed,
                                  const std::string& workload) {
@@ -199,6 +276,14 @@ ArithBackend parse_arith_backend(const std::string& name) {
 CampaignOutcome run_campaign(const CellLibrary& lib,
                              const CampaignConfig& config,
                              CampaignStore& store) {
+  PreparedCircuits prepared;
+  return run_campaign(lib, config, store, prepared);
+}
+
+CampaignOutcome run_campaign(const CellLibrary& lib,
+                             const CampaignConfig& config,
+                             CampaignStore& store,
+                             PreparedCircuits& prepared) {
   const std::vector<Workload> workloads =
       resolve_workloads(config.workloads);
   if (config.circuits.empty())
@@ -344,7 +429,8 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
   // Phase 2.5 — characterize only the circuits that still have missing
   // cells, and train only the (circuit, triad) models some pending
   // model-backend cell will read (characterization and training
-  // parallelize internally over the shared pool).
+  // parallelize internally over the shared pool), unless `prepared`
+  // already holds them.
   std::vector<bool> circuit_pending(contexts.size(), false);
   std::vector<std::vector<char>> model_triads(contexts.size());
   for (std::size_t c = 0; c < contexts.size(); ++c)
@@ -356,8 +442,43 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
   }
   for (std::size_t c = 0; c < contexts.size(); ++c)
     if (circuit_pending[c])
-      prepare_context(lib, config, contexts[c], model_triads[c],
-                      config.progress);
+      prepare_context(lib, config, config.circuits[c], contexts[c],
+                      model_triads[c], prepared, config.progress);
+
+  // An exact cell's result depends on (workload, campaign seed) only,
+  // so each workload with pending exact cells runs once, and its exact
+  // cells copy the result (their keys, energies, BER and baselines stay
+  // per cell). The run's time goes into the first such cell's
+  // elapsed_s, so the work stays visible per cell.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> first_exact(workloads.size(), kNone);
+  for (std::size_t i = 0; i < pending.size(); ++i)
+    if (pending[i].backend == ArithBackend::kExact &&
+        first_exact[pending[i].workload] == kNone)
+      first_exact[pending[i].workload] = i;
+  std::vector<std::size_t> exact_workloads;
+  for (std::size_t w = 0; w < workloads.size(); ++w)
+    if (first_exact[w] != kNone) exact_workloads.push_back(w);
+  std::vector<QualityResult> exact(workloads.size());
+  std::vector<double> exact_s(workloads.size(), 0.0);
+  if (!exact_workloads.empty()) {
+    obs::ScopedSpan span("campaign.exact", "campaign");
+    span.arg("workloads",
+             static_cast<std::uint64_t>(exact_workloads.size()));
+    parallel_for(
+        exact_workloads.size(),
+        [&](std::size_t i) {
+          const std::size_t w = exact_workloads[i];
+          const Workload& wl = workloads[w];
+          const auto t0 = std::chrono::steady_clock::now();
+          exact[w] = wl.run(exact_adder_fn(wl.width),
+                            workload_data_seed(config.seed, wl.name));
+          exact_s[w] = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+        },
+        config.jobs);
+  }
 
   // Phase 3 — run the missing cells on the pool. Cells are coarse
   // (one full workload run), so index-claiming costs are negligible.
@@ -370,13 +491,14 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
         const PendingCell& p = pending[i];
         const Workload& wl = workloads[p.workload];
         const CircuitContext& ctx = contexts[p.circuit];
-        const TriadResult& tr = ctx.characterized[p.triad];
+        const TriadResult& tr = (*ctx.characterized)[p.triad];
         obs::ScopedSpan cell_span("campaign.cell", "campaign");
         cell_span.arg("workload", wl.name)
             .arg("circuit", p.key.circuit)
             .arg("backend", p.key.backend)
             .arg("chip", p.key.chip);
         const auto t0 = std::chrono::steady_clock::now();
+        double shared_run_s = 0.0;  // exact: the workload's one run
 
         QualityResult q;
         double register_energy_fj = 0.0;  // sim-seq: bank clock/latch
@@ -389,7 +511,9 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
             draw_chip_instance(config.fleet, p.key.chip);
         switch (p.backend) {
           case ArithBackend::kExact: {
-            q = wl.run(exact_adder_fn(wl.width), dseed);
+            q = exact[p.workload];
+            if (first_exact[p.workload] == i)
+              shared_run_s = exact_s[p.workload];
             break;
           }
           case ArithBackend::kModel: {
@@ -485,14 +609,14 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
                       tr.leakage_energy_fj * chip.leakage_scale +
                       register_energy_fj;
         cell.baseline_fj =
-            ctx.characterized[baseline_index(ctx.triads)].energy_per_op_fj;
+            (*ctx.characterized)[baseline_index(ctx.triads)].energy_per_op_fj;
         cell.ber = tr.ber;
         cell.adds = q.adds;
         cell.culprits = culprits;
         cell.elapsed_s =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
+            shared_run_s + std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
         obs::metrics()
             .histogram("campaign.cell.seconds." + cell.key.backend)
             .observe(cell.elapsed_s);
@@ -502,6 +626,10 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
       },
       config.jobs);
   outcome.computed = pending.size();
+
+  outcome.stored_baseline_fj.reserve(cells.size());
+  for (const CampaignCell& cell : cells)
+    outcome.stored_baseline_fj.push_back(cell.baseline_fj);
 
   // Reused cells carry the baseline their original grid had; rebase
   // every cell of a circuit on the current grid's most relaxed triad

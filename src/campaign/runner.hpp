@@ -5,19 +5,22 @@
 // Per circuit the runner synthesizes once, characterizes every triad
 // once (gate-level energy + BER on the levelized engine's grid fast
 // path) and, when the model backend is requested, trains one
-// statistical VOS model per triad. The cells of the grid then run in
-// parallel on the shared persistent ThreadPool; each finished cell is
-// appended to the CampaignStore, so interrupted or re-run campaigns
-// recompute only the missing cells. Results are bit-deterministic for
-// a fixed config across runs and thread counts: every cell derives its
-// own Rng from the campaign seed and the cell's content key, never
-// from scheduling order.
+// statistical VOS model per triad; a PreparedCircuits cache carries
+// both across campaigns. The cells of the grid then run in parallel on
+// the shared persistent ThreadPool; each finished cell is appended to
+// the CampaignStore, so interrupted or re-run campaigns recompute only
+// the missing cells. Results are bit-deterministic for a fixed config
+// across runs and thread counts: every cell derives its own Rng from
+// the campaign seed and the cell's content key, never from scheduling
+// order.
 #ifndef VOSIM_CAMPAIGN_RUNNER_HPP
 #define VOSIM_CAMPAIGN_RUNNER_HPP
 
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -112,8 +115,55 @@ struct CampaignConfig {
 /// the resume accounting.
 struct CampaignOutcome {
   std::vector<CampaignCell> cells;
+  /// Each cell's baseline_fj as the store holds it, before the rebase
+  /// onto the current grid: with it, cells[i] yields the stored line
+  /// without a second store lookup (the serve daemon streams these).
+  std::vector<double> stored_baseline_fj;
   std::size_t reused = 0;    ///< cells answered from the store
   std::size_t computed = 0;  ///< cells executed this run
+};
+
+/// Characterization joins and trained models kept across campaigns:
+/// the serve daemon owns one for its lifetime, so requests that miss
+/// cells of an already prepared circuit simulate nothing before their
+/// cells run. An entry is keyed by (circuit spec, the resolved triad
+/// list compared bit for bit, characterize_patterns). The key is the
+/// whole list because the sweep sums a triad's window energy over
+/// buckets bounded by every threshold in the set, so a triad's energy
+/// is bit-exact only for the list it was swept with. Within an entry,
+/// models are kept per triad for one training budget; a campaign with
+/// another budget retrains the triads it reads. At most kMaxEntries
+/// entries are kept, the least recently used goes first: clients
+/// choose the keys, and a long-lived daemon must not grow without
+/// bound.
+/// Thread-safe; a campaign that misses an entry another campaign is
+/// preparing waits for that preparation. Results never depend on the
+/// cache: a campaign computes bit-identical cells with a warm or a
+/// fresh one. Every campaign through one cache must use the same
+/// CellLibrary, as the daemon's do.
+class PreparedCircuits {
+ public:
+  static constexpr std::size_t kMaxEntries = 16;
+
+  /// One circuit's prepared data (defined by the runner).
+  struct Entry;
+
+  PreparedCircuits() = default;
+  PreparedCircuits(const PreparedCircuits&) = delete;
+  PreparedCircuits& operator=(const PreparedCircuits&) = delete;
+
+  /// Entries held (at most kMaxEntries).
+  std::size_t size() const;
+  /// The entry for this key, created empty when absent, now the most
+  /// recently used; creating one past kMaxEntries evicts the least
+  /// recently used (a campaign still holding it keeps its copy).
+  std::shared_ptr<Entry> entry(const std::string& spec,
+                               const std::vector<OperatingTriad>& triads,
+                               std::size_t characterize_patterns);
+
+ private:
+  mutable std::mutex m_;
+  std::vector<std::shared_ptr<Entry>> entries_;  ///< most recent first
 };
 
 /// The seed a campaign derives a workload's input data from. It
@@ -126,10 +176,18 @@ std::uint64_t workload_data_seed(std::uint64_t campaign_seed,
 /// Runs the campaign; throws std::invalid_argument on unknown
 /// workloads/backends, malformed circuit specs, or a circuit that
 /// cannot back a requested backend (model/sim need an adder of the
-/// workload's width).
+/// workload's width). Prepares circuits through a fresh cache.
 CampaignOutcome run_campaign(const CellLibrary& lib,
                              const CampaignConfig& config,
                              CampaignStore& store);
+/// The same, preparing circuits through `prepared`, which keeps what
+/// this campaign prepares for later ones. Must not be called from a
+/// pool body: a preparation holds its entry's lock while it runs on the
+/// pool, which serializes submitters.
+CampaignOutcome run_campaign(const CellLibrary& lib,
+                             const CampaignConfig& config,
+                             CampaignStore& store,
+                             PreparedCircuits& prepared);
 
 }  // namespace vosim
 

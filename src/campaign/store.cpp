@@ -1,94 +1,15 @@
 #include "src/campaign/store.hpp"
 
-#include <charconv>
-#include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <stdexcept>
 
 #include "src/obs/manifest.hpp"
 
 namespace vosim {
 
-namespace {
-
-/// Appends jsonl::num(v). std::to_chars with a precision formats as
-/// printf's %g does and std::from_chars reads as strtod does (both
-/// correctly rounded), so these are the bytes of the snprintf/strtod
-/// rule every stored key and line was written with
-/// (tests/test_campaign.cpp checks them against it).
-void append_num(std::string& out, double v) {
-  char buf[32];  // "%.17g" of a double needs at most 24
-  char* end = std::to_chars(buf, buf + sizeof buf, v,
-                            std::chars_format::general, 15)
-                  .ptr;
-  double back = 0.0;
-  std::from_chars(buf, end, back);
-  if (back != v)
-    end = std::to_chars(buf, buf + sizeof buf, v,
-                        std::chars_format::general, 17)
-              .ptr;
-  out.append(buf, end);
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[20];
-  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-}
-
-}  // namespace
-
-namespace jsonl {
-
-/// %.17g always round-trips; try %.15g first so common values stay
-/// readable.
-std::string num(double v) {
-  std::string out;
-  append_num(out, v);
-  return out;
-}
-
-bool raw_field(const std::string& line, const std::string& field,
-               std::string& out) {
-  const std::string needle = "\"" + field + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  std::size_t begin = at + needle.size();
-  if (begin >= line.size()) return false;
-  if (line[begin] == '"') {
-    const std::size_t end = line.find('"', begin + 1);
-    if (end == std::string::npos) return false;
-    out = line.substr(begin + 1, end - begin - 1);
-    return true;
-  }
-  std::size_t end = begin;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  out = line.substr(begin, end - begin);
-  return !out.empty();
-}
-
-bool num_field(const std::string& line, const std::string& field,
-               double& out) {
-  std::string raw;
-  if (!raw_field(line, field, raw)) return false;
-  char* end = nullptr;
-  out = std::strtod(raw.c_str(), &end);
-  return end != nullptr && *end == '\0';
-}
-
-bool u64_field(const std::string& line, const std::string& field,
-               std::uint64_t& out) {
-  std::string raw;
-  if (!raw_field(line, field, raw)) return false;
-  // strtoull would silently wrap "-1"; these fields are never written
-  // negative, so a sign means corruption.
-  if (raw[0] == '-' || raw[0] == '+') return false;
-  char* end = nullptr;
-  out = std::strtoull(raw.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-}  // namespace jsonl
-
+using jsonl::append_num;
+using jsonl::append_u64;
 using jsonl::num_field;
 using jsonl::raw_field;
 using jsonl::u64_field;
@@ -188,14 +109,6 @@ void CampaignStore::insert(const CampaignCell& cell) {
   std::lock_guard<std::mutex> lock(m_);
   cells_.insert_or_assign(cell.key.to_string(), cell);
   if (!path_.empty()) append_line(to_jsonl(cell));
-}
-
-std::vector<CampaignCell> CampaignStore::cells() const {
-  std::lock_guard<std::mutex> lock(m_);
-  std::vector<CampaignCell> out;
-  out.reserve(cells_.size());
-  for (const auto& [key, cell] : cells_) out.push_back(cell);
-  return out;
 }
 
 std::string CampaignStore::to_jsonl(const CampaignCell& cell) {

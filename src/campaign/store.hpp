@@ -12,14 +12,15 @@
 
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/obs/manifest.hpp"
 #include "src/tech/operating_point.hpp"
+#include "src/util/jsonl.hpp"
 
 namespace vosim {
 
@@ -98,9 +99,6 @@ class CampaignStore {
   /// line cannot be written.
   void insert(const CampaignCell& cell);
 
-  /// All cells in canonical key order.
-  std::vector<CampaignCell> cells() const;
-
   /// Run-manifest header line found on load ("" when none — every
   /// pre-manifest store). Manifest lines are intentionally not
   /// parseable as cells, so old readers skip them (see src/obs).
@@ -125,7 +123,7 @@ class CampaignStore {
   mutable std::mutex m_;
   std::string path_;
   std::string manifest_line_;
-  std::map<std::string, CampaignCell> cells_;
+  std::unordered_map<std::string, CampaignCell> cells_;  ///< by key string
   std::ofstream out_;  ///< the one append handle of a file-backed store
 };
 
@@ -151,26 +149,6 @@ struct MergeStats {
 MergeStats merge_stores(const std::vector<std::string>& inputs,
                         const std::string& out_path,
                         bool strip_timing = false);
-
-/// Minimal JSONL field accessors shared by the store, the merge tool
-/// and the serve daemon's wire format (src/serve). Only handles the
-/// flat object lines this codebase writes — identifiers and numbers,
-/// no escapes or nesting.
-namespace jsonl {
-
-/// Decimal form of a double: the printf "%.15g" form when it reads
-/// back as the same double, else "%.17g" (which always does).
-std::string num(double v);
-/// Extracts the raw token after `"field":` — a number, or the body of
-/// a quoted string. Returns false when the field is absent.
-bool raw_field(const std::string& line, const std::string& field,
-               std::string& out);
-bool num_field(const std::string& line, const std::string& field,
-               double& out);
-bool u64_field(const std::string& line, const std::string& field,
-               std::uint64_t& out);
-
-}  // namespace jsonl
 
 }  // namespace vosim
 

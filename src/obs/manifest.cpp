@@ -3,7 +3,7 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "src/campaign/store.hpp"  // jsonl field accessors
+#include "src/util/jsonl.hpp"  // jsonl field accessors
 
 namespace vosim::obs {
 namespace {

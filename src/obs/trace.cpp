@@ -7,7 +7,7 @@
 #include <mutex>
 #include <sstream>
 
-#include "src/campaign/store.hpp"  // jsonl::num
+#include "src/util/jsonl.hpp"  // jsonl::num
 
 namespace vosim::obs {
 

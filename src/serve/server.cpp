@@ -189,9 +189,20 @@ void CampaignServer::accept_loop() {
       continue;  // EINTR and friends
     }
     reap_finished();
-    std::lock_guard<std::mutex> lock(conn_m_);
-    connections_.emplace_back(
-        [this, fd] { handle_connection(fd); });
+    {
+      std::lock_guard<std::mutex> lock(conn_m_);
+      if (connections_.size() < kMaxConnections) {
+        connections_.emplace_back([this, fd] { handle_connection(fd); });
+        continue;
+      }
+    }
+    // Past the cap: one refusal line, sent without waiting on the
+    // client, then close.
+    const std::string busy = "{\"error\":\"busy\",\"max_connections\":" +
+                             std::to_string(kMaxConnections) + "}\n";
+    ::send(fd, busy.data(), busy.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+    ::close(fd);
+    obs::metrics().counter("serve.errors").add();
   }
 }
 
@@ -310,13 +321,15 @@ bool CampaignServer::dispatch(int fd, std::uint64_t& bytes) {
       cfg.on_cell = [this](const CampaignCell& cell) {
         publish_event(CampaignStore::to_jsonl(cell));
       };
-      const CampaignOutcome outcome = run_campaign(lib_, cfg, store_);
+      CampaignOutcome outcome =
+          run_campaign(lib_, cfg, store_, prepared_);
       // Stream the *stored* form of each cell, not the in-memory
       // post-rebase view: stored lines carry the shard-independent
       // baseline, so a served stream is byte-comparable (modulo
-      // elapsed_s) with any offline store of the same grid. Lines
-      // collect in one buffer that goes out in kStreamChunkBytes
-      // writes; a failed write ends the stream.
+      // elapsed_s) with any offline store of the same grid. The
+      // outcome keeps each cell's stored baseline, so no cell is looked
+      // up again. Lines collect in one buffer that goes out in
+      // kStreamChunkBytes writes; a failed write ends the stream.
       std::string out;
       out.reserve(kStreamChunkBytes + 1024);
       const auto flush = [fd, &bytes, &out] {
@@ -325,9 +338,10 @@ bool CampaignServer::dispatch(int fd, std::uint64_t& bytes) {
         out.clear();
         return true;
       };
-      for (const CampaignCell& cell : outcome.cells) {
-        const auto stored = store_.find(cell.key);
-        out += CampaignStore::to_jsonl(stored ? *stored : cell);
+      for (std::size_t i = 0; i < outcome.cells.size(); ++i) {
+        CampaignCell& cell = outcome.cells[i];
+        cell.baseline_fj = outcome.stored_baseline_fj[i];
+        out += CampaignStore::to_jsonl(cell);
         out += '\n';
         if (out.size() >= kStreamChunkBytes && !flush())
           return false;  // client went away mid-stream

@@ -1,10 +1,12 @@
 // Long-lived sweep daemon: a Unix-domain-socket server that accepts
 // campaign requests, runs them concurrently on the shared persistent
-// ThreadPool with warm caches (one content-keyed CampaignStore lives
-// for the daemon's lifetime, so repeated or overlapping requests
-// answer finished cells without touching a simulator), and streams
-// JSONL results back — the "heavy traffic" serving story from the
-// ROADMAP north star. DESIGN.md §11 documents the wire format.
+// ThreadPool with warm caches (one content-keyed CampaignStore and one
+// PreparedCircuits cache live for the daemon's lifetime, so repeated
+// or overlapping requests answer finished cells without touching a
+// simulator, and requests that miss cells of an already prepared
+// circuit neither re-characterize it nor retrain its models), and
+// streams JSONL results back — the "heavy traffic" serving story from
+// the ROADMAP north star. DESIGN.md §11 documents the wire format.
 //
 // Wire protocol (newline-delimited JSON, one request per connection):
 //   client sends one line:  {"cmd":"ping"} | {"cmd":"shutdown"} |
@@ -45,7 +47,9 @@
 //     than silently dropping the connection, so misspelled clients can
 //     self-diagnose; a request line not complete within
 //     kRequestReadDeadline answers {"error":"request timeout",
-//     "deadline_s":3}; other failures answer {"error":"<message>"}.
+//     "deadline_s":3}; a connection past kMaxConnections answers
+//     {"error":"busy","max_connections":64} without its request being
+//     read; other failures answer {"error":"<message>"}.
 //   a client that stops reading a response for kResponseWriteDeadline
 //     has its connection closed mid-stream (serve.disconnects).
 #ifndef VOSIM_SERVE_SERVER_HPP
@@ -78,6 +82,12 @@ inline constexpr std::chrono::seconds kRequestReadDeadline{3};
 /// connection closed (counted in serve.disconnects), so it cannot hold
 /// a connection thread — or stop() — for longer than this.
 inline constexpr std::chrono::seconds kResponseWriteDeadline{3};
+
+/// Connections served at once, each on its own thread. The accept loop
+/// answers a connection past the cap with one busy error line and
+/// closes it, so clients cannot make the daemon start threads without
+/// bound.
+inline constexpr std::size_t kMaxConnections = 64;
 
 /// Daemon configuration.
 struct ServeConfig {
@@ -134,7 +144,8 @@ class CampaignServer {
  private:
   void accept_loop();
   /// Joins the connection threads that have finished (accept_loop
-  /// calls it per new connection, so finished threads never pile up).
+  /// calls it per new connection, so finished threads never pile up
+  /// and the kMaxConnections check counts open connections).
   void reap_finished();
   void handle_connection(int fd);
   /// Parses and answers one request; returns false when the client
@@ -155,6 +166,7 @@ class CampaignServer {
   ServeConfig config_;
   obs::RunManifest manifest_;
   CampaignStore store_;
+  PreparedCircuits prepared_;  ///< characterizations and models
   std::chrono::steady_clock::time_point started_;
   int listen_fd_ = -1;
   std::atomic<bool> running_{false};

@@ -2,7 +2,8 @@
 // byte-exact number format and resume (kill -9 included), cache-hit
 // identity across thread counts, Pareto extraction, model-vs-gate-level
 // quality agreement, the determinism the content-keyed cache depends
-// on, and the one operation schedule every backend runs.
+// on, the prepared-circuit cache and the exact backend's one run per
+// workload, and the one operation schedule every backend runs.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -31,6 +32,7 @@
 #include "src/campaign/store.hpp"
 #include "src/campaign/workload.hpp"
 #include "src/obs/manifest.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/characterize/triads.hpp"
 #include "src/model/prob_table.hpp"
 #include "src/netlist/dut.hpp"
@@ -923,11 +925,14 @@ std::size_t count_lines(const std::string& path) {
 
 TEST(CampaignRunner, KilledCampaignResumesToTheUninterruptedStore) {
   // kill -9 mid-campaign, then resume: the canonical store must be
-  // byte-identical to an uninterrupted run's.
+  // byte-identical to an uninterrupted run's. Model cells each run
+  // their workload (exact cells share one run per workload and would
+  // finish before the kill).
   const CellLibrary& lib = make_fdsoi28_lvt();
   CampaignConfig cfg;
-  cfg.backends = {ArithBackend::kExact};
+  cfg.backends = {ArithBackend::kModel};
   cfg.characterize_patterns = 300;
+  cfg.train_patterns = 300;
   cfg.fleet.num_chips = 20;  // 5 workloads x 43 triads x 20 chips
   const std::string whole = temp_path("kill_whole.jsonl");
   const std::string killed = temp_path("kill_killed.jsonl");
@@ -998,6 +1003,132 @@ TEST(CampaignRunner, MaxTriadsTruncatesTheGrid) {
   CampaignStore store;
   const CampaignOutcome outcome = run_campaign(lib, cfg, store);
   EXPECT_EQ(outcome.cells.size(), 2u);
+}
+
+// ------------------------------------------------- prepared circuits
+/// A cell's stored line without its wall-clock field.
+std::string timeless(const CampaignCell& cell) {
+  const std::string line = CampaignStore::to_jsonl(cell);
+  return line.substr(0, line.find("\"elapsed_s\""));
+}
+
+TEST(CampaignRunner, PreparedCircuitsEvictTheLeastRecentlyUsed) {
+  const CellLibrary& lib = make_fdsoi28_lvt();
+  auto& reg = obs::metrics();
+  obs::Counter& characterized = reg.counter("campaign.characterize.calls");
+  obs::Counter& trained = reg.counter("campaign.train.calls");
+  obs::Counter& reused = reg.counter("campaign.prepared.reused");
+  // Key k is a one-triad list at Vdd 1.0 - 0.01 k: cap + 1 distinct
+  // lists. Each run gets a fresh store, so it always has cells to
+  // compute and consults the cache.
+  const auto key = [](std::size_t k) {
+    CampaignConfig cfg = small_campaign();
+    cfg.workloads = {"dot"};
+    cfg.triad_specs = {{1.0, 1.0 - 0.01 * static_cast<double>(k), 0.0}};
+    cfg.characterize_patterns = 200;
+    cfg.train_patterns = 300;
+    return cfg;
+  };
+  PreparedCircuits prepared;
+  const auto run = [&](std::size_t k) {
+    CampaignStore store;
+    return run_campaign(lib, key(k), store, prepared);
+  };
+
+  const std::uint64_t char0 = characterized.value();
+  const std::uint64_t train0 = trained.value();
+  const CampaignOutcome first = run(0);
+  for (std::size_t k = 1; k <= PreparedCircuits::kMaxEntries; ++k) run(k);
+  EXPECT_EQ(characterized.value() - char0, PreparedCircuits::kMaxEntries + 1);
+  EXPECT_EQ(trained.value() - train0, PreparedCircuits::kMaxEntries + 1);
+  EXPECT_EQ(prepared.size(), PreparedCircuits::kMaxEntries);
+
+  // The most recent key is answered from the cache...
+  const std::uint64_t reused0 = reused.value();
+  run(PreparedCircuits::kMaxEntries);
+  EXPECT_EQ(characterized.value() - char0, PreparedCircuits::kMaxEntries + 1);
+  EXPECT_EQ(reused.value() - reused0, 1u);
+  // ...while the first was evicted: it is prepared again, to the cells
+  // of its first run and of a cold run.
+  const CampaignOutcome again = run(0);
+  EXPECT_EQ(characterized.value() - char0, PreparedCircuits::kMaxEntries + 2);
+  EXPECT_EQ(trained.value() - train0, PreparedCircuits::kMaxEntries + 2);
+  EXPECT_EQ(reused.value() - reused0, 1u);
+  EXPECT_EQ(prepared.size(), PreparedCircuits::kMaxEntries);
+  CampaignStore cold_store;
+  const CampaignOutcome cold = run_campaign(lib, key(0), cold_store);
+  ASSERT_EQ(again.cells.size(), 1u);
+  ASSERT_EQ(first.cells.size(), 1u);
+  ASSERT_EQ(cold.cells.size(), 1u);
+  EXPECT_EQ(timeless(again.cells[0]), timeless(cold.cells[0]));
+  EXPECT_EQ(timeless(first.cells[0]), timeless(cold.cells[0]));
+}
+
+TEST(CampaignRunner, WarmPreparedCircuitsGiveTheColdCells) {
+  // A grown triad list is a new entry (a triad's swept energy depends
+  // on the whole list), and a second training budget retrains: every
+  // cell of every run equals a cold run's.
+  const CellLibrary& lib = make_fdsoi28_lvt();
+  obs::Counter& characterized =
+      obs::metrics().counter("campaign.characterize.calls");
+  PreparedCircuits prepared;
+  CampaignConfig cfg = small_campaign();
+  cfg.backends = {ArithBackend::kExact, ArithBackend::kModel};
+  cfg.train_patterns = 400;
+  const auto check = [&](const CampaignConfig& c) {
+    CampaignStore warm_store;
+    const CampaignOutcome warm =
+        run_campaign(lib, c, warm_store, prepared);
+    CampaignStore cold_store;
+    const CampaignOutcome cold = run_campaign(lib, c, cold_store);
+    ASSERT_EQ(warm.cells.size(), cold.cells.size());
+    for (std::size_t i = 0; i < warm.cells.size(); ++i)
+      EXPECT_EQ(timeless(warm.cells[i]), timeless(cold.cells[i])) << i;
+  };
+  check(cfg);
+  cfg.seed = 2;  // same entry, new cells
+  const std::uint64_t char0 = characterized.value();
+  check(cfg);
+  EXPECT_EQ(characterized.value() - char0, 1u);  // the cold run only
+  cfg.train_patterns = 500;
+  check(cfg);
+  cfg.triad_specs.push_back({1.0, 0.55, 0.0});
+  check(cfg);
+  EXPECT_EQ(prepared.size(), 2u);
+}
+
+TEST(CampaignRunner, ExactCellsShareOneRunPerWorkload) {
+  // An exact cell's quality depends on (workload, seed) only: every
+  // cell of a 3-triad x 2-chip grid carries the one exact run's
+  // quality and add count, with its own key, energy and baseline.
+  const CellLibrary& lib = make_fdsoi28_lvt();
+  CampaignConfig cfg = small_campaign();
+  cfg.workloads = {"fir", "dot"};
+  cfg.backends = {ArithBackend::kExact};
+  cfg.fleet.num_chips = 2;
+  cfg.seed = 9;
+  CampaignStore store;
+  const CampaignOutcome outcome = run_campaign(lib, cfg, store);
+  ASSERT_EQ(outcome.cells.size(), 2u * 3u * 2u);
+  ASSERT_EQ(outcome.stored_baseline_fj.size(), outcome.cells.size());
+  std::set<double> energies;
+  for (std::size_t i = 0; i < outcome.cells.size(); ++i) {
+    const CampaignCell& cell = outcome.cells[i];
+    const Workload* wl = find_workload(cell.key.workload);
+    ASSERT_NE(wl, nullptr);
+    const QualityResult q = wl->run(
+        exact_adder_fn(16), workload_data_seed(cfg.seed, wl->name));
+    EXPECT_EQ(cell.metric, q.metric);
+    EXPECT_EQ(cell.quality, q.value) << cell.key.to_string();
+    EXPECT_EQ(cell.normalized, q.normalized) << cell.key.to_string();
+    EXPECT_EQ(cell.adds, q.adds) << cell.key.to_string();
+    energies.insert(cell.energy_per_op_fj);
+    // The outcome keeps the stored baseline beside the rebased one.
+    const auto stored = store.find(cell.key);
+    ASSERT_TRUE(stored.has_value());
+    EXPECT_EQ(outcome.stored_baseline_fj[i], stored->baseline_fj);
+  }
+  EXPECT_EQ(energies.size(), 3u * 2u);  // per (triad, chip)
 }
 
 // ------------------------------------------------------- one schedule

@@ -1,6 +1,7 @@
 // Sweep-daemon tests: in-process CampaignServer on a Unix socket,
 // concurrent campaign requests, equivalence of the streamed cells with
-// an offline run of the same grid, streams longer than one send
+// an offline run of the same grid, prepared circuits reused across
+// requests, the connection cap, streams longer than one send
 // buffer, malformed-request and mid-stream disconnect survival,
 // joining finished connection threads, the request read and response
 // write deadlines that keep idle and stalled clients from holding
@@ -166,6 +167,128 @@ TEST(CampaignServer, ConcurrentRequestsMatchOfflineExecution) {
           << workloads[i] << " cell " << c;
     }
   }
+}
+
+TEST(CampaignServer, RequestsReusePreparedCircuits) {
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("prepared");
+  CampaignServer server(lib(), cfg);
+  server.start();
+  auto& reg = obs::metrics();
+  obs::Counter& characterized = reg.counter("campaign.characterize.calls");
+  obs::Counter& trained = reg.counter("campaign.train.calls");
+  obs::Counter& reused = reg.counter("campaign.prepared.reused");
+
+  // A prepares rca16's 2-triad list and trains both triads' models.
+  const auto a = send_request(
+      cfg.socket_path,
+      "{\"cmd\":\"campaign\",\"workloads\":\"fir\",\"circuits\":"
+      "\"rca16\",\"backends\":\"model\",\"max_triads\":2,"
+      "\"patterns\":300,\"train_patterns\":800,\"seed\":1}");
+  ASSERT_EQ(a.size(), 3u);
+
+  // B misses every cell (new seed, new workload, chips), yet its
+  // circuit, triads and budgets are A's: no sweep, no training.
+  const std::uint64_t char0 = characterized.value();
+  const std::uint64_t train0 = trained.value();
+  const std::uint64_t reused0 = reused.value();
+  const auto b = send_request(
+      cfg.socket_path,
+      "{\"cmd\":\"campaign\",\"workloads\":\"fir,dot\",\"circuits\":"
+      "\"rca16\",\"backends\":\"exact,model\",\"max_triads\":2,"
+      "\"patterns\":300,\"train_patterns\":800,\"seed\":2,\"chips\":2}");
+  EXPECT_EQ(characterized.value(), char0);
+  EXPECT_EQ(trained.value(), train0);
+  EXPECT_EQ(reused.value() - reused0, 1u);
+  // 2 workloads x 2 triads x 2 backends x 2 chips, then the footer.
+  ASSERT_EQ(b.size(), 17u);
+  EXPECT_EQ(b.back(),
+            "{\"done\":true,\"cells\":16,\"reused\":0,\"computed\":16}");
+
+  // C changes the characterization budget: a new entry, swept once.
+  const auto c = send_request(
+      cfg.socket_path,
+      "{\"cmd\":\"campaign\",\"workloads\":\"fir,dot\",\"circuits\":"
+      "\"rca16\",\"backends\":\"exact,model\",\"max_triads\":2,"
+      "\"patterns\":400,\"train_patterns\":800,\"seed\":2,\"chips\":2}");
+  EXPECT_EQ(characterized.value() - char0, 1u);
+  ASSERT_EQ(c.size(), 17u);
+  server.stop();
+
+  // B's stream is the stored lines of the same grid run offline.
+  CampaignConfig offline;
+  offline.workloads = {"fir", "dot"};
+  offline.circuits = {"rca16"};
+  offline.backends = {ArithBackend::kExact, ArithBackend::kModel};
+  offline.max_triads = 2;
+  offline.characterize_patterns = 300;
+  offline.train_patterns = 800;
+  offline.seed = 2;
+  offline.fleet.num_chips = 2;
+  CampaignStore store;
+  const CampaignOutcome outcome = run_campaign(lib(), offline, store);
+  ASSERT_EQ(outcome.cells.size(), 16u);
+  const auto strip = [](const std::string& line) {
+    return line.substr(0, line.find("\"elapsed_s\""));
+  };
+  for (std::size_t i = 0; i < outcome.cells.size(); ++i) {
+    const auto stored = store.find(outcome.cells[i].key);
+    ASSERT_TRUE(stored.has_value());
+    EXPECT_EQ(strip(b[i]), strip(CampaignStore::to_jsonl(*stored)))
+        << "cell " << i;
+  }
+}
+
+TEST(CampaignServer, ConnectionsPastTheCapAreRefusedBusy) {
+  ServeConfig cfg;
+  cfg.socket_path = socket_path("cap");
+  CampaignServer server(lib(), cfg);
+  server.start();
+  const std::uint64_t errors0 =
+      obs::metrics().counter("serve.errors").value();
+
+  // kMaxConnections watchers, each holding its connection thread until
+  // stop(); reading each header proves its thread is serving.
+  const std::string header = "{\"ok\":true,\"cmd\":\"watch\"}\n";
+  const std::string watch = "{\"cmd\":\"watch\"}\n";
+  std::vector<int> watchers;
+  for (std::size_t i = 0; i < kMaxConnections; ++i) {
+    const int fd = connect_client(cfg.socket_path);
+    ASSERT_GE(fd, 0) << i;
+    watchers.push_back(fd);
+    ASSERT_EQ(::write(fd, watch.data(), watch.size()),
+              static_cast<ssize_t>(watch.size()));
+    std::string got;
+    char ch = 0;
+    while (got.size() < header.size() && ::read(fd, &ch, 1) == 1)
+      got.push_back(ch);
+    ASSERT_EQ(got, header) << i;
+  }
+
+  // The next connection is refused at once, without sending a byte.
+  const auto asked = std::chrono::steady_clock::now();
+  const int extra = connect_client(cfg.socket_path);
+  ASSERT_GE(extra, 0);
+  std::string refused;
+  char buf[256];
+  ssize_t n = 0;
+  while ((n = ::read(extra, buf, sizeof buf)) > 0)
+    refused.append(buf, static_cast<std::size_t>(n));
+  ::close(extra);
+  EXPECT_LT(std::chrono::steady_clock::now() - asked,
+            std::chrono::seconds(1));
+  EXPECT_EQ(refused, "{\"error\":\"busy\",\"max_connections\":" +
+                         std::to_string(kMaxConnections) + "}\n");
+  EXPECT_EQ(obs::metrics().counter("serve.errors").value() - errors0, 1u);
+
+  // stop() ends every watch stream and joins its thread in time.
+  auto stopped = std::async(std::launch::async, [&] { server.stop(); });
+  const bool in_time =
+      stopped.wait_for(kResponseWriteDeadline + std::chrono::seconds(1)) ==
+      std::future_status::ready;
+  for (const int fd : watchers) ::close(fd);
+  stopped.wait();
+  EXPECT_TRUE(in_time) << "stop() blocked past the response write deadline";
 }
 
 TEST(CampaignServer, WarmStoreAnswersRepeatRequests) {

@@ -91,9 +91,12 @@
 #                canonicalized single-process one. The merged store is
 #                kept as fleet_shard_merged.jsonl for CI upload.
 #   serve_smoke  starts the vosim_cli daemon on a Unix socket, issues
-#                two concurrent campaign requests, and fails unless the
-#                streamed cells are bit-identical to the same grids run
-#                offline.
+#                two concurrent campaign requests, then a third on the
+#                same circuit, triads and budgets with a new seed and
+#                the exact and model backends (answered from the
+#                daemon's prepared circuits, with one exact run per
+#                workload), and fails unless the streamed cells are
+#                bit-identical to the same grids run offline.
 #
 # Each BENCH_*.json the run writes is also copied to the repo root so
 # the perf trajectory is tracked in-tree.
@@ -589,9 +592,11 @@ fi
 
 # ---- serve_smoke: the daemon answers concurrent requests exactly ----
 # Starts vosim_cli serve on a Unix socket, issues two campaign
-# requests concurrently, then proves the streamed cells are
-# bit-identical to the same grids run offline (after canonicalization;
-# elapsed_s is wall clock and gets stripped on both sides).
+# requests concurrently, then a third that reuses their prepared
+# circuit (same circuit, triads and budgets; new seed, exact and model
+# backends), and proves the streamed cells are bit-identical to the
+# same grids run offline (after canonicalization; elapsed_s is wall
+# clock and gets stripped on both sides).
 if [ "${run_serve}" -eq 1 ]; then
   total=$((total + 1))
   cli="${build_dir}/vosim_cli"
@@ -604,6 +609,7 @@ if [ "${run_serve}" -eq 1 ]; then
   sock="${sv_dir}/vosim.sock"
   req1='{"cmd":"campaign","workloads":"fir","circuits":"rca16","backends":"model","max_triads":2,"patterns":300,"train_patterns":800,"chips":3}'
   req2='{"cmd":"campaign","workloads":"dot","circuits":"rca16","backends":"model","max_triads":2,"patterns":300,"train_patterns":800,"chips":3}'
+  req3='{"cmd":"campaign","workloads":"fir,dot","circuits":"rca16","backends":"exact,model","seed":2,"max_triads":2,"patterns":300,"train_patterns":800,"chips":3}'
   start_ns=$(date +%s%N)
   if [ -x "${cli}" ]; then
     (cd "${sv_dir}" && "${cli}" serve --socket "${sock}" \
@@ -626,22 +632,28 @@ if [ "${run_serve}" -eq 1 ]; then
       p2=$!
       wait "${p1}" || sv_status=1
       wait "${p2}" || sv_status=1
+      "${cli}" request --socket "${sock}" --json "${req3}" \
+        >"${sv_dir}/r3.txt" 2>>"${log}" || sv_status=1
       "${cli}" request --socket "${sock}" --json '{"cmd":"shutdown"}' \
         >>"${log}" 2>&1 || sv_status=1
     fi
     wait "${serve_pid}" || sv_status=1
-    for r in r1 r2; do
+    for r in r1 r2 r3; do
       if ! grep -q '"done":true' "${sv_dir}/${r}.txt" 2>/dev/null; then
         echo "FAIL serve_smoke: request ${r} missing the done footer" >&2
         sv_status=1
       fi
     done
     grep -hv '"done":true' "${sv_dir}/r1.txt" "${sv_dir}/r2.txt" \
-      2>/dev/null >"${sv_dir}/served_cells.jsonl"
+      "${sv_dir}/r3.txt" 2>/dev/null >"${sv_dir}/served_cells.jsonl"
     (cd "${sv_dir}" && "${cli}" campaign --workloads fir,dot \
        --circuits rca16 --backends model --max-triads 2 --patterns 300 \
        --train-patterns 800 --chips 3 --store offline.jsonl \
        >>"${log}" 2>&1) || sv_status=1
+    (cd "${sv_dir}" && "${cli}" campaign --workloads fir,dot \
+       --circuits rca16 --backends exact,model --seed 2 --max-triads 2 \
+       --patterns 300 --train-patterns 800 --chips 3 \
+       --store offline.jsonl >>"${log}" 2>&1) || sv_status=1
     (cd "${sv_dir}" && "${cli}" merge-store served_canon.jsonl \
        served_cells.jsonl --strip-timing >>"${log}" 2>&1) || sv_status=1
     (cd "${sv_dir}" && "${cli}" merge-store offline_canon.jsonl \
