@@ -5,6 +5,12 @@
 // Paper shape: at 0.8 V the MSBs start to fail; at 0.7-0.6 V the middle
 // bits dominate; at 0.5 V all middle bits reach >= 50% BER; bit 0 never
 // fails (single-XOR path).
+//
+// Machine-readable lines, gated in tools/run_benches.sh:
+//   FIG5_PROV_DEV_PP         max per-bit deviation of the attributed
+//                            BER from the output-diff BER (<= 0.5 pp)
+//   PROVENANCE_OVERHEAD_PCT  the observers-off event-engine sweep timed
+//                            against itself (<= 2%)
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -52,7 +58,7 @@ int main() {
   // attribution instead of output diffing. The PO net sits in its own
   // fan-in cone, so attribution must reproduce the table above —
   // FIG5_PROV_DEV_PP is the max per-bit deviation in percentage
-  // points, gated <= 0.5 pp in run_benches.sh/CI.
+  // points.
   CharacterizeConfig prov_cfg = bench_config();
   prov_cfg.provenance = true;
   const auto prov = characterize_dut(rca, lib, triads, prov_cfg);
@@ -70,6 +76,13 @@ int main() {
             << " erroneous bits attributed at Vdd 0.5V, top culprits "
             << prov.back().provenance.top_culprits_string(3) << "\n";
   std::cout << "FIG5_PROV_DEV_PP " << format_double(dev_pp, 3) << "\n";
+
+  // The observers-off sweep on one thread, the event engine's
+  // per-transition dispatch sites included.
+  CharacterizeConfig off_cfg = bench_config();
+  off_cfg.threads = 1;
+  print_provenance_overhead(
+      [&] { characterize_dut(rca, lib, triads, off_cfg); });
 
   std::cout << "\npaper shape check: 0.8V -> MSB onset; 0.7/0.6V -> middle"
                " bits grow; 0.5V -> middle bits ~50%; bit0 = 0 always.\n"

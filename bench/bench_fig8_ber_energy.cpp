@@ -6,10 +6,10 @@
 // The sweep runs on both SimEngine backends: the event-driven engine
 // produces the reported tables; the bit-parallel levelized engine runs
 // the identical grid afterwards, and the bench prints machine-readable
-// LEVELIZED_SPEEDUP / LEVELIZED_BER_DEV_PP lines that
-// tools/run_benches.sh and CI gate on (speedup floor 5×, BER deviation
-// ≤ 2 percentage points on the 8-bit RCA).
-#include <chrono>
+// LEVELIZED_SPEEDUP (timed by bench_common's time_ratio) and
+// LEVELIZED_BER_DEV_PP lines that tools/run_benches.sh gates on
+// (speedup floor 5×, BER deviation ≤ 2 percentage points on the
+// 8-bit RCA).
 #include <cmath>
 #include <iostream>
 
@@ -19,28 +19,21 @@
 int main() {
   using namespace vosim;
   using namespace vosim::bench;
-  using clock = std::chrono::steady_clock;
   print_header("Fig. 8 — BER vs Energy/Operation across 43 triads",
                "paper Fig. 8a-d");
 
   const CellLibrary& lib = make_fdsoi28_lvt();
+  const std::vector<Benchmark> benchmarks = paper_benchmarks();
+  const CharacterizeConfig event_cfg = bench_config();
+  CharacterizeConfig lev_cfg = bench_config();
+  lev_cfg.engine = EngineKind::kLevelized;
   const char* subfig = "abcd";
   int idx = 0;
-  double event_seconds = 0.0;
-  double levelized_seconds = 0.0;
   double rca8_ber_dev_pp = 0.0;
-  for (const Benchmark& b : paper_benchmarks()) {
-    const auto t0 = clock::now();
-    const auto results =
-        characterize_dut(b.dut, lib, b.triads, bench_config());
-    const auto t1 = clock::now();
-    CharacterizeConfig lev_cfg = bench_config();
-    lev_cfg.engine = EngineKind::kLevelized;
+  for (const Benchmark& b : benchmarks) {
+    const auto results = characterize_dut(b.dut, lib, b.triads, event_cfg);
     const auto lev_results =
         characterize_dut(b.dut, lib, b.triads, lev_cfg);
-    const auto t2 = clock::now();
-    event_seconds += std::chrono::duration<double>(t1 - t0).count();
-    levelized_seconds += std::chrono::duration<double>(t2 - t1).count();
     double dev = 0.0;
     for (std::size_t i = 0; i < results.size(); ++i)
       dev = std::max(dev,
@@ -72,16 +65,18 @@ int main() {
     ++idx;
   }
 
-  // Machine-readable engine comparison for tools/run_benches.sh / CI.
-  const double speedup =
-      levelized_seconds > 0.0 ? event_seconds / levelized_seconds : 0.0;
-  std::cout << "\n--- engine comparison (all four sweeps, equal patterns) ---\n"
-            << "event engine:     " << format_double(event_seconds, 3)
-            << " s\n"
-            << "levelized engine: " << format_double(levelized_seconds, 3)
-            << " s\n"
-            << "LEVELIZED_SPEEDUP " << format_double(speedup, 2) << "\n"
-            << "LEVELIZED_BER_DEV_PP " << format_double(rca8_ber_dev_pp, 3)
+  // Machine-readable engine comparison for tools/run_benches.sh.
+  const auto sweep_all = [&](const CharacterizeConfig& cfg) {
+    return [&, cfg] {
+      for (const Benchmark& b : benchmarks)
+        characterize_dut(b.dut, lib, b.triads, cfg);
+    };
+  };
+  std::cout << "\n--- engine comparison (all four sweeps, equal patterns)"
+               " ---\n";
+  print_engine_speedup("LEVELIZED_SPEEDUP", sweep_all(event_cfg),
+                       sweep_all(lev_cfg));
+  std::cout << "LEVELIZED_BER_DEV_PP " << format_double(rca8_ber_dev_pp, 3)
             << "\n";
   return 0;
 }

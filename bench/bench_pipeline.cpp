@@ -4,11 +4,9 @@
 // Part 1 — per-stage synthesis/slack and the 43-triad sweep of every
 // registry pipeline (pipe2-mul8, pipe3-mac4x8, fir4-pipe) on both
 // engines' batched step_cycle paths. Machine-readable lines:
-//   SEQ_LEVELIZED_SPEEDUP  event/levelized wall-clock ratio, summed
-//                          over all pipelines (gated >= 10 in
-//                          run_benches.sh/CI), plus one
-//                          SEQ_LEVELIZED_SPEEDUP_<spec> line per
-//                          pipeline
+//   SEQ_LEVELIZED_SPEEDUP  event/levelized wall-clock ratio of the
+//                          sweeps of all pipelines, timed in part 3
+//                          (gated >= 10 in run_benches.sh)
 //   SEQ_BER_DEV_PP         max |event-lev| BER over the error-onset
 //                          band (event BER <= 2%, the regime a quality
 //                          floor can accept; past the knee the
@@ -20,9 +18,15 @@
 // DVS): a ClosedLoopSeqUnit walks the measured-Razor ladder while the
 // open-loop baseline pins the guard-banded signoff rung. Prints
 //   CLOSED_LOOP_SAVINGS_PCT  mean closed-loop energy vs the safest
-//                            rung, gated >= 10% in run_benches.sh/CI.
+//                            rung, gated >= 10% in run_benches.sh.
+//
+// Part 3 — the timed figures, by bench_common's time_ratio:
+// SEQ_LEVELIZED_SPEEDUP, and PROVENANCE_OVERHEAD_PCT, the observers-off
+// pipe2-mul8 levelized sweep timed against itself (gated <= 2%). Both
+// of its legs run the same code, so a slower observers-off path slows
+// both alike: the figure bounds the timing noise of the bench's own
+// legs, not the cost of the dispatch guard (DESIGN.md §13).
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <iostream>
 
@@ -37,24 +41,29 @@
 int main() {
   using namespace vosim;
   using namespace vosim::bench;
-  using clock = std::chrono::steady_clock;
   print_header("Sequential pipelines — clocked VOS + closed-loop control",
                "Kaul et al. DVS / Bahoo et al. block-level VOS");
 
   const CellLibrary& lib = make_fdsoi28_lvt();
-  double event_seconds = 0.0;
-  double levelized_seconds = 0.0;
+  const CharacterizeConfig event_cfg = bench_config();
+  CharacterizeConfig lev_cfg = bench_config();
+  lev_cfg.engine = EngineKind::kLevelized;
   double onset_dev_pp = 0.0;
 
   std::vector<TriadRung> mul_ladder;  // reused by part 2
   OperatingTriad mul_nominal{};
   double mul_nominal_energy = 0.0;
 
-  std::vector<std::pair<std::string, double>> per_spec;
+  struct Grid {
+    SeqDut seq;
+    std::vector<OperatingTriad> triads;
+  };
+  std::vector<Grid> grids;  // reused by the timed comparisons
   for (const char* spec : {"pipe2-mul8", "pipe3-mac4x8", "fir4-pipe"}) {
     const SeqDut seq = build_seq_circuit(spec);
     const double cp = seq_critical_path_ns(seq, lib);
     const auto triads = make_dut_triads(cp);
+    grids.push_back({seq, triads});
 
     std::cout << "\n--- " << seq.display_name << ": " << seq.num_stages()
               << " stages, " << seq.num_gates() << " gates, "
@@ -68,18 +77,8 @@ int main() {
                        format_double(s.slack_ps, 1)});
     slack_t.print(std::cout);
 
-    CharacterizeConfig cfg = bench_config();
-    const auto t0 = clock::now();
-    const auto ev = characterize_seq_dut(seq, lib, triads, cfg);
-    const auto t1 = clock::now();
-    cfg.engine = EngineKind::kLevelized;
-    const auto lev = characterize_seq_dut(seq, lib, triads, cfg);
-    const auto t2 = clock::now();
-    const double ev_s = std::chrono::duration<double>(t1 - t0).count();
-    const double lev_s = std::chrono::duration<double>(t2 - t1).count();
-    event_seconds += ev_s;
-    levelized_seconds += lev_s;
-    per_spec.emplace_back(spec, lev_s > 0.0 ? ev_s / lev_s : 0.0);
+    const auto ev = characterize_seq_dut(seq, lib, triads, event_cfg);
+    const auto lev = characterize_seq_dut(seq, lib, triads, lev_cfg);
 
     double dev = 0.0;
     int onset_points = 0;
@@ -172,48 +171,24 @@ int main() {
                " not the characterized BER table — rejects rungs past"
                " the quality floor.\n";
 
-  // ---- Observers-off noise-floor probe on the clocked batched path
-  // (same methodology as bench_perf_speedup: two interleaved min-of-k
-  // legs of the identical observers-off sweep — a real regression of
-  // the one-branch dispatch guard must exceed this deviation; CI gates
-  // PROVENANCE_OVERHEAD_PCT <= 2%).
-  {
-    const SeqDut mul = build_seq_circuit("pipe2-mul8");
-    const auto triads = make_dut_triads(seq_critical_path_ns(mul, lib));
-    CharacterizeConfig cfg = bench_config();
-    cfg.engine = EngineKind::kLevelized;
-    double sink = 0.0;
-    const auto run_once = [&] {
-      const auto t0 = clock::now();
-      for (const TriadResult& r :
-           characterize_seq_dut(mul, lib, triads, cfg))
-        sink += r.ber;
-      return std::chrono::duration<double>(clock::now() - t0).count();
+  // ---- Part 3: the timed comparisons, by bench_common's one rule.
+  const auto sweep_all = [&](const CharacterizeConfig& cfg) {
+    return [&, cfg] {
+      for (const Grid& g : grids)
+        characterize_seq_dut(g.seq, lib, g.triads, cfg);
     };
-    run_once();  // warm-up
-    double min_a = 1e300;
-    double min_b = 1e300;
-    for (int k = 0; k < 3; ++k) {
-      min_a = std::min(min_a, run_once());
-      min_b = std::min(min_b, run_once());
-    }
-    const double overhead =
-        100.0 * std::abs(min_a - min_b) / std::min(min_a, min_b);
-    if (sink < 0.0) std::cout << "";  // keep the sweeps observable
-    std::cout << "\nPROVENANCE_LEG_A_MS " << format_double(min_a * 1e3, 2)
-              << "\nPROVENANCE_LEG_B_MS " << format_double(min_b * 1e3, 2)
-              << "\nPROVENANCE_OVERHEAD_PCT " << format_double(overhead, 2);
-  }
-
-  std::cout << "\nSEQ_LEVELIZED_SPEEDUP "
-            << format_double(levelized_seconds > 0.0
-                                 ? event_seconds / levelized_seconds
-                                 : 0.0,
-                             2);
-  for (const auto& [name, ratio] : per_spec)
-    std::cout << "\nSEQ_LEVELIZED_SPEEDUP_" << name << " "
-              << format_double(ratio, 2);
-  std::cout << "\nSEQ_BER_DEV_PP " << format_double(onset_dev_pp, 3)
+  };
+  std::cout << "\n--- engine comparison (all pipeline sweeps, equal"
+               " patterns) ---\n";
+  print_engine_speedup("SEQ_LEVELIZED_SPEEDUP", sweep_all(event_cfg),
+                       sweep_all(lev_cfg));
+  // The observers-off pipe2-mul8 sweep on one thread.
+  const Grid& mul = grids.front();
+  CharacterizeConfig off_cfg = lev_cfg;
+  off_cfg.threads = 1;
+  print_provenance_overhead(
+      [&] { characterize_seq_dut(mul.seq, lib, mul.triads, off_cfg); });
+  std::cout << "SEQ_BER_DEV_PP " << format_double(onset_dev_pp, 3)
             << "\nCLOSED_LOOP_SAVINGS_PCT " << format_double(savings, 1)
             << "\n";
   return 0;

@@ -3,8 +3,8 @@
 // ThreadPool keeps its workers alive across calls, so a bench that
 // characterizes many triad grids back-to-back pays thread creation once
 // instead of per sweep; shared_thread_pool() is the process-wide
-// instance every sweep dispatches through (bench_perf_speedup measures
-// the dispatch overhead against spawn-per-call).
+// instance every sweep dispatches through (a function-local static,
+// built on first use).
 #ifndef VOSIM_UTIL_PARALLEL_HPP
 #define VOSIM_UTIL_PARALLEL_HPP
 
