@@ -4,6 +4,7 @@
 #include <array>
 #include <vector>
 
+#include "src/netlist/eval.hpp"
 #include "src/seq/seq_sim.hpp"
 #include "src/util/bits.hpp"
 #include "src/util/contracts.hpp"
@@ -56,6 +57,34 @@ BatchAdderFn exact_adder_fn(int width) {
     const std::uint64_t m = mask_n(width);
     for (std::size_t i = 0; i < a.size(); ++i)
       out[i] = exact_add(a[i] & m, b[i] & m, width);
+  };
+}
+
+BatchAdderFn settled_adder_fn(const DutNetlist& dut) {
+  DutPinMap pins(dut);
+  VOSIM_EXPECTS(pins.num_operands() == 2);
+  std::vector<NetId> out_nets;  // the net behind each output-bus bit
+  for (const std::size_t slot : pins.output_slots())
+    out_nets.push_back(dut.netlist.primary_outputs()[slot]);
+  return [&dut, pins = std::move(pins), out_nets = std::move(out_nets)](
+             std::span<const std::uint64_t> a,
+             std::span<const std::uint64_t> b,
+             std::span<std::uint64_t> out) {
+    std::vector<lanes::Word> pi_words(dut.netlist.primary_inputs().size());
+    std::vector<lanes::Word> values(dut.netlist.num_nets());
+    stream_chunks(
+        a, b, out, mask_n(pins.operand_width(0)),
+        mask_n(pins.operand_width(1)),
+        [&](std::span<const std::uint64_t> ops, std::size_t n,
+            std::span<std::uint64_t> sums) {
+          for (std::size_t done = 0; done < n; done += lanes::kWordLanes) {
+            const std::size_t count = std::min(lanes::kWordLanes, n - done);
+            pins.scatter_lanes(ops.subspan(2 * done, 2 * count), count,
+                               pi_words);
+            evaluate_logic_packed(dut.netlist, pi_words, values);
+            lanes::gather(values.data(), out_nets, count, &sums[done], 1);
+          }
+        });
   };
 }
 

@@ -24,6 +24,15 @@ namespace vosim {
 /// Exact reference adder.
 BatchAdderFn exact_adder_fn(int width);
 
+/// The settled (zero-delay) function of a two-operand DUT as an adder:
+/// evaluate_logic_packed through the DUT's pin map, 64 operations per
+/// pass in element order, inputs outside the operand buses held at
+/// zero. Each sum is VosOpResult::settled for those operands, so an
+/// approximate adder yields its own approximate sums. A gate-level
+/// simulation that is STA error-free (VosDutSim::sta_error_free)
+/// computes exactly this function. `dut` must outlive the function.
+BatchAdderFn settled_adder_fn(const DutNetlist& dut);
+
 /// Statistical VOS model as an adder: one model draw per element, in
 /// element order. `rng` must outlive the function.
 BatchAdderFn model_adder_fn(const VosAdderModel& model, Rng& rng);

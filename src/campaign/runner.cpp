@@ -5,12 +5,12 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string_view>
 #include <tuple>
-#include <unordered_set>
 
 #include "src/characterize/characterizer.hpp"
 #include "src/obs/probe.hpp"
@@ -58,18 +58,32 @@ std::uint64_t content_seed(std::uint64_t seed, const std::string& key) {
   return h;
 }
 
-/// Bit-for-bit triad list equality: the cache must never answer a list
+/// Bit-for-bit triad equality: the cache must never answer a list
 /// that merely compares equal (0.0 vs -0.0).
+bool same_bits(const OperatingTriad& a, const OperatingTriad& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return bits(a.tclk_ns) == bits(b.tclk_ns) &&
+         bits(a.vdd_v) == bits(b.vdd_v) && bits(a.vbb_v) == bits(b.vbb_v);
+}
+
 bool same_bits(const std::vector<OperatingTriad>& a,
                const std::vector<OperatingTriad>& b) {
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (bits(a[i].tclk_ns) != bits(b[i].tclk_ns) ||
-        bits(a[i].vdd_v) != bits(b[i].vdd_v) ||
-        bits(a[i].vbb_v) != bits(b[i].vbb_v))
-      return false;
-  return true;
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const OperatingTriad& x, const OperatingTriad& y) {
+                      return same_bits(x, y);
+                    });
+}
+
+/// The first occurrence of every item `same` equates, in order: an axis
+/// entry given twice names the same cells.
+template <class T, class Same>
+std::vector<T> first_occurrences(const std::vector<T>& items, Same same) {
+  std::vector<T> kept;
+  for (const T& item : items)
+    if (std::none_of(kept.begin(), kept.end(),
+                     [&](const T& k) { return same(k, item); }))
+      kept.push_back(item);
+  return kept;
 }
 
 /// Everything computed once per circuit and shared by its cells.
@@ -138,6 +152,10 @@ CircuitContext make_context(const CellLibrary& lib,
   }
   if (config.max_triads != 0 && ctx.triads.size() > config.max_triads)
     ctx.triads.resize(config.max_triads);
+  ctx.triads = first_occurrences(
+      ctx.triads, [](const OperatingTriad& a, const OperatingTriad& b) {
+        return same_bits(a, b);
+      });
   return ctx;
 }
 
@@ -284,8 +302,17 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
                              const CampaignConfig& config,
                              CampaignStore& store,
                              PreparedCircuits& prepared) {
-  const std::vector<Workload> workloads =
-      resolve_workloads(config.workloads);
+  // Each axis keeps the first occurrence of a repeated entry
+  // ("--workloads fir,fir", a backend or circuit listed twice, a triad
+  // repeated bit for bit), so no cell is computed or reported twice and
+  // the grid order does not change.
+  const std::vector<Workload> workloads = first_occurrences(
+      resolve_workloads(config.workloads),
+      [](const Workload& a, const Workload& b) { return a.name == b.name; });
+  const std::vector<std::string> circuits =
+      first_occurrences(config.circuits, std::equal_to<>());
+  const std::vector<ArithBackend> backends =
+      first_occurrences(config.backends, std::equal_to<>());
   if (config.circuits.empty())
     throw std::invalid_argument("campaign: no circuits selected");
   if (config.backends.empty())
@@ -304,7 +331,7 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
   bool needs_model = false;
   bool needs_gate_level = false;
   bool needs_seq = false;
-  for (const ArithBackend b : config.backends) {
+  for (const ArithBackend b : backends) {
     needs_model = needs_model || b == ArithBackend::kModel;
     needs_gate_level = needs_gate_level || b == ArithBackend::kSimEvent ||
                        b == ArithBackend::kSimLevelized ||
@@ -316,12 +343,11 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
   // keys need these; characterization waits until the store has been
   // consulted).
   std::vector<CircuitContext> contexts;
-  contexts.reserve(config.circuits.size());
+  contexts.reserve(circuits.size());
   {
     obs::ScopedSpan span("campaign.synth", "campaign");
-    span.arg("circuits",
-             static_cast<std::uint64_t>(config.circuits.size()));
-    for (const std::string& spec : config.circuits)
+    span.arg("circuits", static_cast<std::uint64_t>(circuits.size()));
+    for (const std::string& spec : circuits)
       contexts.push_back(make_context(lib, config, spec, adder_width,
                                       needs_model, needs_gate_level,
                                       needs_seq));
@@ -336,7 +362,7 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
     std::size_t triad;
     ArithBackend backend;
     CampaignCellKey key;
-    std::string key_str;   ///< key.to_string(), built once
+    std::string key_str;   ///< key.to_string(), built and hashed once
   };
   // The chip axis: the nominal die alone, or fleet members 1..N.
   std::vector<std::uint64_t> chip_ids;
@@ -349,19 +375,13 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
 
   CampaignOutcome outcome;
   std::vector<PendingCell> pending;
-  // Dedup of repeated axis entries, keyed by each cell's canonical key
-  // string: the one string the shard hash, the store lookup and the
-  // model cell's Rng seed all read (elements never move, so a
-  // reference to one stays valid as the set grows).
-  std::unordered_set<std::string> enumerated;
   // The grid size is known up front, so each container is allocated
   // once: a doubling outcome vector briefly holds its cells twice,
   // which set a daemon's peak memory on large fleet grids. (A shard
   // keeps an unknown ~1/N share, so its outcome still grows.)
   std::size_t grid_cells = 0;
   for (const CircuitContext& ctx : contexts) grid_cells += ctx.triads.size();
-  grid_cells *= workloads.size() * config.backends.size() * chip_ids.size();
-  enumerated.reserve(grid_cells);
+  grid_cells *= workloads.size() * backends.size() * chip_ids.size();
   if (config.shard_count == 1) outcome.cells.reserve(grid_cells);
   // Store-lookup accounting: these count per lookup in the loop below,
   // so a snapshot's hit/miss exactly equals reused/computed (test_obs).
@@ -371,11 +391,11 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
   for (std::size_t w = 0; w < workloads.size(); ++w) {
     for (std::size_t c = 0; c < contexts.size(); ++c) {
       for (std::size_t t = 0; t < contexts[c].triads.size(); ++t) {
-        for (const ArithBackend backend : config.backends) {
+        for (const ArithBackend backend : backends) {
           for (const std::uint64_t chip : chip_ids) {
             CampaignCellKey key;
             key.workload = workloads[w].name;
-            key.circuit = config.circuits[c];
+            key.circuit = circuits[c];
             key.backend = arith_backend_name(backend);
             key.triad = contexts[c].triads[t];
             key.seed = config.seed;
@@ -386,11 +406,9 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
             // budget, so it is part of the cell's identity too.
             key.characterize_patterns = config.characterize_patterns;
             key.chip = chip;
-            // "--workloads fir,fir" or repeated backends must not
-            // compute (and report) the same cell twice.
-            const auto [entry, fresh] = enumerated.insert(key.to_string());
-            if (!fresh) continue;
-            const std::string& key_str = *entry;
+            // The one string the shard hash, the store lookup and the
+            // model cell's Rng seed all read.
+            std::string key_str = key.to_string();
             // Shard partition by content hash of the key: every shard
             // enumerates the identical grid and claims a disjoint
             // subset, independent of enumeration order or fleet size
@@ -407,8 +425,8 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
               hit_counter.add();
             } else {
               outcome.cells.push_back(CampaignCell{});  // filled below
-              pending.push_back(
-                  {slot, w, c, t, backend, std::move(key), key_str});
+              pending.push_back({slot, w, c, t, backend, std::move(key),
+                                 std::move(key_str)});
               miss_counter.add();
             }
           }
@@ -442,7 +460,7 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
   }
   for (std::size_t c = 0; c < contexts.size(); ++c)
     if (circuit_pending[c])
-      prepare_context(lib, config, config.circuits[c], contexts[c],
+      prepare_context(lib, config, circuits[c], contexts[c],
                       model_triads[c], prepared, config.progress);
 
   // An exact cell's result depends on (workload, campaign seed) only,
@@ -480,6 +498,19 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
         config.jobs);
   }
 
+  // A gate-level cell whose die static timing proves error-free at its
+  // triad samples the settled outputs in every operation, so its
+  // result is the workload run on the circuit's settled function:
+  // made once per (circuit, workload) by the first such cell, whose
+  // elapsed_s pays for it, and copied by the rest.
+  struct SettledRun {
+    std::once_flag once;
+    QualityResult q;
+  };
+  std::vector<SettledRun> settled(contexts.size() * workloads.size());
+  obs::Counter& settled_counter =
+      obs::metrics().counter("campaign.cells.settled");
+
   // Phase 3 — run the missing cells on the pool. Cells are coarse
   // (one full workload run), so index-claiming costs are negligible.
   obs::ScopedSpan execute_span("campaign.execute", "campaign");
@@ -509,6 +540,24 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
         // nominal die and leaves every config untouched.
         const ChipInstance chip =
             draw_chip_instance(config.fleet, p.key.chip);
+        // Answers the cell from the settled run when the engine it built
+        // is STA error-free. sim-event cells keep simulating, as the
+        // in-grid cross-check, and so does every cell of a provenance
+        // campaign, whose culprits come from the engines.
+        const auto copy_settled = [&](bool sta_error_free) {
+          if (!sta_error_free || config.provenance ||
+              p.backend == ArithBackend::kSimEvent)
+            return false;
+          SettledRun& run = settled[p.circuit * workloads.size() + p.workload];
+          std::call_once(run.once, [&] {
+            obs::ScopedSpan span("campaign.settled", "campaign");
+            span.arg("workload", wl.name).arg("circuit", p.key.circuit);
+            run.q = wl.run(settled_adder_fn(ctx.dut), dseed);
+          });
+          q = run.q;
+          settled_counter.add();
+          return true;
+        };
         switch (p.backend) {
           case ArithBackend::kExact: {
             q = exact[p.workload];
@@ -530,6 +579,7 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
             sim_cfg = apply_chip(sim_cfg, chip,
                                  config.fleet.within_die_sigma);
             VosDutSim sim(ctx.dut, lib, ctx.triads[p.triad], sim_cfg);
+            if (copy_settled(sim.sta_error_free())) break;
             std::unique_ptr<ErrorProvenance> prov;
             if (config.provenance) {
               prov = std::make_unique<ErrorProvenance>(ctx.dut);
@@ -554,6 +604,7 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
             SeqSim sim(*ctx.seq, lib, ctx.triads[p.triad], sim_cfg);
             register_energy_fj = seq_clock_energy_fj(
                 *ctx.seq, lib, ctx.triads[p.triad].vdd_v);
+            if (copy_settled(sim.sta_error_free())) break;
             std::vector<std::unique_ptr<ErrorProvenance>> provs;
             if (config.provenance) {
               for (std::size_t k = 0; k < sim.num_stages(); ++k) {

@@ -21,6 +21,7 @@
 #ifndef VOSIM_SEQ_SEQ_SIM_HPP
 #define VOSIM_SEQ_SEQ_SIM_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -172,6 +173,14 @@ class SeqSim {
   }
   const OperatingTriad& triad() const noexcept { return op_; }
   EngineKind engine_kind() const noexcept { return engines_[0]->kind(); }
+  /// True when every stage engine is STA error-free at the capture
+  /// period (SimEngine::sta_error_free): each stage then captures its
+  /// settled outputs every cycle, so `captured` always equals
+  /// `expected` once the pipeline is full.
+  bool sta_error_free() const noexcept {
+    return std::all_of(engines_.begin(), engines_.end(),
+                       [](const auto& e) { return e->sta_error_free(); });
+  }
   std::uint64_t cycles() const noexcept { return cycles_; }
 
   /// Stage k's engine — for attaching per-stage SimObservers (e.g. an

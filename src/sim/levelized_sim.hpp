@@ -101,6 +101,12 @@ class LevelizedSimulator final : public SimEngine {
   /// period would produce. O(gates), no RNG redraw.
   bool retarget_tclk_ps(double tclk_ps) override;
 
+  /// critical_path_ps() < Tclk: every net feeding an output is then
+  /// cycle-safe too, since arrivals only grow along a path.
+  bool sta_error_free() const noexcept override {
+    return critical_path_ps_ < tclk_ps_;
+  }
+
   /// The carried state of a clocked stream is the per-net sampled
   /// value (state_ == sampled_state_ after every cycle pass); a restore
   /// sets both. The per-pass scratch is rewritten before it is read,

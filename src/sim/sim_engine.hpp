@@ -177,6 +177,15 @@ class SimEngine {
   /// unchanged. Call reset() afterwards before reading state.
   virtual bool retarget_tclk_ps(double) { return false; }
 
+  /// True when static timing proves every operation error-free: the
+  /// die's latest primary-output arrival (STA over this engine's gate
+  /// delays, variation included) lands strictly before the clock edge.
+  /// Every commit lands by its net's STA arrival, so every operation,
+  /// streamed or clocked, then samples its settled outputs (DESIGN.md
+  /// §9). The levelized backend computes the bound at construction;
+  /// the event backend does not and returns false.
+  virtual bool sta_error_free() const noexcept { return false; }
+
   /// Checkpoints of a clocked stream. Between step_cycle_batch() calls
   /// the levelized backend carries one value per net, the at-edge
   /// sample of the last cycle. save_carried_state packs it one bit per

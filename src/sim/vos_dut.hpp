@@ -82,6 +82,10 @@ class VosDutSim {
   }
   /// Backend this simulator runs on.
   EngineKind engine_kind() const noexcept { return sim_->kind(); }
+  /// True when STA proves every operation samples its settled outputs
+  /// (SimEngine::sta_error_free): `sampled` then always equals
+  /// `settled`.
+  bool sta_error_free() const noexcept { return sim_->sta_error_free(); }
   /// The underlying engine (e.g. for net-level inspection).
   const SimEngine& engine() const noexcept { return *sim_; }
   /// Mutable access — for attaching SimObservers (src/obs/probe.hpp).

@@ -3,7 +3,8 @@
 // identity across thread counts, Pareto extraction, model-vs-gate-level
 // quality agreement, the determinism the content-keyed cache depends
 // on, the prepared-circuit cache and the exact backend's one run per
-// workload, and the one operation schedule every backend runs.
+// workload, the one operation schedule every backend runs, and the
+// error-free gate-level cells that copy the settled run.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -36,9 +37,13 @@
 #include "src/characterize/triads.hpp"
 #include "src/model/prob_table.hpp"
 #include "src/netlist/dut.hpp"
+#include "src/netlist/eval.hpp"
 #include "src/seq/seq_dut.hpp"
 #include "src/seq/seq_sim.hpp"
+#include "src/sim/levelized_sim.hpp"
+#include "src/sta/synthesis_report.hpp"
 #include "src/tech/library.hpp"
+#include "src/util/bits.hpp"
 
 namespace vosim {
 namespace {
@@ -1187,6 +1192,29 @@ TEST(CampaignSchedule, RelaxedTriadIsBitIdenticalOnEveryBackend) {
     EXPECT_EQ(cell.normalized, exact->normalized) << cell.key.to_string();
     EXPECT_EQ(cell.adds, exact->adds) << cell.key.to_string();
   }
+  // The levelized cells above copy the settled run, so the batch
+  // adapters are driven here directly: at this triad they too compute
+  // the exact adder's cells.
+  const DutNetlist dut = build_circuit("rca16");
+  const SeqDut seq = wrap_as_pipeline(dut);
+  TimingSimConfig sim_cfg;
+  sim_cfg.engine = EngineKind::kLevelized;
+  const OperatingTriad triad = outcome.cells.front().key.triad;
+  for (const CampaignCell& cell : outcome.cells) {
+    if (cell.key.backend != "exact") continue;
+    const Workload* wl = find_workload(cell.key.workload);
+    ASSERT_NE(wl, nullptr);
+    const std::uint64_t seed = workload_data_seed(cfg.seed, wl->name);
+    VosDutSim sim(dut, lib, triad, sim_cfg);
+    SeqSim seq_sim(seq, lib, triad, sim_cfg);
+    for (const QualityResult& q :
+         {wl->run(sim_batch_adder_fn(sim), seed),
+          wl->run(seq_batch_adder_fn(seq_sim), seed)}) {
+      EXPECT_EQ(q.value, cell.quality) << cell.key.workload;
+      EXPECT_EQ(q.normalized, cell.normalized) << cell.key.workload;
+      EXPECT_EQ(q.adds, cell.adds) << cell.key.workload;
+    }
+  }
 }
 
 TEST(CampaignSchedule, GateLevelCellsReplayTheirPerAddLoops) {
@@ -1235,6 +1263,225 @@ TEST(CampaignSchedule, GateLevelCellsReplayTheirPerAddLoops) {
     EXPECT_NE(cell.quality, exact_quality.at(cell.key.workload))
         << cell.key.to_string();
   }
+}
+
+// ------------------------------------------------------ error-free cells
+// A gate-level cell whose die static timing proves error-free copies
+// its workload's run on the circuit's settled function (DESIGN.md §9).
+
+TEST(SettledAdder, EqualsPerOperationLogicAndTheExactAdder) {
+  // 1, 63, 64, 65 and 130 elements: one lane, a partial word, a full
+  // word, a word plus one lane and a span past two words.
+  Rng rng(0x5e771ed);
+  const struct {
+    const char* spec;
+    bool exact;
+  } circuits[] = {{"rca16", true},     {"bka16", true},
+                  {"ksa12", true},     {"loa16-8", false},
+                  {"trunc16-4", false}, {"cut8-4", false},
+                  {"specw8-3", false}};
+  for (const auto& [spec, exact] : circuits) {
+    const DutNetlist dut = build_circuit(spec);
+    const DutPinMap pins(dut);
+    const int width = pins.operand_width(0);
+    const BatchAdderFn settled = settled_adder_fn(dut);
+    for (const std::size_t n : {1u, 63u, 64u, 65u, 130u}) {
+      std::vector<std::uint64_t> a(n);
+      std::vector<std::uint64_t> b(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        // Bits above the width must be ignored, as by every adder.
+        a[i] = rng();
+        b[i] = rng();
+      }
+      std::vector<std::uint64_t> sums(n);
+      settled(a, b, sums);
+      std::vector<std::uint64_t> exact_sums(n);
+      exact_adder_fn(width)(a, b, exact_sums);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t ops[2] = {a[i] & mask_n(width),
+                                      b[i] & mask_n(width)};
+        std::vector<lanes::Word> pi(dut.netlist.primary_inputs().size());
+        pins.scatter_lanes(ops, 1, pi);
+        std::vector<std::uint8_t> inputs;
+        lanes::unpack_lane(pi, 0, inputs);
+        const std::vector<std::uint8_t> values =
+            evaluate_logic(dut.netlist, inputs);
+        const std::uint64_t expected = pins.gather_output(
+            pack_word(values, dut.netlist.primary_outputs()));
+        ASSERT_EQ(sums[i], expected) << spec << " n " << n << " i " << i;
+        if (exact)
+          ASSERT_EQ(sums[i], exact_sums[i]) << spec << " n " << n;
+      }
+    }
+  }
+}
+
+/// Whether a gate-level cell's die is STA error-free at its triad, read
+/// off its levelized engines: the critical path lands strictly before
+/// the engine's clock period, on every stage for sim-seq.
+bool sta_safe(const CampaignConfig& cfg, const CampaignCell& cell,
+              const DutNetlist& dut, const SeqDut& seq) {
+  TimingSimConfig sim_cfg;
+  sim_cfg.engine = EngineKind::kLevelized;
+  sim_cfg = apply_chip(sim_cfg, draw_chip_instance(cfg.fleet, cell.key.chip),
+                       cfg.fleet.within_die_sigma);
+  const auto engine_safe = [](const SimEngine& e, double period_ps) {
+    return dynamic_cast<const LevelizedSimulator&>(e).critical_path_ps() <
+           period_ps;
+  };
+  if (cell.key.backend == "sim-levelized") {
+    const VosDutSim sim(dut, make_fdsoi28_lvt(), cell.key.triad, sim_cfg);
+    return engine_safe(sim.engine(), cell.key.triad.tclk_ns * 1e3);
+  }
+  if (cell.key.backend == "sim-seq") {
+    const SeqSim sim(seq, make_fdsoi28_lvt(), cell.key.triad, sim_cfg);
+    for (std::size_t k = 0; k < sim.num_stages(); ++k)
+      if (!engine_safe(sim.stage_engine(k), sim.capture_period_ps()))
+        return false;
+    return true;
+  }
+  return false;
+}
+
+/// Every stored field of two cells but elapsed_s and culprits.
+std::string without_timing(CampaignCell cell) {
+  cell.elapsed_s = 0.0;
+  cell.culprits.clear();
+  return CampaignStore::to_jsonl(cell);
+}
+
+/// Runs `cfg` as given and again with provenance on, which simulates
+/// every gate-level cell: the two grids must agree in every field but
+/// elapsed_s and culprits, each copied cell must equal its sim-event
+/// twin, and campaign.cells.settled must count exactly the STA-safe
+/// sim-levelized and sim-seq cells. Returns that count.
+std::size_t expect_copies_match_simulation(const CampaignConfig& cfg) {
+  const CellLibrary& lib = make_fdsoi28_lvt();
+  obs::Counter& settled = obs::metrics().counter("campaign.cells.settled");
+  const std::uint64_t before = settled.value();
+  CampaignStore store;
+  const CampaignOutcome copied = run_campaign(lib, cfg, store);
+  const std::uint64_t copies = settled.value() - before;
+  CampaignConfig prov_cfg = cfg;
+  prov_cfg.provenance = true;
+  CampaignStore prov_store;
+  const CampaignOutcome simulated = run_campaign(lib, prov_cfg, prov_store);
+  EXPECT_EQ(settled.value() - before, copies);  // provenance copies none
+
+  std::map<std::string, DutNetlist> duts;
+  std::map<std::string, SeqDut> seqs;
+  for (const std::string& spec : cfg.circuits) {
+    duts.emplace(spec, build_circuit(spec));
+    seqs.emplace(spec, wrap_as_pipeline(duts.at(spec)));
+  }
+  // The sim-event cell of each (workload, circuit, triad, chip).
+  std::map<std::string, const CampaignCell*> event_twin;
+  const auto twin_key = [](const CampaignCell& c) {
+    CampaignCellKey k = c.key;
+    k.backend = "sim-event";
+    return k.to_string();
+  };
+  for (const CampaignCell& cell : copied.cells)
+    if (cell.key.backend == "sim-event")
+      event_twin[cell.key.to_string()] = &cell;
+
+  EXPECT_EQ(copied.cells.size(), simulated.cells.size());
+  std::size_t safe = 0;
+  for (std::size_t i = 0;
+       i < copied.cells.size() && i < simulated.cells.size(); ++i) {
+    const CampaignCell& cell = copied.cells[i];
+    EXPECT_EQ(without_timing(cell), without_timing(simulated.cells[i]));
+    if (!sta_safe(cfg, cell, duts.at(cell.key.circuit),
+                  seqs.at(cell.key.circuit)))
+      continue;
+    ++safe;
+    const auto twin = event_twin.find(twin_key(cell));
+    if (twin == event_twin.end()) {
+      ADD_FAILURE() << "no sim-event twin for " << cell.key.to_string();
+      continue;
+    }
+    EXPECT_EQ(cell.metric, twin->second->metric) << cell.key.to_string();
+    EXPECT_EQ(cell.quality, twin->second->quality) << cell.key.to_string();
+    EXPECT_EQ(cell.normalized, twin->second->normalized)
+        << cell.key.to_string();
+    EXPECT_EQ(cell.adds, twin->second->adds) << cell.key.to_string();
+  }
+  EXPECT_EQ(copies, safe);
+  return safe;
+}
+
+/// The Table-III grid mixes over-scaled triads with relaxed and
+/// forward-body-biased ones that still meet timing; two exact adders
+/// and an approximate one, whose copies carry its own sums.
+CampaignConfig table3_gate_level_grid() {
+  CampaignConfig cfg;
+  cfg.workloads = {"fir", "dot"};
+  cfg.circuits = {"rca16", "bka16", "loa16-8"};
+  cfg.backends = {ArithBackend::kSimEvent, ArithBackend::kSimLevelized,
+                  ArithBackend::kSimSeq};
+  cfg.characterize_patterns = 300;
+  return cfg;
+}
+
+TEST(CampaignRunner, ErrorFreeCellsEqualTheirSimulatedTwins) {
+  const CampaignConfig cfg = table3_gate_level_grid();
+  const std::size_t copies = expect_copies_match_simulation(cfg);
+  // Some cells copy, and sim-event cells and unsafe triads never do.
+  EXPECT_GT(copies, 0u);
+  EXPECT_LT(copies, 2u * (43u * 3u) * 2u);
+}
+
+TEST(CampaignRunner, ErrorFreeFleetCellsEqualTheirSimulatedTwins) {
+  // Each die's own corner decides which cells copy (one workload, to
+  // bound the test's time).
+  CampaignConfig cfg = table3_gate_level_grid();
+  cfg.workloads = {"dot"};
+  cfg.fleet.num_chips = 4;
+  const std::size_t copies = expect_copies_match_simulation(cfg);
+  EXPECT_GT(copies, 0u);
+  EXPECT_LT(copies, 4u * (43u * 3u) * 2u);
+}
+
+TEST(CampaignRunner, CampaignRefSliceCopiesHalfItsGateLevelCells) {
+  // All five workloads on the perfbench campaign_ref slice of rca16's
+  // grid (the relaxed baseline and every 9th triad after it): three of
+  // its six triads are STA-safe on the nominal die.
+  CampaignConfig cfg = table3_gate_level_grid();
+  cfg.workloads = {"all"};
+  cfg.circuits = {"rca16"};
+  const DutNetlist rca16 = build_circuit("rca16");
+  const std::vector<OperatingTriad> all = make_circuit_triads(
+      rca16,
+      synthesize_report(rca16.netlist, make_fdsoi28_lvt()).critical_path_ns);
+  cfg.triads = {all[0]};
+  for (std::size_t i = 1; i < all.size(); i += 9) cfg.triads.push_back(all[i]);
+  EXPECT_EQ(expect_copies_match_simulation(cfg), 5u * 3u * 2u);
+}
+
+TEST(CampaignRunner, SlowDieSimulatesASafeTriad) {
+  // A clock 2% past the nominal die's critical path: the nominal die
+  // copies, while fleet dies whose corner slows them past the edge
+  // simulate.
+  const CellLibrary& lib = make_fdsoi28_lvt();
+  const DutNetlist dut = build_circuit("rca16");
+  TimingSimConfig sim_cfg;
+  sim_cfg.engine = EngineKind::kLevelized;
+  const OperatingTriad probe{1.0, 0.8, 0.0};
+  const double cp_ns =
+      LevelizedSimulator(dut.netlist, lib, probe, sim_cfg).critical_path_ps() *
+      1e-3;
+  CampaignConfig cfg;
+  cfg.workloads = {"dot"};
+  cfg.circuits = {"rca16"};
+  cfg.backends = {ArithBackend::kSimEvent, ArithBackend::kSimLevelized};
+  cfg.triads = {{cp_ns * 1.02, 0.8, 0.0}};
+  cfg.characterize_patterns = 300;
+  EXPECT_EQ(expect_copies_match_simulation(cfg), 1u);
+  cfg.fleet.num_chips = 8;
+  cfg.fleet.speed_sigma = 0.15;
+  const std::size_t copies = expect_copies_match_simulation(cfg);
+  EXPECT_GT(copies, 0u);
+  EXPECT_LT(copies, 8u);
 }
 
 }  // namespace

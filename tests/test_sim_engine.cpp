@@ -16,6 +16,7 @@
 #include "src/netlist/adders.hpp"
 #include "src/netlist/approx_adders.hpp"
 #include "src/netlist/eval.hpp"
+#include "src/seq/seq_dut.hpp"
 #include "src/sim/event_sim.hpp"
 #include "src/sim/levelized_sim.hpp"
 #include "src/sim/sim_engine.hpp"
@@ -333,6 +334,63 @@ TEST(SimEngine, StaArrivalBoundsSettleTimes) {
   for (int i = 0; i < 200; ++i) {
     const OperandPair p = patterns.next();
     EXPECT_LE(sim.apply(p.a, p.b).settle_time_ps, cp + 1e-9);
+  }
+}
+
+// The bound the campaign's error-free cells rest on (DESIGN.md §9):
+// every commit lands by its net's STA arrival, so no operation settles
+// after the die's largest net arrival. Every registry circuit and
+// pipeline stage, on σ 0 and σ 0.05 dies at random triads, streams of
+// 1, 64 and 130 random operations (130 spans three engine calls):
+// streaming on both engines, clocked cycles on the levelized engine.
+TEST(SimEngine, SettleTimesStayWithinTheLargestArrival) {
+  std::vector<DutNetlist> duts;
+  for (const std::string& spec : circuit_registry_examples())
+    duts.push_back(build_circuit(spec));
+  for (const std::string& spec : seq_circuit_registry())
+    for (DutNetlist& stage : build_seq_circuit(spec).stages)
+      duts.push_back(std::move(stage));
+  Rng rng(0x5e771e);
+  for (const DutNetlist& dut : duts) {
+    const Netlist& nl = dut.netlist;
+    const double cp_ns = critical_path_ns(nl, {1.0, 1.0, 0.0});
+    for (const double sigma : {0.0, 0.05}) {
+      for (int draw = 0; draw < 2; ++draw) {
+        const OperatingTriad op{cp_ns * (0.2 + 1.2 * rng.uniform()),
+                                0.5 + 0.5 * rng.uniform(),
+                                rng.flip(0.5) ? 2.0 : 0.0};
+        TimingSimConfig cfg;
+        cfg.variation_sigma = sigma;
+        cfg.variation_seed = rng();
+        cfg.engine = EngineKind::kLevelized;
+        const LevelizedSimulator die(nl, lib(), op, cfg);
+        double largest = 0.0;
+        for (NetId n = 0; n < static_cast<NetId>(nl.num_nets()); ++n)
+          largest = std::max(largest, die.arrival_ps(n));
+        std::vector<lanes::Word> words(nl.primary_inputs().size());
+        for (const std::size_t ops : {1u, 64u, 130u}) {
+          for (const int mode : {0, 1, 2}) {  // event, levelized, cycles
+            cfg.engine = mode == 0 ? EngineKind::kEvent
+                                   : EngineKind::kLevelized;
+            const auto engine = make_engine(nl, lib(), op, cfg);
+            std::vector<StepResult> rs(lanes::kWordLanes);
+            for (std::size_t done = 0; done < ops;
+                 done += lanes::kWordLanes) {
+              const std::size_t n = std::min(lanes::kWordLanes, ops - done);
+              for (lanes::Word& w : words) w = rng();
+              if (mode == 2)
+                engine->step_cycle_batch(words, n, rs);
+              else
+                engine->step_batch(words, n, rs);
+              for (std::size_t k = 0; k < n; ++k)
+                ASSERT_LE(rs[k].settle_time_ps, largest)
+                    << nl.name() << " mode " << mode << " sigma " << sigma
+                    << " op " << done + k << " of " << ops;
+            }
+          }
+        }
+      }
+    }
   }
 }
 
