@@ -463,51 +463,19 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
       prepare_context(lib, config, circuits[c], contexts[c],
                       model_triads[c], prepared, config.progress);
 
-  // An exact cell's result depends on (workload, campaign seed) only,
-  // so each workload with pending exact cells runs once, and its exact
-  // cells copy the result (their keys, energies, BER and baselines stay
-  // per cell). The run's time goes into the first such cell's
-  // elapsed_s, so the work stays visible per cell.
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> first_exact(workloads.size(), kNone);
-  for (std::size_t i = 0; i < pending.size(); ++i)
-    if (pending[i].backend == ArithBackend::kExact &&
-        first_exact[pending[i].workload] == kNone)
-      first_exact[pending[i].workload] = i;
-  std::vector<std::size_t> exact_workloads;
-  for (std::size_t w = 0; w < workloads.size(); ++w)
-    if (first_exact[w] != kNone) exact_workloads.push_back(w);
-  std::vector<QualityResult> exact(workloads.size());
-  std::vector<double> exact_s(workloads.size(), 0.0);
-  if (!exact_workloads.empty()) {
-    obs::ScopedSpan span("campaign.exact", "campaign");
-    span.arg("workloads",
-             static_cast<std::uint64_t>(exact_workloads.size()));
-    parallel_for(
-        exact_workloads.size(),
-        [&](std::size_t i) {
-          const std::size_t w = exact_workloads[i];
-          const Workload& wl = workloads[w];
-          const auto t0 = std::chrono::steady_clock::now();
-          exact[w] = wl.run(exact_adder_fn(wl.width),
-                            workload_data_seed(config.seed, wl.name));
-          exact_s[w] = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-        },
-        config.jobs);
-  }
-
-  // A gate-level cell whose die static timing proves error-free at its
-  // triad samples the settled outputs in every operation, so its
-  // result is the workload run on the circuit's settled function:
-  // made once per (circuit, workload) by the first such cell, whose
-  // elapsed_s pays for it, and copied by the rest.
-  struct SettledRun {
+  // Shared runs. An exact cell's result depends on (workload, campaign
+  // seed) only, and a gate-level cell whose die static timing proves
+  // error-free at its triad samples the settled outputs in every
+  // operation, so its result is the workload run on the circuit's
+  // settled function. Each such run is made once per (adder, workload)
+  // by the first cell that needs it, whose elapsed_s pays for it, and
+  // copied by the rest. Adder 0 is the exact adder, adder 1 + c circuit
+  // c's settled function.
+  struct SharedRun {
     std::once_flag once;
     QualityResult q;
   };
-  std::vector<SettledRun> settled(contexts.size() * workloads.size());
+  std::vector<SharedRun> shared((1 + contexts.size()) * workloads.size());
   obs::Counter& settled_counter =
       obs::metrics().counter("campaign.cells.settled");
 
@@ -529,7 +497,7 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
             .arg("backend", p.key.backend)
             .arg("chip", p.key.chip);
         const auto t0 = std::chrono::steady_clock::now();
-        double shared_run_s = 0.0;  // exact: the workload's one run
+        double wait_s = 0.0;  // blocked while another cell made a run
 
         QualityResult q;
         double register_energy_fj = 0.0;  // sim-seq: bank clock/latch
@@ -540,6 +508,29 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
         // nominal die and leaves every config untouched.
         const ChipInstance chip =
             draw_chip_instance(config.fleet, p.key.chip);
+        // Copies the shared run on `adder`, making it if no cell has.
+        // A cell that blocks while another makes it leaves the wait out
+        // of its elapsed_s, so the run is counted once.
+        const auto copy_shared = [&](std::size_t adder) {
+          SharedRun& run = shared[adder * workloads.size() + p.workload];
+          bool made = false;
+          const auto w0 = std::chrono::steady_clock::now();
+          std::call_once(run.once, [&] {
+            obs::ScopedSpan span("campaign.shared_run", "campaign");
+            span.arg("workload", wl.name)
+                .arg("adder", adder == 0 ? std::string("exact")
+                                         : p.key.circuit);
+            run.q = wl.run(adder == 0 ? exact_adder_fn(wl.width)
+                                      : settled_adder_fn(ctx.dut),
+                           dseed);
+            made = true;
+          });
+          if (!made)
+            wait_s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - w0)
+                         .count();
+          q = run.q;
+        };
         // Answers the cell from the settled run when the engine it built
         // is STA error-free. sim-event cells keep simulating, as the
         // in-grid cross-check, and so does every cell of a provenance
@@ -548,23 +539,14 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
           if (!sta_error_free || config.provenance ||
               p.backend == ArithBackend::kSimEvent)
             return false;
-          SettledRun& run = settled[p.circuit * workloads.size() + p.workload];
-          std::call_once(run.once, [&] {
-            obs::ScopedSpan span("campaign.settled", "campaign");
-            span.arg("workload", wl.name).arg("circuit", p.key.circuit);
-            run.q = wl.run(settled_adder_fn(ctx.dut), dseed);
-          });
-          q = run.q;
+          copy_shared(1 + p.circuit);
           settled_counter.add();
           return true;
         };
         switch (p.backend) {
-          case ArithBackend::kExact: {
-            q = exact[p.workload];
-            if (first_exact[p.workload] == i)
-              shared_run_s = exact_s[p.workload];
+          case ArithBackend::kExact:
+            copy_shared(0);
             break;
-          }
           case ArithBackend::kModel: {
             Rng rng(content_seed(config.seed, p.key_str));
             q = wl.run(model_adder_fn(*ctx.models[p.triad], rng), dseed);
@@ -619,25 +601,15 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
             if (!provs.empty()) {
               // Stage culprits share one top-K budget per cell; names
               // carry the "s<k>:" stage prefix.
-              std::vector<CulpritCount> all;
+              std::vector<ProvenanceSummary> stages;
               for (const auto& prov : provs) {
-                const ProvenanceSummary s = prov->summary();
-                all.insert(all.end(), s.culprits.begin(),
-                           s.culprits.end());
+                stages.push_back(prov->summary());
                 prov->publish("provenance.campaign",
                               config.top_culprits);
               }
-              std::sort(all.begin(), all.end(),
-                        [](const CulpritCount& a, const CulpritCount& b) {
-                          return a.bits != b.bits ? a.bits > b.bits
-                                                  : a.name < b.name;
-                        });
-              for (std::size_t k = 0;
-                   k < all.size() && k < config.top_culprits; ++k) {
-                if (!culprits.empty()) culprits += ',';
-                culprits += all[k].name + "=" +
-                            std::to_string(all[k].bits);
-              }
+              culprits =
+                  combine_stage_summaries(stages, config.top_culprits)
+                      .top_culprits_string(config.top_culprits);
             }
             break;
           }
@@ -664,10 +636,10 @@ CampaignOutcome run_campaign(const CellLibrary& lib,
         cell.ber = tr.ber;
         cell.adds = q.adds;
         cell.culprits = culprits;
-        cell.elapsed_s =
-            shared_run_s + std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
+        cell.elapsed_s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count() -
+                         wait_s;
         obs::metrics()
             .histogram("campaign.cell.seconds." + cell.key.backend)
             .observe(cell.elapsed_s);

@@ -42,36 +42,6 @@ std::uint64_t golden_of(const CharacterizeConfig& config,
   return config.golden ? config.golden(ops) : settled;
 }
 
-/// Pipeline provenance roll-up from the per-stage observers: culprit
-/// histograms aggregate across stages (names carry the "s<k>:" prefix),
-/// bitwise_ber is the output stage's local per-bit probability, and the
-/// slack figures take the worst stage. `ops` comes from the output
-/// stage (every stage observes every cycle).
-ProvenanceSummary combine_stage_summaries(
-    std::span<const ProvenanceSummary> stages, std::size_t top_k) {
-  ProvenanceSummary out;
-  VOSIM_EXPECTS(!stages.empty());
-  out.ops = stages.back().ops;
-  out.bitwise_ber = stages.back().bitwise_ber;
-  for (const ProvenanceSummary& s : stages) {
-    out.erroneous_ops += s.erroneous_ops;
-    out.attributed_bits += s.attributed_bits;
-    out.lane_words += s.lane_words;
-    out.culprits.insert(out.culprits.end(), s.culprits.begin(),
-                        s.culprits.end());
-    out.slack_p50_ps = std::max(out.slack_p50_ps, s.slack_p50_ps);
-    out.slack_p95_ps = std::max(out.slack_p95_ps, s.slack_p95_ps);
-    out.slack_max_ps = std::max(out.slack_max_ps, s.slack_max_ps);
-  }
-  std::sort(out.culprits.begin(), out.culprits.end(),
-            [](const CulpritCount& a, const CulpritCount& b) {
-              return a.bits != b.bits ? a.bits > b.bits
-                                      : a.name < b.name;
-            });
-  if (out.culprits.size() > top_k) out.culprits.resize(top_k);
-  return out;
-}
-
 /// Grid fast path for the levelized engine: supply and body bias scale
 /// every gate delay by one common factor (delay_scale), and the
 /// levelized engine's inertial/glitch decisions are invariant under

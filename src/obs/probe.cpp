@@ -65,6 +65,31 @@ std::string ProvenanceSummary::top_culprits_string(std::size_t k) const {
   return out;
 }
 
+ProvenanceSummary combine_stage_summaries(
+    std::span<const ProvenanceSummary> stages, std::size_t top_k) {
+  VOSIM_EXPECTS(!stages.empty());
+  ProvenanceSummary out;
+  out.ops = stages.back().ops;
+  out.bitwise_ber = stages.back().bitwise_ber;
+  for (const ProvenanceSummary& s : stages) {
+    out.erroneous_ops += s.erroneous_ops;
+    out.attributed_bits += s.attributed_bits;
+    out.lane_words += s.lane_words;
+    out.culprits.insert(out.culprits.end(), s.culprits.begin(),
+                        s.culprits.end());
+    out.slack_p50_ps = std::max(out.slack_p50_ps, s.slack_p50_ps);
+    out.slack_p95_ps = std::max(out.slack_p95_ps, s.slack_p95_ps);
+    out.slack_max_ps = std::max(out.slack_max_ps, s.slack_max_ps);
+  }
+  std::sort(out.culprits.begin(), out.culprits.end(),
+            [](const CulpritCount& a, const CulpritCount& b) {
+              return a.bits != b.bits ? a.bits > b.bits
+                                      : a.name < b.name;
+            });
+  if (out.culprits.size() > top_k) out.culprits.resize(top_k);
+  return out;
+}
+
 // --------------------------------------------------- ErrorProvenance
 
 namespace {

@@ -165,6 +165,15 @@ struct ProvenanceSummary {
   std::string top_culprits_string(std::size_t k) const;
 };
 
+/// Pipeline provenance roll-up from the per-stage observers: culprit
+/// histograms aggregate across stages (names carry the "s<k>:" prefix)
+/// and keep the top `top_k` by bits, then name; bitwise_ber is the
+/// output stage's local per-bit probability, and the slack figures take
+/// the worst stage. `ops` comes from the output stage (every stage
+/// observes every cycle). `stages` must not be empty.
+ProvenanceSummary combine_stage_summaries(
+    std::span<const ProvenanceSummary> stages, std::size_t top_k);
+
 /// Bundled observer: attributes every erroneous output bit of every
 /// observed operation to its culprit net — the failing net (sampled !=
 /// settled at the capture edge) with the lowest topological level

@@ -11,8 +11,8 @@
 //
 // Span phases used across the stack: "campaign.synth",
 // "campaign.characterize", "campaign.train", "campaign.execute",
-// "campaign.cell", "fleet.ladder", "fleet.serve", "fleet.chip",
-// "serve.request".
+// "campaign.cell", "campaign.shared_run", "fleet.ladder",
+// "fleet.serve", "fleet.chip", "serve.request".
 #ifndef VOSIM_OBS_TRACE_HPP
 #define VOSIM_OBS_TRACE_HPP
 

@@ -3,8 +3,9 @@
 // identity across thread counts, Pareto extraction, model-vs-gate-level
 // quality agreement, the determinism the content-keyed cache depends
 // on, the prepared-circuit cache and the exact backend's one run per
-// workload, the one operation schedule every backend runs, and the
-// error-free gate-level cells that copy the settled run.
+// workload, the one operation schedule every backend runs, the
+// error-free gate-level cells that copy the settled run, each shared
+// run made once, and sim-seq provenance culprits.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -34,6 +35,7 @@
 #include "src/campaign/workload.hpp"
 #include "src/obs/manifest.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 #include "src/characterize/triads.hpp"
 #include "src/model/prob_table.hpp"
 #include "src/netlist/dut.hpp"
@@ -591,6 +593,59 @@ TEST(CampaignRunner, SimSeqBackendRunsAndChargesRegisterEnergy) {
                     wrap_as_pipeline(build_circuit("rca16")), lib, 1.0),
                 1e-9);
   }
+}
+
+TEST(CampaignRunner, SimSeqProvenanceCellsKeepTheirTopCulprits) {
+  // A sim-seq cell's culprits roll its stages up into one top-K list,
+  // names prefixed "s<k>:". rca16's first 12 triads on fir: the three
+  // erroneous sim-seq cells are the 0.61 ns clocks with no body bias.
+  const CellLibrary& lib = make_fdsoi28_lvt();
+  CampaignConfig cfg;
+  cfg.workloads = {"fir"};
+  cfg.circuits = {"rca16"};
+  cfg.backends = {ArithBackend::kSimLevelized, ArithBackend::kSimSeq};
+  cfg.max_triads = 12;
+  cfg.characterize_patterns = 300;
+  cfg.provenance = true;
+  cfg.top_culprits = 3;
+  cfg.seed = 1;
+  CampaignStore store;
+  const CampaignOutcome outcome = run_campaign(lib, cfg, store);
+  ASSERT_EQ(outcome.cells.size(), 12u * 2u);
+  std::map<double, std::string> erroneous;  // by Vdd
+  for (const CampaignCell& cell : outcome.cells) {
+    if (cell.key.backend != "sim-seq" || cell.culprits.empty()) continue;
+    EXPECT_NEAR(cell.key.triad.tclk_ns, 0.6099405, 1e-9);
+    EXPECT_EQ(cell.key.triad.vbb_v, 0.0);
+    erroneous[cell.key.triad.vdd_v] = cell.culprits;
+    // At most 3 "s0:name=bits" entries, by bits descending, then name.
+    std::vector<std::pair<std::uint64_t, std::string>> entries;
+    std::size_t from = 0;
+    while (from <= cell.culprits.size()) {
+      std::size_t to = cell.culprits.find(',', from);
+      if (to == std::string::npos) to = cell.culprits.size();
+      const std::string entry = cell.culprits.substr(from, to - from);
+      const std::size_t eq = entry.find('=');
+      ASSERT_NE(eq, std::string::npos) << cell.culprits;
+      EXPECT_EQ(entry.rfind("s0:", 0), 0u) << cell.culprits;
+      entries.emplace_back(std::stoull(entry.substr(eq + 1)),
+                           entry.substr(0, eq));
+      from = to + 1;
+    }
+    EXPECT_LE(entries.size(), 3u) << cell.culprits;
+    EXPECT_TRUE(std::is_sorted(entries.begin(), entries.end(),
+                               [](const auto& a, const auto& b) {
+                                 return a.first != b.first
+                                            ? a.first > b.first
+                                            : a.second < b.second;
+                               }))
+        << cell.culprits;
+  }
+  const std::map<double, std::string> expected = {
+      {0.7, "s0:sum15=5,s0:sum12=4,s0:sum13=2"},
+      {0.6, "s0:sum7=190,s0:sum8=189,s0:sum10=176"},
+      {0.5, "s0:c5=1073,s0:c6=848,s0:c7=730"}};
+  EXPECT_EQ(erroneous, expected);
 }
 
 TEST(CampaignRunner, RejectsCircuitsThatCannotBackTheWorkloads) {
@@ -1442,20 +1497,85 @@ TEST(CampaignRunner, ErrorFreeFleetCellsEqualTheirSimulatedTwins) {
   EXPECT_LT(copies, 4u * (43u * 3u) * 2u);
 }
 
-TEST(CampaignRunner, CampaignRefSliceCopiesHalfItsGateLevelCells) {
-  // All five workloads on the perfbench campaign_ref slice of rca16's
-  // grid (the relaxed baseline and every 9th triad after it): three of
-  // its six triads are STA-safe on the nominal die.
-  CampaignConfig cfg = table3_gate_level_grid();
-  cfg.workloads = {"all"};
-  cfg.circuits = {"rca16"};
+/// The perfbench campaign_ref slice of rca16's grid: the relaxed
+/// baseline and every 9th triad after it.
+std::vector<OperatingTriad> campaign_ref_triads() {
   const DutNetlist rca16 = build_circuit("rca16");
   const std::vector<OperatingTriad> all = make_circuit_triads(
       rca16,
       synthesize_report(rca16.netlist, make_fdsoi28_lvt()).critical_path_ns);
-  cfg.triads = {all[0]};
-  for (std::size_t i = 1; i < all.size(); i += 9) cfg.triads.push_back(all[i]);
+  std::vector<OperatingTriad> slice = {all[0]};
+  for (std::size_t i = 1; i < all.size(); i += 9) slice.push_back(all[i]);
+  return slice;
+}
+
+TEST(CampaignRunner, CampaignRefSliceCopiesHalfItsGateLevelCells) {
+  // All five workloads on the campaign_ref slice: three of its six
+  // triads are STA-safe on the nominal die.
+  CampaignConfig cfg = table3_gate_level_grid();
+  cfg.workloads = {"all"};
+  cfg.circuits = {"rca16"};
+  cfg.triads = campaign_ref_triads();
   EXPECT_EQ(expect_copies_match_simulation(cfg), 5u * 3u * 2u);
+}
+
+/// The (adder, workload) pair of every campaign.shared_run span in a
+/// trace document.
+std::multiset<std::pair<std::string, std::string>> shared_runs(
+    const std::string& doc) {
+  const auto arg = [&doc](std::size_t from, const std::string& key) {
+    const std::string needle = "\"" + key + "\":\"";
+    const std::size_t at = doc.find(needle, from) + needle.size();
+    return doc.substr(at, doc.find('"', at) - at);
+  };
+  std::multiset<std::pair<std::string, std::string>> runs;
+  const std::string name = "\"name\":\"campaign.shared_run\"";
+  for (std::size_t at = doc.find(name); at != std::string::npos;
+       at = doc.find(name, at + 1))
+    runs.emplace(arg(at, "adder"), arg(at, "workload"));
+  return runs;
+}
+
+TEST(CampaignRunner, EachSharedRunIsMadeOnce) {
+  // Exact cells and STA-safe gate-level cells copy one run per (adder,
+  // workload), made lazily by the first cell that needs it: 4 workers
+  // racing over the grid make each run once, and a resumed grid makes
+  // none.
+  const CellLibrary& lib = make_fdsoi28_lvt();
+  CampaignConfig cfg;
+  cfg.workloads = {"fir", "dot"};
+  cfg.circuits = {"rca16", "bka16"};
+  cfg.backends = {ArithBackend::kExact, ArithBackend::kSimLevelized,
+                  ArithBackend::kSimSeq};
+  cfg.triads = campaign_ref_triads();
+  cfg.characterize_patterns = 300;
+  cfg.jobs = 4;
+  CampaignStore store;
+  obs::start_trace();
+  const CampaignOutcome outcome = run_campaign(lib, cfg, store);
+  const std::string doc = obs::stop_trace_json();
+  ASSERT_EQ(outcome.computed, 2u * 2u * 6u * 3u);
+
+  std::set<std::pair<std::string, std::string>> expected;
+  for (const std::string& w : cfg.workloads) expected.emplace("exact", w);
+  for (const std::string& spec : cfg.circuits) {
+    const DutNetlist dut = build_circuit(spec);
+    const SeqDut seq = wrap_as_pipeline(dut);
+    for (const CampaignCell& cell : outcome.cells)
+      if (cell.key.circuit == spec && sta_safe(cfg, cell, dut, seq))
+        expected.emplace(spec, cell.key.workload);
+  }
+  EXPECT_GT(expected.size(), cfg.workloads.size());  // settled runs too
+  const auto runs = shared_runs(doc);
+  EXPECT_EQ(std::set(runs.begin(), runs.end()), expected);
+  EXPECT_EQ(runs.size(), expected.size());  // none made twice
+  EXPECT_EQ(doc.find("\"name\":\"campaign.exact\""), std::string::npos);
+  EXPECT_EQ(doc.find("\"name\":\"campaign.settled\""), std::string::npos);
+
+  obs::start_trace();
+  const CampaignOutcome resumed = run_campaign(lib, cfg, store);
+  EXPECT_EQ(resumed.computed, 0u);
+  EXPECT_TRUE(shared_runs(obs::stop_trace_json()).empty());
 }
 
 TEST(CampaignRunner, SlowDieSimulatesASafeTriad) {

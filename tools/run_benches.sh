@@ -38,7 +38,8 @@
 #                   --trace/--metrics-json files, validated as JSON with
 #                   python3 when available (DESIGN.md §9, §12). A tiny
 #                   gate-level --provenance campaign must publish
-#                   provenance.campaign counters (DESIGN.md §13).
+#                   provenance.campaign counters and store a sim-seq
+#                   cell whose culprits start with "s0:" (DESIGN.md §13).
 #   fleet_shard     a 1000-chip, six-triad fleet campaign runs
 #                   single-process and as 4 concurrent shard processes,
 #                   in 5 interleaved pairs; the merged shard stores must
@@ -275,15 +276,21 @@ if [ "${run_smoke}" -eq 1 ]; then
     cells=$(sed -n 's/^campaign: \([0-9]*\) cells.*/\1/p' <<<"${summary}")
     reused=$(sed -n 's/^campaign: [0-9]* cells (\([0-9]*\) reused.*/\1/p' <<<"${summary}")
     # Provenance artifact (DESIGN.md §13): a tiny gate-level campaign
-    # with ErrorProvenance on. The metrics snapshot must carry the
-    # provenance.campaign counters — proof the observers attached and
-    # published.
+    # with ErrorProvenance on, over rca16's first 12 triads, 3 of which
+    # err on fir. The metrics snapshot must carry the provenance.campaign
+    # counters — proof the observers attached and published — and the
+    # store a sim-seq cell's stage-prefixed culprit string.
     (cd "${out_dir}" && "${cli}" campaign --workloads fir --circuits rca16 \
-       --backends sim-levelized --max-triads 3 --patterns 200 \
+       --backends sim-levelized,sim-seq --max-triads 12 --patterns 200 \
        --provenance --top-culprits 3 --store "${prov_store}" \
        --metrics-json "${prov_metrics}" >>"${log}" 2>&1) || smoke_status=1
     if ! grep -q '"provenance.campaign' "${prov_metrics}" 2>/dev/null; then
       echo "FAIL campaign_smoke: provenance counters missing from $(basename "${prov_metrics}")" >&2
+      smoke_status=1
+    fi
+    if ! grep -q '"backend":"sim-seq".*"culprits":"s0:' "${prov_store}" \
+         2>/dev/null; then
+      echo "FAIL campaign_smoke: no sim-seq culprits in $(basename "${prov_store}")" >&2
       smoke_status=1
     fi
     for f in "${trace_file}" "${metrics_file}" "${prov_metrics}"; do
