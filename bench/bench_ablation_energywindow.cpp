@@ -6,8 +6,8 @@
 #include <iostream>
 
 #include "bench/bench_common.hpp"
+#include "src/netlist/eval.hpp"
 #include "src/sim/event_sim.hpp"
-#include "src/sim/logic.hpp"
 #include "src/sim/vos_dut.hpp"
 #include "src/sta/synthesis_report.hpp"
 #include "src/util/bits.hpp"

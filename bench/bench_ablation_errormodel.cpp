@@ -72,8 +72,7 @@ int main() {
       // --- fit both models on the training stream ---
       VosDutSim train_sim(b.dut, lib, triad);
       ErrorAccumulator train_acc(b.width + 1);
-      PatternStream train_patterns(PatternPolicy::kCarryBalanced, b.width,
-                                   42);
+      PatternStream train_patterns(b.width, 42);
       // Shared pass: collect bitwise flip stats for the naive model.
       for (std::size_t i = 0; i < budget; ++i) {
         const OperandPair p = train_patterns.next();
@@ -95,8 +94,7 @@ int main() {
 
       // --- evaluate both on held-out patterns ---
       VosDutSim eval_sim(b.dut, lib, triad);
-      PatternStream eval_patterns(PatternPolicy::kCarryBalanced, b.width,
-                                  1729);
+      PatternStream eval_patterns(b.width, 1729);
       Rng chain_rng(99);
       Rng flip_rng(98);
       ErrorAccumulator chain_acc(b.width + 1);

@@ -50,8 +50,8 @@ int main() {
 
       VosDutSim eval_base(b.dut, lib, triad);
       VosDutSim eval_seg(b.dut, lib, triad);
-      PatternStream pat_base(PatternPolicy::kCarryBalanced, b.width, 1729);
-      PatternStream pat_seg(PatternPolicy::kCarryBalanced, b.width, 1729);
+      PatternStream pat_base(b.width, 1729);
+      PatternStream pat_seg(b.width, 1729);
       Rng rng_base(9);
       Rng rng_seg(9);
       ErrorAccumulator acc_base(b.width + 1);

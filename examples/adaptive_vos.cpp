@@ -48,7 +48,7 @@ int main() {
   ClosedLoopSeqUnit unit(pipe, lib, ladder, cl, die);
 
   constexpr std::size_t kCycles = 20000;
-  PatternStream patterns(PatternPolicy::kCarryBalanced, 8, 4242);
+  PatternStream patterns(8, 4242);
   std::vector<std::uint64_t> operands;
   operands.reserve(2 * kCycles);
   for (std::size_t c = 0; c < kCycles; ++c) {

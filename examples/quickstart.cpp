@@ -31,7 +31,7 @@ int main() {
   VosDutSim sim(adder, lib, vos);
   std::cout << "\noperating triad " << triad_label(vos) << ":\n";
   ErrorAccumulator acc(9);
-  PatternStream patterns(PatternPolicy::kCarryBalanced, 8, 42);
+  PatternStream patterns(8, 42);
   double energy = 0.0;
   for (int i = 0; i < 5000; ++i) {
     const OperandPair p = patterns.next();

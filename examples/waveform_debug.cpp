@@ -22,11 +22,11 @@ int main() {
   std::cout << "wrote rca8.v (" << adder.netlist.num_gates()
             << " cell instances)\n";
 
-  // 2. One worst-case operation at a VOS triad, with a VcdObserver
+  // 2. One worst-case operation at a VOS triad, with a TraceRecorder
   //    attached: 0x00+0x00 -> 0xFF+0x01 excites the full carry ripple.
   const OperatingTriad triad{rep.critical_path_ns, 0.7, 0.0};
   TimingSimulator sim(adder.netlist, lib, triad);
-  VcdObserver vcd;
+  TraceRecorder vcd;
   sim.attach_observer(&vcd);
   std::vector<std::uint8_t> zeros(adder.netlist.primary_inputs().size(), 0);
   sim.settle(zeros);

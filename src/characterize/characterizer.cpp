@@ -26,8 +26,7 @@ std::vector<std::uint64_t> generate_patterns(
     const CharacterizeConfig& config, const DutNetlist& dut) {
   const std::size_t nops = dut.num_operands();
   std::vector<std::uint64_t> pats((config.num_patterns + 1) * nops);
-  DutPatternStream stream(config.policy, dut.operand_widths(),
-                          config.pattern_seed);
+  DutPatternStream stream(dut.operand_widths(), config.pattern_seed);
   for (std::size_t p = 0; p <= config.num_patterns; ++p)
     stream.next({pats.data() + p * nops, nops});
   return pats;
@@ -40,6 +39,16 @@ std::uint64_t golden_of(const CharacterizeConfig& config,
                         std::span<const std::uint64_t> ops,
                         std::uint64_t settled) {
   return config.golden ? config.golden(ops) : settled;
+}
+
+/// Fills the error fields of `res` from one triad's accumulated
+/// (reference, sampled) pairs.
+void set_error_metrics(TriadResult& res, const ErrorAccumulator& acc) {
+  res.ber = acc.ber();
+  res.bitwise_ber = acc.bitwise_error_probability();
+  res.op_error_rate = acc.op_error_rate();
+  res.mse = acc.mse();
+  res.mred = acc.mred();
 }
 
 /// Grid fast path for the levelized engine: supply and body bias scale
@@ -127,7 +136,7 @@ std::vector<TriadResult> characterize_levelized_sweep(
       seg.push_back(Partial{ErrorAccumulator(out_bits), 0.0, 0.0, 0.0});
   }
 
-  shared_thread_pool().parallel(
+  parallel_for(
       nseg,
       [&](std::size_t s) {
         // Stream indices [begin, end) of patterns; begin-1 settles.
@@ -190,11 +199,7 @@ std::vector<TriadResult> characterize_levelized_sweep(
     }
     TriadResult& res = results[t];
     res.triad = triads[t];
-    res.ber = merged.ber();
-    res.bitwise_ber = merged.bitwise_error_probability();
-    res.op_error_rate = merged.op_error_rate();
-    res.mse = merged.mse();
-    res.mred = merged.mred();
+    set_error_metrics(res, merged);
     const auto n = static_cast<double>(num_patterns);
     res.energy_per_op_fj = energy / n;
     res.dynamic_energy_fj = dyn / n;
@@ -312,11 +317,7 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
   const auto score = [&](std::size_t t, const RunSums& sums) {
     TriadResult& res = results[t];
     res.triad = triads[t];
-    res.ber = sums.acc.ber();
-    res.bitwise_ber = sums.acc.bitwise_error_probability();
-    res.op_error_rate = sums.acc.op_error_rate();
-    res.mse = sums.acc.mse();
-    res.mred = sums.acc.mred();
+    set_error_metrics(res, sums.acc);
     const auto n = static_cast<double>(sums.cycles);
     res.energy_per_op_fj =
         sums.dyn * escale[t] / n + leak_fj[t] + clock_fj[t];
@@ -398,7 +399,7 @@ std::vector<TriadResult> characterize_seq_levelized_norm(
         config.threads == 0 ? hardware_parallelism() : config.threads;
     const std::size_t nshard = std::clamp<std::size_t>(
         std::min<std::size_t>(workers, active.size()), 1, 64);
-    shared_thread_pool().parallel(
+    parallel_for(
         nshard,
         [&](std::size_t s) {
           SeqSim sim(seq, lib, norm, sim_cfg);
@@ -434,7 +435,7 @@ std::vector<TriadResult> characterize_dut(
   // One persistent pool across the whole grid (and across repeated
   // sweeps in the same process): triads are the parallel unit, patterns
   // stream through each simulator in batches.
-  shared_thread_pool().parallel(
+  parallel_for(
       triads.size(),
       [&](std::size_t t) {
         const OperatingTriad& op = triads[t];
@@ -480,11 +481,7 @@ std::vector<TriadResult> characterize_dut(
 
         TriadResult& res = results[t];
         res.triad = op;
-        res.ber = acc.ber();
-        res.bitwise_ber = acc.bitwise_error_probability();
-        res.op_error_rate = acc.op_error_rate();
-        res.mse = acc.mse();
-        res.mred = acc.mred();
+        set_error_metrics(res, acc);
         const auto n = static_cast<double>(config.num_patterns);
         res.energy_per_op_fj = energy / n;
         res.dynamic_energy_fj = dyn / n;
@@ -520,8 +517,7 @@ std::vector<TriadResult> characterize_seq_dut(
   // combinational sweep.
   const std::size_t nops = seq.num_operands();
   std::vector<std::uint64_t> pats(config.num_patterns * nops);
-  DutPatternStream stream(config.policy, seq.operand_widths(),
-                          config.pattern_seed);
+  DutPatternStream stream(seq.operand_widths(), config.pattern_seed);
   for (std::size_t p = 0; p < config.num_patterns; ++p)
     stream.next({pats.data() + p * nops, nops});
 
@@ -536,7 +532,7 @@ std::vector<TriadResult> characterize_seq_dut(
   std::vector<TriadResult> results(triads.size());
   std::vector<std::vector<std::unique_ptr<ErrorProvenance>>> sprovs(
       config.provenance ? triads.size() : 0);
-  shared_thread_pool().parallel(
+  parallel_for(
       triads.size(),
       [&](std::size_t t) {
         TimingSimConfig sim_cfg;
@@ -578,11 +574,7 @@ std::vector<TriadResult> characterize_seq_dut(
 
         TriadResult& res = results[t];
         res.triad = triads[t];
-        res.ber = acc.ber();
-        res.bitwise_ber = acc.bitwise_error_probability();
-        res.op_error_rate = acc.op_error_rate();
-        res.mse = acc.mse();
-        res.mred = acc.mred();
+        set_error_metrics(res, acc);
         const auto n = static_cast<double>(cycles);
         res.energy_per_op_fj = energy / n;
         res.dynamic_energy_fj =

@@ -30,7 +30,6 @@ using GoldenFn =
 /// Sweep configuration.
 struct CharacterizeConfig {
   std::size_t num_patterns = 20000;  ///< SPICE runs per triad in the paper
-  PatternPolicy policy = PatternPolicy::kCarryBalanced;
   std::uint64_t pattern_seed = 42;   ///< same stimuli at every triad
   double variation_sigma = 0.03;     ///< per-gate process variation
   std::uint64_t variation_seed = 7;  ///< "one die" across all triads

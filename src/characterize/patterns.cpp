@@ -5,26 +5,12 @@
 
 namespace vosim {
 
-PatternStream::PatternStream(PatternPolicy policy, int width,
-                             std::uint64_t seed)
-    : policy_(policy), width_(width), rng_(seed) {
+PatternStream::PatternStream(int width, std::uint64_t seed)
+    : width_(width), rng_(seed) {
   VOSIM_EXPECTS(width >= 1 && width <= max_word_bits);
 }
 
 OperandPair PatternStream::next() {
-  switch (policy_) {
-    case PatternPolicy::kUniform: return next_uniform();
-    case PatternPolicy::kCarryBalanced: return next_carry_balanced();
-    case PatternPolicy::kCorrelatedWalk: return next_walk();
-  }
-  return {};
-}
-
-OperandPair PatternStream::next_uniform() {
-  return OperandPair{rng_.bits(width_), rng_.bits(width_)};
-}
-
-OperandPair PatternStream::next_carry_balanced() {
   // Draw a per-pattern propagate density q, then classify each bit as
   // propagate (a^b = 1), generate (a = b = 1) or kill (a = b = 0).
   // Sweeping q in [0.2, 0.95] makes long and short carry chains equally
@@ -46,18 +32,16 @@ OperandPair PatternStream::next_carry_balanced() {
   return OperandPair{a, b};
 }
 
-DutPatternStream::DutPatternStream(PatternPolicy policy,
-                                   std::vector<int> operand_widths,
+DutPatternStream::DutPatternStream(std::vector<int> operand_widths,
                                    std::uint64_t seed)
-    : policy_(policy), widths_(std::move(operand_widths)) {
+    : widths_(std::move(operand_widths)) {
   VOSIM_EXPECTS(!widths_.empty());
   std::size_t i = 0;
   std::uint64_t k = 0;
   while (i < widths_.size()) {
     const bool paired =
         i + 1 < widths_.size() && widths_[i + 1] == widths_[i];
-    sources_.push_back(
-        Source{PatternStream(policy, widths_[i], seed + k), i, paired});
+    sources_.push_back(Source{PatternStream(widths_[i], seed + k), i, paired});
     i += paired ? 2 : 1;
     ++k;
   }
@@ -70,17 +54,6 @@ void DutPatternStream::next(std::span<std::uint64_t> operands) {
     operands[src.first] = p.a;
     if (src.paired) operands[src.first + 1] = p.b;
   }
-}
-
-OperandPair PatternStream::next_walk() {
-  const std::uint64_t m = mask_n(width_);
-  // Small signed increments emulate slowly-varying application data.
-  const std::uint64_t step = 1ULL << (width_ >= 8 ? width_ - 6 : 1);
-  const std::uint64_t da = rng_.below(2 * step + 1);
-  const std::uint64_t db = rng_.below(2 * step + 1);
-  last_.a = (last_.a + da + (m + 1) - step) & m;
-  last_.b = (last_.b + db + (m + 1) - step) & m;
-  return last_;
 }
 
 }  // namespace vosim

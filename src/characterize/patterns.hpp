@@ -2,9 +2,10 @@
 //
 // The paper stimulates each triad with 20 000 patterns "chosen in such a
 // way that all the input bits carry equal probability to propagate carry
-// in the chain" (Section IV). kCarryBalanced implements that intent by
+// in the chain" (Section IV). PatternStream implements that intent by
 // stratifying the per-pattern propagate density, which spreads the
-// theoretical carry-chain length over its whole range.
+// theoretical carry-chain length over its whole range; it is the one
+// stimulus every sweep, trainer and study draws.
 #ifndef VOSIM_CHARACTERIZE_PATTERNS_HPP
 #define VOSIM_CHARACTERIZE_PATTERNS_HPP
 
@@ -17,60 +18,41 @@
 
 namespace vosim {
 
-/// Stimulus policies.
-enum class PatternPolicy {
-  kUniform,        ///< independent uniform operands
-  kCarryBalanced,  ///< stratified propagate density (paper-style)
-  kCorrelatedWalk, ///< operands follow a random walk (application-like)
-};
-
 /// An operand pair.
 struct OperandPair {
   std::uint64_t a = 0;
   std::uint64_t b = 0;
 };
 
-/// Deterministic pattern stream: same (policy, width, seed) => same
-/// sequence, so every triad of a sweep sees identical stimuli, as in the
-/// paper's testbench.
+/// Deterministic carry-balanced pattern stream: same (width, seed) =>
+/// same sequence, so every triad of a sweep sees identical stimuli, as
+/// in the paper's testbench.
 class PatternStream {
  public:
-  PatternStream(PatternPolicy policy, int width, std::uint64_t seed);
+  PatternStream(int width, std::uint64_t seed);
 
   OperandPair next();
 
-  int width() const noexcept { return width_; }
-  PatternPolicy policy() const noexcept { return policy_; }
-
  private:
-  OperandPair next_uniform();
-  OperandPair next_carry_balanced();
-  OperandPair next_walk();
-
-  PatternPolicy policy_;
   int width_;
   Rng rng_;
-  OperandPair last_{};  // for the correlated walk
 };
 
 /// Deterministic multi-operand stimulus for DUT characterization.
 /// Operand buses are consumed in adjacent pairs; pair k (equal widths)
 /// draws an OperandPair from its own PatternStream seeded seed + k, so
-/// the carry-balanced policy keeps its pairwise propagate semantics on
-/// every operand pair of a tree or MAC. A plain two-operand DUT (adder,
-/// multiplier) therefore sees exactly the classic PatternStream(policy,
-/// width, seed) sequence. A trailing or width-mismatched bus draws a
-/// pair of its own and keeps the first word.
+/// the carry-balanced stimulus keeps its pairwise propagate semantics
+/// on every operand pair of a tree or MAC. A plain two-operand DUT
+/// (adder, multiplier) therefore sees exactly the classic
+/// PatternStream(width, seed) sequence. A trailing or width-mismatched
+/// bus draws a pair of its own and keeps the first word.
 class DutPatternStream {
  public:
-  DutPatternStream(PatternPolicy policy, std::vector<int> operand_widths,
-                   std::uint64_t seed);
+  DutPatternStream(std::vector<int> operand_widths, std::uint64_t seed);
 
-  /// Fills operands[0..num_operands()).
+  /// Fills one word per operand bus (operands.size() must equal the
+  /// number of widths given at construction).
   void next(std::span<std::uint64_t> operands);
-
-  std::size_t num_operands() const noexcept { return widths_.size(); }
-  PatternPolicy policy() const noexcept { return policy_; }
 
  private:
   struct Source {
@@ -79,7 +61,6 @@ class DutPatternStream {
     bool paired;        ///< fills operands first and first+1
   };
 
-  PatternPolicy policy_;
   std::vector<int> widths_;
   std::vector<Source> sources_;
 };

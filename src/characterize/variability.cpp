@@ -37,6 +37,7 @@ std::vector<VariabilityResult> variability_study(
   std::vector<double> ber(triads.size() * dies, 0.0);
   std::vector<double> energy(triads.size() * dies, 0.0);
   const std::size_t nops = dut.num_operands();
+  constexpr std::uint64_t kDieSeedBase = 1000;  // die i uses base + i
 
   parallel_for(
       triads.size() * dies,
@@ -45,12 +46,11 @@ std::vector<VariabilityResult> variability_study(
         const std::size_t die = job % dies;
         TimingSimConfig sim_cfg;
         sim_cfg.variation_sigma = config.variation_sigma;
-        sim_cfg.variation_seed = config.die_seed_base + die;
+        sim_cfg.variation_seed = kDieSeedBase + die;
         sim_cfg.engine = config.engine;
         VosDutSim sim(dut, lib, triads[t], sim_cfg);
 
-        DutPatternStream patterns(config.policy, dut.operand_widths(),
-                                  config.pattern_seed);
+        DutPatternStream patterns(dut.operand_widths(), config.pattern_seed);
         ErrorAccumulator acc(sim.output_width());
         double e = 0.0;
         std::vector<std::uint64_t> ops(nops, 0);

@@ -39,9 +39,7 @@ struct VariabilityResult {
 struct VariabilityConfig {
   int num_dies = 25;
   double variation_sigma = 0.05;     ///< per-gate log-normal sigma
-  std::uint64_t die_seed_base = 1000;  ///< die i uses seed base + i
   std::size_t num_patterns = 3000;
-  PatternPolicy policy = PatternPolicy::kCarryBalanced;
   std::uint64_t pattern_seed = 42;
   /// Worker cap on the shared persistent ThreadPool (0 = default) —
   /// the same convention as CampaignConfig::jobs, so nesting a

@@ -71,7 +71,6 @@ FleetOutcome run_fleet_study(const CellLibrary& lib,
   // time, not from re-characterizing the grid per chip.
   CharacterizeConfig ccfg;
   ccfg.num_patterns = config.ladder_patterns;
-  ccfg.policy = config.policy;
   ccfg.pattern_seed = config.pattern_seed;
   ccfg.engine = EngineKind::kLevelized;
   ccfg.threads = config.jobs;
@@ -99,8 +98,7 @@ FleetOutcome run_fleet_study(const CellLibrary& lib,
   const std::size_t nops = seq.num_operands();
   std::vector<std::uint64_t> operands(config.cycles * nops, 0);
   {
-    DutPatternStream patterns(config.policy, seq.operand_widths(),
-                              config.pattern_seed);
+    DutPatternStream patterns(seq.operand_widths(), config.pattern_seed);
     for (std::size_t c = 0; c < config.cycles; ++c)
       patterns.next(std::span<std::uint64_t>(
           operands.data() + c * nops, nops));

@@ -82,7 +82,6 @@ struct FleetStudyConfig {
   std::size_t ladder_patterns = 2000;
   /// Workload cycles each chip serves.
   std::size_t cycles = 4096;
-  PatternPolicy policy = PatternPolicy::kCarryBalanced;
   std::uint64_t pattern_seed = 42;  ///< shared stream across chips
   ClosedLoopConfig control;
   unsigned jobs = 0;  ///< shared-pool worker cap (0 = default)

@@ -118,8 +118,8 @@ VosEnergyModel train_energy_model(const AdderNetlist& adder,
                                   const EnergyTrainerConfig& config) {
   VOSIM_EXPECTS(config.num_patterns >= 16);
   const DutNetlist dut = to_dut(adder);
-  VosDutSim sim(dut, lib, triad, config.sim_config);
-  PatternStream patterns(config.policy, adder.width, config.pattern_seed);
+  VosDutSim sim(dut, lib, triad);
+  PatternStream patterns(adder.width, config.pattern_seed);
   const double clamp = chain_budget(adder, lib, triad);
 
   std::array<std::array<double, nf>, nf> xtx{};
@@ -150,8 +150,7 @@ EnergyFit evaluate_energy_model(const VosEnergyModel& model,
                                 std::uint64_t pattern_seed) {
   const DutNetlist dut = to_dut(adder);
   VosDutSim sim(dut, lib, model.triad());
-  PatternStream patterns(PatternPolicy::kCarryBalanced, adder.width,
-                         pattern_seed);
+  PatternStream patterns(adder.width, pattern_seed);
   OperandPair prev = patterns.next();
   sim.reset(prev.a, prev.b);
 

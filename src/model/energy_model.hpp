@@ -12,7 +12,6 @@
 
 #include "src/characterize/patterns.hpp"
 #include "src/netlist/adders.hpp"
-#include "src/sim/event_sim.hpp"
 #include "src/tech/operating_point.hpp"
 
 namespace vosim {
@@ -62,12 +61,11 @@ struct EnergyFit {
 /// Training knobs.
 struct EnergyTrainerConfig {
   std::size_t num_patterns = 8000;
-  PatternPolicy policy = PatternPolicy::kCarryBalanced;
   std::uint64_t pattern_seed = 42;
-  TimingSimConfig sim_config = {};
 };
 
-/// Least-squares fit against the timing simulator at one triad.
+/// Least-squares fit against the event-driven timing simulator on the
+/// nominal die (no variation) at one triad.
 VosEnergyModel train_energy_model(const AdderNetlist& adder,
                                   const CellLibrary& lib,
                                   const OperatingTriad& triad,

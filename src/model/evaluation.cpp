@@ -13,8 +13,9 @@ FidelityResult evaluate_fidelity(const VosAdderModel& model,
                                  const FidelityConfig& config) {
   VOSIM_EXPECTS(config.num_patterns > 0);
   const int width = model.width();
-  PatternStream patterns(config.policy, width, config.pattern_seed);
-  Rng model_rng(config.model_rng_seed);
+  PatternStream patterns(width, config.pattern_seed);
+  constexpr std::uint64_t kModelRngSeed = 99;  // the model's window draws
+  Rng model_rng(kModelRngSeed);
 
   ErrorAccumulator model_vs_oracle(width + 1);  // oracle as reference
   ErrorAccumulator model_vs_exact(width + 1);

@@ -25,9 +25,7 @@ struct FidelityResult {
 /// (a different seed), as in any honest calibration study.
 struct FidelityConfig {
   std::size_t num_patterns = 20000;
-  PatternPolicy policy = PatternPolicy::kCarryBalanced;
   std::uint64_t pattern_seed = 1729;  ///< held-out stimuli
-  std::uint64_t model_rng_seed = 99;
 };
 
 /// Compares model and oracle outputs pattern by pattern; the *oracle*

@@ -175,7 +175,7 @@ SegmentedVosModel train_segmented_model(int width,
       segments, std::vector<std::vector<std::uint64_t>>(
                     n, std::vector<std::uint64_t>(n, 0)));
 
-  PatternStream patterns(config.policy, width, config.pattern_seed);
+  PatternStream patterns(width, config.pattern_seed);
   observe_stream(
       patterns, config.num_patterns, oracle,
       [&](const OperandPair& pat, std::uint64_t observed) {

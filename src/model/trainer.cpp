@@ -54,7 +54,7 @@ CarryChainProbTable train_carry_table(int width, const BatchAdderFn& oracle,
   std::vector<std::vector<std::uint64_t>> counts(
       n, std::vector<std::uint64_t>(n, 0));
 
-  PatternStream patterns(config.policy, width, config.pattern_seed);
+  PatternStream patterns(width, config.pattern_seed);
   observe_stream(patterns, config.num_patterns, oracle,
                  [&](const OperandPair& pat, std::uint64_t observed) {
                    const WindowFit fit = fit_window(pat.a, pat.b, width,

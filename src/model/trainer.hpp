@@ -33,7 +33,6 @@ using BatchAdderFn = std::function<void(
 struct TrainerConfig {
   std::size_t num_patterns = 20000;
   DistanceMetric metric = DistanceMetric::kMse;
-  PatternPolicy policy = PatternPolicy::kCarryBalanced;
   std::uint64_t pattern_seed = 42;
 };
 

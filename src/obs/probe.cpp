@@ -12,8 +12,9 @@ namespace vosim {
 
 // ------------------------------------------------------- TraceRecorder
 
-void TraceRecorder::on_step_begin(const SimEngine&,
+void TraceRecorder::on_step_begin(const SimEngine& engine,
                                   std::span<const std::uint8_t> initial) {
+  engine_ = &engine;
   trace_.clear();
   initial_.assign(initial.begin(), initial.end());
 }
@@ -22,23 +23,10 @@ void TraceRecorder::on_transition(const SimEngine&, const TraceEvent& ev) {
   trace_.push_back(ev);
 }
 
-// -------------------------------------------------------- VcdObserver
-
-void VcdObserver::on_step_begin(const SimEngine& engine,
-                                std::span<const std::uint8_t> initial) {
-  engine_ = &engine;
-  trace_.clear();
-  initial_.assign(initial.begin(), initial.end());
-}
-
-void VcdObserver::on_transition(const SimEngine&, const TraceEvent& ev) {
-  trace_.push_back(ev);
-}
-
-void VcdObserver::write(std::ostream& os) const {
+void TraceRecorder::write(std::ostream& os) const {
   if (engine_ == nullptr)
     throw ContractViolation(
-        "VcdObserver::write: no step observed yet (attach the observer "
+        "TraceRecorder::write: no step observed yet (attach the recorder "
         "to an event engine and run step() first)");
   write_vcd(engine_->netlist(), engine_->triad().tclk_ns * 1e3, initial_,
             trace_, os);

@@ -1,8 +1,7 @@
 // Simulation introspection: the SimObserver callback interface both
 // SimEngine backends dispatch into, plus the bundled observers —
-// TraceRecorder (per-step transition capture, the replacement for the
-// old TimingSimulator::take_trace() plumbing), VcdObserver (single-step
-// waveform export) and ErrorProvenance (per-net culprit attribution of
+// TraceRecorder (one step's transitions and baseline, written as a VCD
+// waveform) and ErrorProvenance (per-net culprit attribution of
 // erroneous output bits, per-bit-position BER from attribution, and
 // slack-consumption statistics). DESIGN.md §13.
 //
@@ -81,9 +80,8 @@ class SimObserver {
 };
 
 /// Bundled observer: records the last step's committed transitions and
-/// the pre-step baseline values — the replacement for the removed
-/// TimingSimulator record_trace/take_trace plumbing. Event engine only
-/// (the levelized backend emits no transitions).
+/// the pre-step baseline values, and writes them as a VCD waveform.
+/// Event engine only (the levelized backend emits no transitions).
 class TraceRecorder final : public SimObserver {
  public:
   void on_step_begin(const SimEngine& engine,
@@ -91,40 +89,18 @@ class TraceRecorder final : public SimObserver {
   void on_transition(const SimEngine& engine, const TraceEvent& ev) override;
 
   /// Transitions of the last observed step, in commit order. The buffer
-  /// is cleared at the next step's launch edge; use take_trace() to
-  /// assume ownership.
+  /// is cleared at the next step's launch edge.
   std::span<const TraceEvent> trace() const noexcept { return trace_; }
-
-  /// Moves the last step's trace out of the recorder, releasing its
-  /// storage; the next observed step records into a fresh buffer.
-  std::vector<TraceEvent> take_trace() noexcept {
-    std::vector<TraceEvent> out = std::move(trace_);
-    trace_ = {};
-    return out;
-  }
 
   /// Net values at the start of the last observed step.
   std::span<const std::uint8_t> initial_values() const noexcept {
     return initial_;
   }
 
- private:
-  std::vector<TraceEvent> trace_;
-  std::vector<std::uint8_t> initial_;
-};
-
-/// Bundled observer: captures one step's trace and writes it as a VCD
-/// waveform (all nets declared, baseline at #0, every transition at
-/// 1 ps resolution, a clk_sample marker at Tclk). The replacement for
-/// the old write_vcd(TimingSimulator&) entry point. Event engine only.
-class VcdObserver final : public SimObserver {
- public:
-  void on_step_begin(const SimEngine& engine,
-                     std::span<const std::uint8_t> initial) override;
-  void on_transition(const SimEngine& engine, const TraceEvent& ev) override;
-
-  /// Writes the last observed step as a VCD dump. Throws
-  /// ContractViolation when no step has been observed yet.
+  /// Writes the last observed step as a VCD dump (write_vcd: all nets
+  /// declared, baseline at #0, every transition at 1 ps resolution, a
+  /// clk_sample marker at Tclk). Throws ContractViolation when no step
+  /// has been observed yet.
   void write(std::ostream& os) const;
 
  private:

@@ -6,14 +6,24 @@
 
 namespace vosim {
 
+namespace {
+
+/// Step down (cheaper) only when the measured rate is below
+/// margin × kStepDownFraction — hysteresis against flapping.
+constexpr double kStepDownFraction = 0.5;
+/// Re-probe backoff: after retreating from a rung that violated the
+/// floor, that rung is barred for this many decision windows, and the
+/// bar doubles on every failed re-probe (capped at ×64).
+constexpr std::size_t kReprobeBackoffWindows = 4;
+
+}  // namespace
+
 ClosedLoopController::ClosedLoopController(std::size_t num_rungs,
                                            const ClosedLoopConfig& config)
     : num_rungs_(num_rungs), config_(config), barred_rung_(num_rungs) {
   VOSIM_EXPECTS(num_rungs >= 1);
   VOSIM_EXPECTS(config.op_error_margin >= 0.0);
   VOSIM_EXPECTS(config.window_cycles >= 1);
-  VOSIM_EXPECTS(config.step_down_fraction > 0.0 &&
-                config.step_down_fraction <= 1.0);
 }
 
 SpeculationAction ClosedLoopController::observe(double worst_stage_rate,
@@ -33,7 +43,7 @@ SpeculationAction ClosedLoopController::observe(double worst_stage_rate,
       barred_rung_ = rung_;
       barred_penalty_ = 1;
     }
-    barred_cooldown_ = config_.reprobe_backoff_windows * barred_penalty_;
+    barred_cooldown_ = kReprobeBackoffWindows * barred_penalty_;
     --rung_;
     ++switches_;
     dwell_ = 0;
@@ -44,8 +54,7 @@ SpeculationAction ClosedLoopController::observe(double worst_stage_rate,
     barred_rung_ = num_rungs_;
     barred_penalty_ = 1;
   }
-  if (worst_stage_rate <
-          config_.op_error_margin * config_.step_down_fraction &&
+  if (worst_stage_rate < config_.op_error_margin * kStepDownFraction &&
       rung_ + 1 < num_rungs_) {
     if (rung_ + 1 == barred_rung_ && barred_cooldown_ > 0) {
       --barred_cooldown_;  // suppressed probe

@@ -34,17 +34,8 @@ struct ClosedLoopConfig {
   double op_error_margin = 0.05;
   /// Razor monitor window (cycles) per stage.
   std::size_t window_cycles = 256;
-  /// Step down (cheaper) only when the measured rate is below
-  /// margin × step_down_fraction — hysteresis against flapping.
-  double step_down_fraction = 0.5;
   /// Minimum cycles on a rung before another decision.
   std::size_t min_dwell_cycles = 256;
-  /// Re-probe backoff: after retreating from a rung that violated the
-  /// floor, that rung is barred for this many decision windows, and the
-  /// bar doubles on every failed re-probe (capped at ×64). Without it
-  /// the controller would re-enter the bad rung after every dwell and
-  /// the steady-state error rate would exceed the floor it promises.
-  std::size_t reprobe_backoff_windows = 4;
 };
 
 /// The ladder-walking policy: feed it the measured worst-stage rate

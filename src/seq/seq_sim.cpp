@@ -27,7 +27,6 @@ SeqSim::SeqSim(const SeqDut& seq, const CellLibrary& lib,
   capture_tclk_ps_ = capture.tclk_ns * 1e3;
   leakage_scale_ = op.tclk_ns / capture.tclk_ns;
 
-  tracing_ = config.record_trace && config.engine == EngineKind::kEvent;
   clock_energy_fj_ = seq_clock_energy_fj(seq, lib, op.vdd_v);
 
   pins_.reserve(seq.stages.size());
@@ -35,14 +34,6 @@ SeqSim::SeqSim(const SeqDut& seq, const CellLibrary& lib,
   for (const DutNetlist& stage : seq.stages) {
     pins_.emplace_back(stage);
     engines_.push_back(make_engine(stage.netlist, lib, capture, config));
-  }
-  if (tracing_) {
-    // One bundled TraceRecorder per stage; the engines emit their
-    // transitions through the observer interface and the recorders
-    // hand each cycle's trace to record_cycle_trace.
-    recorders_.resize(seq.stages.size());
-    for (std::size_t k = 0; k < seq.stages.size(); ++k)
-      engines_[k]->attach_observer(&recorders_[k]);
   }
   // bank_slot_[k][j]: the PI slot of bit j of stage k's packed bank
   // word — split_bank_word concatenates the operand buses in order, so
@@ -88,7 +79,6 @@ void SeqSim::reset() {
     monitors_[k].reset_window();
   }
   golden_.clear();
-  traces_.clear();
   cycles_ = 0;
   replay_ = nullptr;
   replay_synced_ = false;
@@ -149,29 +139,6 @@ void SeqSim::golden_output_batch(std::span<const std::uint64_t> operands,
   }
 }
 
-void SeqSim::record_cycle_trace(std::span<const std::uint64_t> operands,
-                                std::uint64_t captured) {
-  const std::size_t stages = engines_.size();
-  SeqCycleTrace trace;
-  trace.bank_words.reserve(stages + 1);
-  std::uint64_t in = 0;
-  int shift = 0;
-  for (std::size_t b = 0; b < operands.size(); ++b) {
-    in |= operands[b] << shift;
-    shift += pins_[0].operand_width(b);
-  }
-  trace.bank_words.push_back(in);
-  for (std::size_t k = 1; k < stages; ++k)
-    trace.bank_words.push_back(stage_sampled_[k - 1]);
-  trace.bank_words.push_back(captured);
-  for (TraceRecorder& rec : recorders_) {
-    trace.stage_initial.emplace_back(rec.initial_values().begin(),
-                                     rec.initial_values().end());
-    trace.stage_events.push_back(rec.take_trace());
-  }
-  traces_.push_back(std::move(trace));
-}
-
 void SeqSim::step_cycle_batch(std::span<const std::uint64_t> operands,
                               std::size_t count,
                               std::span<SeqCycleResult> results) {
@@ -188,12 +155,9 @@ void SeqSim::run_cycles(std::span<const std::uint64_t> operands,
   const std::size_t stages = engines_.size();
   // Chunk at one lane word (64 cycles): every levelized pass runs full
   // and the golden composition evaluates the chunk as one packed word.
-  // Tracing takes each stage recorder's trace per cycle, so it runs
-  // one-cycle chunks through the same path.
-  const std::size_t max_chunk = tracing_ ? 1 : lanes::kWordLanes;
   std::size_t done = 0;
   while (done < count) {
-    const std::size_t chunk = std::min(max_chunk, count - done);
+    const std::size_t chunk = std::min(lanes::kWordLanes, count - done);
     const auto chunk_ops = operands.subspan(done * nops, chunk * nops);
     batch_golden_.resize(chunk);
     golden_output_batch(chunk_ops, chunk, batch_golden_.data());
@@ -249,7 +213,6 @@ void SeqSim::run_cycles(std::span<const std::uint64_t> operands,
       }
       ++cycles_;
     }
-    if (tracing_) record_cycle_trace(chunk_ops, results[done].captured);
     for (std::size_t k = 0; k < stages; ++k)
       stage_sampled_[k] = batch_sampled_w_[k * row + chunk];
     done += chunk;

@@ -28,7 +28,6 @@
 #include <span>
 #include <vector>
 
-#include "src/obs/probe.hpp"
 #include "src/seq/error_monitor.hpp"
 #include "src/seq/seq_dut.hpp"
 #include "src/sim/sim_engine.hpp"
@@ -52,14 +51,6 @@ struct SeqCycleResult {
   /// Bit k set: stage k's Razor shadow disagreed with its main sample
   /// this cycle (a local timing error, not an inherited one).
   std::uint32_t razor_flags = 0;
-};
-
-/// Per-cycle event traces for multi-cycle VCD export (event engine with
-/// record_trace only).
-struct SeqCycleTrace {
-  std::vector<std::vector<TraceEvent>> stage_events;        ///< per stage
-  std::vector<std::vector<std::uint8_t>> stage_initial;     ///< per stage
-  std::vector<std::uint64_t> bank_words;  ///< latched banks, input first
 };
 
 /// A clocked stream recorded at one capture threshold by
@@ -98,16 +89,15 @@ class SeqRecording {
 class SeqSim {
  public:
   /// The SeqDut must outlive the simulator. `config.engine` selects the
-  /// backend for every stage; `config.record_trace` (event engine only)
-  /// accumulates per-cycle traces for write_seq_vcd.
-  /// `monitor_window` sizes each stage's Razor monitor window.
+  /// backend for every stage. `monitor_window` sizes each stage's Razor
+  /// monitor window.
   SeqSim(const SeqDut& seq, const CellLibrary& lib,
          const OperatingTriad& op, const TimingSimConfig& config = {},
          std::size_t monitor_window = 256);
 
   /// Re-settles every stage and bank to the all-zero state; clears the
-  /// golden queue, trace accumulator and replay (monitors keep lifetime
-  /// counts, windows are reset).
+  /// golden queue and replay (monitors keep lifetime counts, windows
+  /// are reset).
   void reset();
 
   /// One clock cycle: a one-cycle step_cycle_batch(). operands.size()
@@ -126,9 +116,8 @@ class SeqSim {
   /// engine runs one step_cycle_batch per chunk (one levelized pass;
   /// the register banks between stages become lane words shifted by
   /// one cycle) and the golden pipeline is evaluated lane-parallel. A
-  /// tracing simulator runs one-cycle chunks and records each stage's
-  /// trace per cycle. A replayed stream (replay_cycle_batch) does not
-  /// continue here: reset() first.
+  /// replayed stream (replay_cycle_batch) does not continue here:
+  /// reset() first.
   void step_cycle_batch(std::span<const std::uint64_t> operands,
                         std::size_t count,
                         std::span<SeqCycleResult> results);
@@ -184,8 +173,9 @@ class SeqSim {
   std::uint64_t cycles() const noexcept { return cycles_; }
 
   /// Stage k's engine — for attaching per-stage SimObservers (e.g. an
-  /// ErrorProvenance per stage). Observers see every cycle through the
-  /// engine's own dispatch sites.
+  /// ErrorProvenance per stage, or a SeqVcdRecorder's stage recorders).
+  /// Observers see every cycle through the engine's own dispatch sites,
+  /// stage by stage within each lane-word chunk.
   SimEngine& stage_engine(std::size_t k) { return *engines_.at(k); }
   const SimEngine& stage_engine(std::size_t k) const {
     return *engines_.at(k);
@@ -226,13 +216,6 @@ class SeqSim {
   /// closed-loop controller regulates.
   double worst_stage_op_error_rate() const;
 
-  /// Per-cycle traces accumulated since the last reset/clear (event
-  /// engine with record_trace; empty otherwise).
-  std::span<const SeqCycleTrace> cycle_traces() const noexcept {
-    return traces_;
-  }
-  void clear_traces() { traces_.clear(); }
-
  private:
   /// The step_cycle_batch body, shared with record and replay.
   void run_cycles(std::span<const std::uint64_t> operands,
@@ -255,18 +238,10 @@ class SeqSim {
   void golden_output_batch(std::span<const std::uint64_t> operands,
                            std::size_t count, std::uint64_t* out);
 
-  /// Appends the trace of a one-cycle chunk to traces_: the latched
-  /// bank words (the input bank from `operands`, bank k from stage
-  /// k-1's carried capture) and each stage recorder's events. Call
-  /// before the chunk's captures replace stage_sampled_.
-  void record_cycle_trace(std::span<const std::uint64_t> operands,
-                          std::uint64_t captured);
-
   const SeqDut& seq_;
   OperatingTriad op_;
   double capture_tclk_ps_ = 0.0;
   double leakage_scale_ = 1.0;  ///< Tclk / (Tclk − setup)
-  bool tracing_ = false;
   double clock_energy_fj_ = 0.0;
   std::vector<DutPinMap> pins_;
   /// Stage k's PI slot for every bit of its packed register-bank word
@@ -283,11 +258,6 @@ class SeqSim {
   std::vector<std::uint64_t> stage_sampled_;  ///< last capture, per stage
   std::vector<DoubleSamplingMonitor> monitors_;
   std::deque<std::uint64_t> golden_;  ///< expected outputs in flight
-  /// Per-stage bundled TraceRecorders, attached to the stage engines
-  /// when tracing. Sized once in the constructor; the engines hold
-  /// borrowed pointers into it.
-  std::vector<TraceRecorder> recorders_;
-  std::vector<SeqCycleTrace> traces_;
   std::uint64_t cycles_ = 0;
   // step_cycle_batch scratch (avoids per-chunk allocation).
   std::vector<lanes::Word> pi_words_;          ///< one stage's PI words

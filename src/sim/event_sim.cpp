@@ -6,7 +6,6 @@
 #include "src/netlist/eval.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/probe.hpp"
-#include "src/sim/logic.hpp"
 #include "src/tech/gate_timing.hpp"
 #include "src/util/contracts.hpp"
 #include "src/util/rng.hpp"

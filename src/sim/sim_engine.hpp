@@ -64,19 +64,13 @@ struct TimingSimConfig {
   /// Die-wide leakage multiplier (die-to-die corner), applied on top of
   /// the triad's voltage-dependent leakage scale. 1.0 = nominal die.
   double leakage_scale = 1.0;
-  /// Asks trace-capable wrappers (SeqSim) to attach bundled
-  /// TraceRecorder observers for waveform export (src/sim/vcd.hpp,
-  /// src/seq/seq_vcd.hpp). Off by default: tracing allocates per
-  /// event. Event engine only. For a bare engine, attach a
-  /// TraceRecorder or VcdObserver (src/obs/probe.hpp) yourself — the
-  /// engines themselves no longer record ad-hoc traces.
-  bool record_trace = false;
   /// Backend built by make_engine() and the engine-generic wrappers
   /// (VosDutSim, SeqSim, characterize_dut, ClosedLoopSeqUnit).
   EngineKind engine = EngineKind::kEvent;
 };
 
-/// One committed transition (for waveform dumps).
+/// One committed transition (for waveform dumps: TraceRecorder in
+/// src/obs/probe.hpp, SeqVcdRecorder in src/seq/seq_vcd.hpp).
 struct TraceEvent {
   double time_ps = 0.0;
   NetId net = invalid_net;
@@ -225,8 +219,6 @@ class SimEngine {
   void attach_observer(SimObserver* obs);
   /// Unregisters a previously attached observer (no-op when absent).
   void detach_observer(SimObserver* obs);
-  /// True when at least one observer is attached.
-  bool has_observers() const noexcept { return !observers_.empty(); }
 
  protected:
   SimEngine() = default;

@@ -14,18 +14,6 @@
 
 namespace vosim {
 
-/// Knobs of the pseudo-synthesis flow.
-struct SynthesisOptions {
-  /// Ratio of the signoff (reported) critical path to the typical-corner
-  /// one: slow process corner, on-chip variation and clock margins.
-  double signoff_margin = 1.55;
-  /// Average switching activity assumed for the power report.
-  double default_activity = 0.30;
-  /// Supply/bias for the report (Table II reports 1 V, no body bias).
-  double vdd_v = 1.0;
-  double vbb_v = 0.0;
-};
-
 /// The numbers a synthesis tool would report for a registered operator.
 struct SynthesisReport {
   std::string design;
@@ -41,10 +29,11 @@ struct SynthesisReport {
   double critical_path_ns = 0.0;     ///< reported, includes signoff margin
 };
 
-/// Runs STA + area/power accounting on a finalized netlist.
+/// Runs STA + area/power accounting on a finalized netlist at 1 V, no
+/// body bias (Table II's corner), with a 1.55x signoff margin and 30%
+/// average switching activity.
 SynthesisReport synthesize_report(const Netlist& netlist,
-                                  const CellLibrary& lib,
-                                  const SynthesisOptions& opt = {});
+                                  const CellLibrary& lib);
 
 }  // namespace vosim
 

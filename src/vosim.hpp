@@ -68,7 +68,6 @@
 #include "src/seq/seq_vcd.hpp"
 #include "src/sim/event_sim.hpp"
 #include "src/sim/levelized_sim.hpp"
-#include "src/sim/logic.hpp"
 #include "src/sim/sim_engine.hpp"
 #include "src/sim/vcd.hpp"
 #include "src/sim/vos_dut.hpp"

@@ -7,7 +7,7 @@
 
 #include "src/netlist/adder_tree.hpp"
 #include "src/netlist/dut.hpp"
-#include "src/sim/logic.hpp"
+#include "src/netlist/eval.hpp"
 #include "src/sim/vos_dut.hpp"
 #include "src/sta/sta.hpp"
 #include "src/tech/library.hpp"

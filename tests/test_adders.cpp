@@ -5,7 +5,7 @@
 #include <tuple>
 
 #include "src/netlist/adders.hpp"
-#include "src/sim/logic.hpp"
+#include "src/netlist/eval.hpp"
 #include "src/tech/library.hpp"
 #include "src/util/bits.hpp"
 #include "src/util/contracts.hpp"

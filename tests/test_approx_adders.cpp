@@ -7,7 +7,7 @@
 
 #include "src/model/windowed_add.hpp"
 #include "src/netlist/approx_adders.hpp"
-#include "src/sim/logic.hpp"
+#include "src/netlist/eval.hpp"
 #include "src/util/bits.hpp"
 #include "src/util/contracts.hpp"
 #include "src/util/rng.hpp"

@@ -1364,8 +1364,9 @@ TEST(SettledAdder, EqualsPerOperationLogicAndTheExactAdder) {
         const std::uint64_t expected = pins.gather_output(
             pack_word(values, dut.netlist.primary_outputs()));
         ASSERT_EQ(sums[i], expected) << spec << " n " << n << " i " << i;
-        if (exact)
+        if (exact) {
           ASSERT_EQ(sums[i], exact_sums[i]) << spec << " n " << n;
+        }
       }
     }
   }

@@ -57,8 +57,7 @@ TEST_P(DutEngineEquivalence, RelaxedTclkBitExactAcrossEngines) {
   cfg.engine = EngineKind::kLevelized;
   VosDutSim lev_sim(dut, lib(), relaxed, cfg);
 
-  DutPatternStream patterns(PatternPolicy::kCarryBalanced,
-                            dut.operand_widths(), 42);
+  DutPatternStream patterns(dut.operand_widths(), 42);
   std::vector<std::uint64_t> ops(dut.num_operands());
   for (int i = 0; i < 200; ++i) {
     patterns.next(ops);
@@ -113,8 +112,7 @@ TEST_P(DutEngineEquivalence, BatchMatchesApplyLoop) {
 
     const std::size_t nops = dut.num_operands();
     constexpr std::size_t n = 150;  // exercises multiple 64-lane passes
-    DutPatternStream patterns(PatternPolicy::kCarryBalanced,
-                              dut.operand_widths(), 5);
+    DutPatternStream patterns(dut.operand_widths(), 5);
     std::vector<std::uint64_t> flat(n * nops);
     for (std::size_t i = 0; i < n; ++i)
       patterns.next({flat.data() + i * nops, nops});
@@ -159,7 +157,7 @@ TEST(DutEngines, SweepFastPathMatchesPerTriadLevelizedOnMul8) {
 
   const std::size_t nops = dut.num_operands();
   std::vector<std::uint64_t> pats((cfg.num_patterns + 1) * nops);
-  DutPatternStream ps(cfg.policy, dut.operand_widths(), cfg.pattern_seed);
+  DutPatternStream ps(dut.operand_widths(), cfg.pattern_seed);
   for (std::size_t p = 0; p <= cfg.num_patterns; ++p)
     ps.next({pats.data() + p * nops, nops});
 

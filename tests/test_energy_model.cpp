@@ -53,7 +53,7 @@ TEST(EnergyModel, AggregateEnergyTracksSimulator) {
 
   const DutNetlist dut = to_dut(build_rca(8));
   VosDutSim sim(dut, lib(), triad);
-  PatternStream patterns(PatternPolicy::kCarryBalanced, 8, 9999);
+  PatternStream patterns(8, 9999);
   OperandPair prev = patterns.next();
   sim.reset(prev.a, prev.b);
   double simulated = 0.0;

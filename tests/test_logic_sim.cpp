@@ -1,7 +1,7 @@
 // Zero-delay logic evaluation tests, parameterized over every cell kind.
 #include <gtest/gtest.h>
 
-#include "src/sim/logic.hpp"
+#include "src/netlist/eval.hpp"
 #include "src/tech/cell.hpp"
 #include "src/util/contracts.hpp"
 

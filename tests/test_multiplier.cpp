@@ -4,10 +4,10 @@
 #include <string>
 #include <tuple>
 
+#include "src/netlist/eval.hpp"
 #include "src/netlist/multiplier.hpp"
 #include "src/sta/sta.hpp"
 #include "src/tech/library.hpp"
-#include "src/sim/logic.hpp"
 #include "src/util/bits.hpp"
 #include "src/util/contracts.hpp"
 #include "src/util/rng.hpp"

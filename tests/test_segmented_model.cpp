@@ -161,7 +161,7 @@ TEST(SegmentedModel, TrainingMatchesBitSerialReference) {
     std::vector<std::vector<std::vector<std::uint64_t>>> counts(
         segments, std::vector<std::vector<std::uint64_t>>(
                       width + 1, std::vector<std::uint64_t>(width + 1, 0)));
-    PatternStream patterns(cfg.policy, width, cfg.pattern_seed);
+    PatternStream patterns(width, cfg.pattern_seed);
     for (std::size_t i = 0; i < cfg.num_patterns; ++i) {
       const OperandPair pat = patterns.next();
       std::uint64_t observed = 0;
@@ -212,7 +212,7 @@ TEST(SegmentedModel, TrainOnExactOracleIsExact) {
   const SegmentedVosModel model =
       train_segmented_model(8, {1.0, 1.0, 0.0}, exact, 3, cfg);
   Rng rng(4);
-  PatternStream patterns(PatternPolicy::kCarryBalanced, 8, 777);
+  PatternStream patterns(8, 777);
   for (int t = 0; t < 3000; ++t) {
     const OperandPair pat = patterns.next();
     ASSERT_EQ(model.add(pat.a, pat.b, rng), pat.a + pat.b);
@@ -260,8 +260,8 @@ TEST(SegmentedModel, ImprovesBrentKungFidelity) {
   // Evaluate both on held-out patterns against fresh simulators.
   VosDutSim eval_base(bka, lib(), triad);
   VosDutSim eval_seg(bka, lib(), triad);
-  PatternStream pat_base(PatternPolicy::kCarryBalanced, 8, 1729);
-  PatternStream pat_seg(PatternPolicy::kCarryBalanced, 8, 1729);
+  PatternStream pat_base(8, 1729);
+  PatternStream pat_seg(8, 1729);
   Rng rng_base(5);
   Rng rng_seg(5);
   ErrorAccumulator acc_base(9);

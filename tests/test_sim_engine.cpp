@@ -130,7 +130,7 @@ TEST(SimEngine, GenerousTclkBitExactAcrossArchitectures) {
     EXPECT_EQ(event_sim.engine_kind(), EngineKind::kEvent);
     EXPECT_EQ(lev_sim.engine_kind(), EngineKind::kLevelized);
 
-    PatternStream patterns(PatternPolicy::kCarryBalanced, 8, 42);
+    PatternStream patterns(8, 42);
     for (int i = 0; i < 200; ++i) {
       const OperandPair p = patterns.next();
       const VosOpResult re = event_sim.apply(p.a, p.b);
@@ -155,11 +155,12 @@ TEST(SimEngine, GenerousTclkApproxAdderAgreesAcrossEngines) {
   VosDutSim event_sim(loa, lib(), relaxed, cfg);
   cfg.engine = EngineKind::kLevelized;
   VosDutSim lev_sim(loa, lib(), relaxed, cfg);
-  PatternStream patterns(PatternPolicy::kUniform, 8, 9);
+  Rng rng(9);  // uniform operands, a then b
   for (int i = 0; i < 200; ++i) {
-    const OperandPair p = patterns.next();
-    const VosOpResult re = event_sim.apply(p.a, p.b);
-    const VosOpResult rl = lev_sim.apply(p.a, p.b);
+    const std::uint64_t a = rng.bits(8);
+    const std::uint64_t b = rng.bits(8);
+    const VosOpResult re = event_sim.apply(a, b);
+    const VosOpResult rl = lev_sim.apply(a, b);
     EXPECT_EQ(re.sampled, rl.sampled);
     EXPECT_EQ(re.settled, rl.settled);
   }
@@ -180,7 +181,7 @@ TEST(SimEngine, LevelizedBatchMatchesStep) {
   batcher.reset(1, 2);
 
   constexpr std::size_t n = 200;  // exercises several 64-lane passes
-  PatternStream patterns(PatternPolicy::kCarryBalanced, 8, 5);
+  PatternStream patterns(8, 5);
   std::vector<std::uint64_t> a(n);
   std::vector<std::uint64_t> b(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -212,13 +213,14 @@ TEST(SimEngine, DeepOverscalingLatchesPreviousResult) {
     VosDutSim sim(rca, lib(), tiny, cfg);
     sim.reset(0, 0);
     std::uint64_t prev_settled = 0;  // sum of the reset state
-    PatternStream patterns(PatternPolicy::kUniform, 8, 3);
+    Rng rng(3);  // uniform operands, a then b
     for (int i = 0; i < 100; ++i) {
-      const OperandPair p = patterns.next();
-      const VosOpResult r = sim.apply(p.a, p.b);
+      const std::uint64_t a = rng.bits(8);
+      const std::uint64_t b = rng.bits(8);
+      const VosOpResult r = sim.apply(a, b);
       EXPECT_EQ(r.sampled, prev_settled)
           << engine_kind_name(kind) << " op " << i;
-      EXPECT_EQ(r.settled, exact_add(p.a, p.b, 8));
+      EXPECT_EQ(r.settled, exact_add(a, b, 8));
       prev_settled = r.settled;
     }
   }
@@ -275,7 +277,7 @@ TEST(SimEngine, SweepFastPathMatchesPerTriadLevelized) {
 
   const std::vector<OperandPair> pats = [&] {
     std::vector<OperandPair> out(cfg.num_patterns + 1);
-    PatternStream ps(cfg.policy, 8, cfg.pattern_seed);
+    PatternStream ps(8, cfg.pattern_seed);
     for (OperandPair& p : out) p = ps.next();
     return out;
   }();
@@ -330,7 +332,7 @@ TEST(SimEngine, StaArrivalBoundsSettleTimes) {
   double cp = 0.0;
   for (NetId n = 0; n < static_cast<NetId>(rca.netlist.num_nets()); ++n)
     cp = std::max(cp, eng.arrival_ps(n));
-  PatternStream patterns(PatternPolicy::kCarryBalanced, 8, 21);
+  PatternStream patterns(8, 21);
   for (int i = 0; i < 200; ++i) {
     const OperandPair p = patterns.next();
     EXPECT_LE(sim.apply(p.a, p.b).settle_time_ps, cp + 1e-9);

@@ -7,7 +7,6 @@
 #include "src/sta/synthesis_report.hpp"
 #include "src/tech/gate_timing.hpp"
 #include "src/tech/library.hpp"
-#include "src/util/contracts.hpp"
 
 namespace vosim {
 namespace {
@@ -108,17 +107,6 @@ TEST(SynthesisReportTest, FieldsConsistent) {
               1e-9);
   EXPECT_NEAR(r.critical_path_ns / r.tt_critical_path_ns, 1.55, 1e-9);
   EXPECT_GT(r.dynamic_power_uw, r.leakage_power_uw);  // adders at 1 V
-}
-
-TEST(SynthesisReportTest, MarginKnob) {
-  const AdderNetlist rca = build_rca(8);
-  SynthesisOptions opt;
-  opt.signoff_margin = 2.0;
-  const SynthesisReport r = synthesize_report(rca.netlist, lib(), opt);
-  EXPECT_NEAR(r.critical_path_ns, 2.0 * r.tt_critical_path_ns, 1e-12);
-  SynthesisOptions bad;
-  bad.signoff_margin = 0.9;
-  EXPECT_THROW(synthesize_report(rca.netlist, lib(), bad), ContractViolation);
 }
 
 TEST(SynthesisReportTest, PaperTableTwoOrdering) {

@@ -187,7 +187,7 @@ TEST(Trainer, OracleSeesTheStreamInOrder) {
     void expect_stream(std::uint64_t seed, std::size_t n) const {
       ASSERT_EQ(seen.size(), n);
       EXPECT_EQ(calls, (n + kOracleChunk - 1) / kOracleChunk);
-      PatternStream patterns(PatternPolicy::kCarryBalanced, 8, seed);
+      PatternStream patterns(8, seed);
       for (std::size_t i = 0; i < n; ++i) {
         const OperandPair want = patterns.next();
         ASSERT_EQ(seen[i].a, want.a) << "pattern " << i;
@@ -226,7 +226,7 @@ TEST(Trainer, ExactOracleGivesNearIdentityBehaviour) {
   // sampled windows always regenerate the exact sum. Sufficient check:
   // expected window may sit below l only where truncation is invisible,
   // so verify via end-to-end behaviour on a fresh stream.
-  PatternStream patterns(PatternPolicy::kCarryBalanced, 8, 777);
+  PatternStream patterns(8, 777);
   Rng rng(5);
   for (int i = 0; i < 4000; ++i) {
     const OperandPair pat = patterns.next();

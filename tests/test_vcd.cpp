@@ -30,7 +30,7 @@ int count_occurrences(const std::string& text, const std::string& needle) {
 TEST(Vcd, HeaderDeclaresEveryNet) {
   const AdderNetlist rca = build_rca(4);
   TimingSimulator sim(rca.netlist, lib(), {1.0, 1.0, 0.0});
-  VcdObserver obs;
+  TraceRecorder obs;
   sim.attach_observer(&obs);
   std::vector<std::uint8_t> in(rca.netlist.primary_inputs().size(), 0);
   in[0] = 1;
@@ -68,31 +68,11 @@ TEST(Vcd, TraceMatchesToggleCount) {
   }
 }
 
-TEST(Vcd, VcdObserverRequiresObservedStep) {
-  // A VcdObserver that never saw a step has no baseline to dump.
-  VcdObserver obs;
+TEST(Vcd, RecorderRequiresObservedStep) {
+  // A recorder that never saw a step has no baseline to dump.
+  TraceRecorder obs;
   std::ostringstream os;
   EXPECT_THROW(obs.write(os), ContractViolation);
-}
-
-TEST(Vcd, TakeTraceTransfersOwnership) {
-  const AdderNetlist rca = build_rca(4);
-  TimingSimulator sim(rca.netlist, lib(), {1.0, 1.0, 0.0});
-  TraceRecorder rec;
-  sim.attach_observer(&rec);
-  std::vector<std::uint8_t> in(rca.netlist.primary_inputs().size(), 0);
-  in[0] = 1;
-  const StepResult r = sim.step(in);
-
-  std::vector<TraceEvent> trace = rec.take_trace();
-  EXPECT_EQ(trace.size(), r.toggles_total);
-  // The recorder no longer holds the events (or their allocation).
-  EXPECT_EQ(rec.trace().size(), 0u);
-  // The next traced step records into a fresh buffer.
-  in[0] = 0;
-  const StepResult r2 = sim.step(in);
-  EXPECT_EQ(rec.trace().size(), r2.toggles_total);
-  EXPECT_GT(rec.trace().size(), 0u);
 }
 
 TEST(Vcd, TraceClearedBetweenSteps) {
@@ -133,16 +113,15 @@ TEST(VcdWriterMultiCycle, PipelinedTraceSmoke) {
   // timestamps, stage scopes and register-bank words that a VCD viewer
   // can open — structural assertions on the emitted text.
   const SeqDut seq = build_seq_circuit("pipe2-mul8");
-  TimingSimConfig cfg;
-  cfg.record_trace = true;  // event engine (the default)
-  SeqSim sim(seq, lib(), {1.5, 1.0, 0.0}, cfg);
+  SeqSim sim(seq, lib(), {1.5, 1.0, 0.0});  // event engine (the default)
+  SeqVcdRecorder rec(sim);
   const int cycles = 5;
   for (int c = 0; c < cycles; ++c)
     sim.step_cycle(17 + 11 * c, 29 + 7 * c);
-  ASSERT_EQ(sim.cycle_traces().size(), static_cast<std::size_t>(cycles));
+  ASSERT_EQ(rec.cycles(), static_cast<std::size_t>(cycles));
 
   std::ostringstream os;
-  write_seq_vcd(sim, os);
+  rec.write(os);
   const std::string vcd = os.str();
 
   // Scopes: one per stage plus the register module.
@@ -181,11 +160,45 @@ TEST(VcdWriterMultiCycle, PipelinedTraceSmoke) {
     last = t;
   }
   EXPECT_GE(last, tclk_ps * cycles);
+}
 
-  // clear_traces empties the accumulator; writing then throws.
-  sim.clear_traces();
-  std::ostringstream os2;
-  EXPECT_THROW(write_seq_vcd(sim, os2), ContractViolation);
+TEST(VcdWriterMultiCycle, BatchRecordsTheSameDumpAsSingleCycles) {
+  // The stage recorders see every cycle of a multi-word batch (stage by
+  // stage within each 64-cycle chunk) and rebuild the same dump as one
+  // cycle per call. The triad is over-scaled, so transitions stay in
+  // flight across capture edges and errors latch into the banks.
+  const SeqDut seq = build_seq_circuit("pipe2-mul8");
+  const OperatingTriad triad{0.6, 0.7, 0.0};
+  constexpr std::size_t kCycles = 70;
+  std::vector<std::uint64_t> ops;
+  for (std::size_t c = 0; c < kCycles; ++c) {
+    ops.push_back((37 * c + 5) & 255);
+    ops.push_back((101 * c + 3) & 255);
+  }
+
+  SeqSim batched(seq, lib(), triad);
+  SeqVcdRecorder batched_rec(batched);
+  std::ostringstream none;
+  EXPECT_THROW(batched_rec.write(none), ContractViolation);
+  std::vector<SeqCycleResult> results(kCycles);
+  batched.step_cycle_batch(ops, kCycles, results);
+
+  SeqSim single(seq, lib(), triad);
+  SeqVcdRecorder single_rec(single);
+  std::size_t errors = 0;
+  for (std::size_t c = 0; c < kCycles; ++c) {
+    const SeqCycleResult r = single.step_cycle(ops[2 * c], ops[2 * c + 1]);
+    if (r.output_valid && r.captured != r.expected) ++errors;
+  }
+  EXPECT_GT(errors, 0u);
+
+  ASSERT_EQ(batched_rec.cycles(), kCycles);
+  ASSERT_EQ(single_rec.cycles(), kCycles);
+  std::ostringstream batched_vcd;
+  std::ostringstream single_vcd;
+  batched_rec.write(batched_vcd);
+  single_rec.write(single_vcd);
+  EXPECT_EQ(batched_vcd.str(), single_vcd.str());
 }
 
 TEST(VcdWriterMultiCycle, MergesScopesAndToleratesEmptyCycles) {
