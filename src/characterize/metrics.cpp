@@ -21,23 +21,20 @@ void ErrorAccumulator::add(std::uint64_t reference, std::uint64_t actual) {
   const double r = static_cast<double>(reference);
   sum_ref_sq_ += r * r;
   // Equal words (compared whole: a golden function may set bits above
-  // nbits) add +0.0 to each non-negative error sum and take a max with
-  // 0, so skipping those terms leaves every bit as it was.
+  // nbits) add +0.0 to each non-negative error sum, so skipping those
+  // terms leaves every bit as it was.
   if (reference == actual) return;
   std::uint64_t diff = (reference ^ actual) & mask_n(nbits_);
   if (diff != 0) {
     ++err_ops_;
     const int h = popcount_u64(diff);
     bit_errors_ += static_cast<std::uint64_t>(h);
-    hamming_total_ += static_cast<std::uint64_t>(h);
     for (; diff != 0; diff &= diff - 1)
       ++bit_err_count_[static_cast<std::size_t>(std::countr_zero(diff))];
   }
   const double e = static_cast<double>(actual) - r;
   sum_sq_err_ += e * e;
-  sum_abs_err_ += std::abs(e);
   sum_rel_err_ += std::abs(e) / std::max(r, 1.0);
-  max_abs_err_ = std::max(max_abs_err_, std::abs(e));
 }
 
 void ErrorAccumulator::merge(const ErrorAccumulator& other) {
@@ -49,10 +46,7 @@ void ErrorAccumulator::merge(const ErrorAccumulator& other) {
     bit_err_count_[i] += other.bit_err_count_[i];
   sum_sq_err_ += other.sum_sq_err_;
   sum_ref_sq_ += other.sum_ref_sq_;
-  sum_abs_err_ += other.sum_abs_err_;
   sum_rel_err_ += other.sum_rel_err_;
-  max_abs_err_ = std::max(max_abs_err_, other.max_abs_err_);
-  hamming_total_ += other.hamming_total_;
 }
 
 double ErrorAccumulator::ber() const noexcept {
@@ -88,16 +82,11 @@ double ErrorAccumulator::snr_db() const noexcept {
 
 double ErrorAccumulator::mean_hamming() const noexcept {
   if (ops_ == 0) return 0.0;
-  return static_cast<double>(hamming_total_) / static_cast<double>(ops_);
+  return static_cast<double>(bit_errors_) / static_cast<double>(ops_);
 }
 
 double ErrorAccumulator::normalized_hamming() const noexcept {
   return mean_hamming() / nbits_;
-}
-
-double ErrorAccumulator::mean_abs_error() const noexcept {
-  if (ops_ == 0) return 0.0;
-  return sum_abs_err_ / static_cast<double>(ops_);
 }
 
 double ErrorAccumulator::mred() const noexcept {

@@ -37,9 +37,6 @@ class ErrorAccumulator {
   double mean_hamming() const noexcept;
   /// Mean Hamming distance normalized by word width (paper Fig. 7b).
   double normalized_hamming() const noexcept;
-  /// Mean absolute numerical error.
-  double mean_abs_error() const noexcept;
-  double max_abs_error() const noexcept { return max_abs_err_; }
   /// Mean relative error distance: mean of |ref − actual| / max(ref, 1)
   /// — the approximate-multiplier literature's MRED, with the zero-
   /// reference convention that divides by one.
@@ -53,10 +50,7 @@ class ErrorAccumulator {
   std::vector<std::uint64_t> bit_err_count_;
   double sum_sq_err_ = 0.0;
   double sum_ref_sq_ = 0.0;
-  double sum_abs_err_ = 0.0;
   double sum_rel_err_ = 0.0;
-  double max_abs_err_ = 0.0;
-  std::uint64_t hamming_total_ = 0;
 };
 
 /// SNR display cap (dB) used by reports when a model is error-free.

@@ -64,12 +64,6 @@ double CarryChainProbTable::expected(int cth) const {
   return e;
 }
 
-bool CarryChainProbTable::is_identity(double tol) const {
-  for (int l = 0; l <= width_; ++l)
-    if (std::abs(prob(l, l) - 1.0) > tol) return false;
-  return true;
-}
-
 TextTable CarryChainProbTable::to_table(int precision) const {
   std::vector<std::string> header{"Cmax\\Cth"};
   for (int l = 0; l <= width_; ++l) header.push_back(std::to_string(l));

@@ -35,9 +35,6 @@ class CarryChainProbTable {
   /// Expected achieved chain length for a column.
   double expected(int cth) const;
 
-  /// True when every column is a point mass at k == l.
-  bool is_identity(double tol = 1e-12) const;
-
   /// Table I-style rendering.
   TextTable to_table(int precision = 3) const;
 

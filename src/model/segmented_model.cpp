@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <istream>
-#include <ostream>
-#include <stdexcept>
 
 #include "src/model/carry_chain.hpp"
 #include "src/model/distance.hpp"
@@ -130,35 +127,6 @@ std::uint64_t SegmentedVosModel::add(std::uint64_t a, std::uint64_t b,
     carries |= cw.within(window, bits);
   }
   return cw.p ^ carries;
-}
-
-void SegmentedVosModel::save(std::ostream& os) const {
-  os << "segmented_vos_model v1 " << width_ << " " << tables_.size();
-  for (const int b : bounds_) os << " " << b;
-  os << " " << triad_.tclk_ns << " " << triad_.vdd_v << " " << triad_.vbb_v
-     << "\n";
-  for (const CarryChainProbTable& t : tables_) t.save(os);
-}
-
-SegmentedVosModel SegmentedVosModel::load(std::istream& is) {
-  std::string magic;
-  std::string version;
-  int width = 0;
-  std::size_t segments = 0;
-  is >> magic >> version >> width >> segments;
-  if (!is || magic != "segmented_vos_model" || version != "v1")
-    throw std::runtime_error("bad segmented model header");
-  std::vector<int> bounds(segments + 1, 0);
-  for (int& b : bounds) is >> b;
-  OperatingTriad triad;
-  is >> triad.tclk_ns >> triad.vdd_v >> triad.vbb_v;
-  if (!is) throw std::runtime_error("truncated segmented model header");
-  std::vector<CarryChainProbTable> tables;
-  tables.reserve(segments);
-  for (std::size_t s = 0; s < segments; ++s)
-    tables.push_back(CarryChainProbTable::load(is));
-  return SegmentedVosModel(width, triad, std::move(bounds),
-                           std::move(tables));
 }
 
 SegmentedVosModel train_segmented_model(int width,

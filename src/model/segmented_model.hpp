@@ -12,7 +12,6 @@
 #define VOSIM_MODEL_SEGMENTED_MODEL_HPP
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "src/model/prob_table.hpp"
@@ -55,9 +54,6 @@ class SegmentedVosModel {
   const OperatingTriad& triad() const noexcept { return triad_; }
   const std::vector<int>& bounds() const noexcept { return bounds_; }
   const CarryChainProbTable& table(int segment) const;
-
-  void save(std::ostream& os) const;
-  static SegmentedVosModel load(std::istream& is);
 
  private:
   int width_;

@@ -6,15 +6,11 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
-#include <string>
-#include <vector>
 
 #include "src/model/distance.hpp"
 #include "src/model/prob_table.hpp"
 #include "src/model/trainer.hpp"
 #include "src/netlist/adders.hpp"
-#include "src/sim/event_sim.hpp"
 #include "src/tech/operating_point.hpp"
 
 namespace vosim {
@@ -35,8 +31,6 @@ class VosAdderModel {
   const OperatingTriad& triad() const noexcept { return triad_; }
   DistanceMetric metric() const noexcept { return metric_; }
   const CarryChainProbTable& table() const noexcept { return table_; }
-  /// True when the model degenerates to an exact adder.
-  bool is_exact() const { return table_.is_identity(); }
 
   void save(std::ostream& os) const;
   static VosAdderModel load(std::istream& is);
@@ -52,35 +46,6 @@ class VosAdderModel {
 VosAdderModel train_vos_model(int width, const OperatingTriad& triad,
                               const BatchAdderFn& oracle,
                               const TrainerConfig& config = {});
-
-/// A family of models for one adder across a triad sweep.
-class ModelLibrary {
- public:
-  ModelLibrary() = default;
-
-  void insert(VosAdderModel model);
-  std::size_t size() const noexcept { return models_.size(); }
-  const std::vector<VosAdderModel>& models() const noexcept {
-    return models_;
-  }
-  /// Model for an exact triad match, if present.
-  const VosAdderModel* find(const OperatingTriad& triad) const;
-
-  void save(std::ostream& os) const;
-  static ModelLibrary load(std::istream& is);
-
- private:
-  std::vector<VosAdderModel> models_;
-};
-
-/// Trains one model per triad against the event-driven simulator
-/// (parallel over triads, deterministic).
-ModelLibrary train_model_library(const AdderNetlist& adder,
-                                 const CellLibrary& lib,
-                                 const std::vector<OperatingTriad>& triads,
-                                 const TrainerConfig& config = {},
-                                 const TimingSimConfig& sim_config = {},
-                                 unsigned threads = 0);
 
 }  // namespace vosim
 

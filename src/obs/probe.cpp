@@ -34,14 +34,6 @@ void TraceRecorder::write(std::ostream& os) const {
 
 // -------------------------------------------------- ProvenanceSummary
 
-double ProvenanceSummary::ber() const noexcept {
-  const std::uint64_t cells =
-      ops * static_cast<std::uint64_t>(bitwise_ber.size());
-  return cells == 0 ? 0.0
-                    : static_cast<double>(attributed_bits) /
-                          static_cast<double>(cells);
-}
-
 std::string ProvenanceSummary::top_culprits_string(std::size_t k) const {
   std::string out;
   for (std::size_t i = 0; i < culprits.size() && i < k; ++i) {

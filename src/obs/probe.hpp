@@ -135,8 +135,6 @@ struct ProvenanceSummary {
   double slack_p95_ps = 0.0;
   double slack_max_ps = 0.0;
 
-  /// Overall BER from attribution: attributed bits / (ops × width).
-  double ber() const noexcept;
   /// "net=count,net=count" line of the top-K culprits (JSONL-safe).
   std::string top_culprits_string(std::size_t k) const;
 };

@@ -190,9 +190,4 @@ ScopedSpan& ScopedSpan::arg(const char* key, std::uint64_t value) {
   return *this;
 }
 
-ScopedSpan& ScopedSpan::arg(const char* key, double value) {
-  if (active_) args_.emplace_back(key, jsonl::num(value));
-  return *this;
-}
-
 }  // namespace vosim::obs

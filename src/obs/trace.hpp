@@ -60,7 +60,6 @@ class ScopedSpan {
   /// Attaches a key/value to the event's "args" object. Chainable.
   ScopedSpan& arg(const char* key, std::string value);
   ScopedSpan& arg(const char* key, std::uint64_t value);
-  ScopedSpan& arg(const char* key, double value);
 
  private:
   const char* name_;

@@ -12,7 +12,8 @@
 
 namespace vosim {
 
-/// Sliding-window bit-error-rate estimator over double-sampled outputs.
+/// Sliding-window error-rate estimator over double-sampled outputs: an
+/// operation is flagged when any compared bit differs.
 class DoubleSamplingMonitor {
  public:
   /// `word_bits` compared bits per operation; `window_ops` sliding
@@ -25,20 +26,17 @@ class DoubleSamplingMonitor {
   void observe(std::uint64_t sampled, std::uint64_t settled);
 
   /// Word ingest for the batched clocked path: feeds one operation
-  /// given the main-vs-shadow XOR difference directly (flagged bits =
-  /// popcount of the word restricted to the compared width). Identical
+  /// given the main-vs-shadow XOR difference directly (flagged when the
+  /// word, restricted to the compared width, is non-zero). Identical
   /// statistics to observe() — the batch path must not change what the
   /// monitor reports.
   void record_word(std::uint64_t diff);
 
-  /// BER estimate over the current window.
-  double window_ber() const noexcept;
   /// Fraction of operations in the window with any flagged bit.
   double window_op_error_rate() const noexcept;
   /// Lifetime counters.
   std::uint64_t total_ops() const noexcept { return total_ops_; }
   std::uint64_t total_flagged_ops() const noexcept { return total_err_ops_; }
-  double lifetime_ber() const noexcept;
 
   std::size_t window_fill() const noexcept { return window_.size(); }
   std::size_t window_capacity() const noexcept { return window_ops_; }
@@ -49,11 +47,9 @@ class DoubleSamplingMonitor {
  private:
   int word_bits_;
   std::size_t window_ops_;
-  std::deque<std::uint8_t> window_;  // flagged-bit count per op
-  std::uint64_t window_bit_errors_ = 0;
+  std::deque<bool> window_;  // flagged or not, per op
   std::uint64_t window_err_ops_ = 0;
   std::uint64_t total_ops_ = 0;
-  std::uint64_t total_bit_errors_ = 0;
   std::uint64_t total_err_ops_ = 0;
 };
 

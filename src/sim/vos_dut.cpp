@@ -74,17 +74,4 @@ void VosDutSim::apply_batch(std::span<const std::uint64_t> operands,
   }
 }
 
-void VosDutSim::apply_batch(std::span<const std::uint64_t> a,
-                            std::span<const std::uint64_t> b,
-                            std::span<VosOpResult> results) {
-  VOSIM_EXPECTS(pins_.num_operands() == 2);
-  VOSIM_EXPECTS(a.size() == b.size());
-  flat_buf_.resize(2 * a.size());
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    flat_buf_[2 * k] = a[k];
-    flat_buf_[2 * k + 1] = b[k];
-  }
-  apply_batch(flat_buf_, a.size(), results);
-}
-
 }  // namespace vosim

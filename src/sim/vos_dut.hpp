@@ -65,10 +65,6 @@ class VosDutSim {
   /// order-of-magnitude sweep speedup comes from.
   void apply_batch(std::span<const std::uint64_t> operands,
                    std::size_t count, std::span<VosOpResult> results);
-  /// Two-operand convenience: operation k applies (a[k], b[k]).
-  void apply_batch(std::span<const std::uint64_t> a,
-                   std::span<const std::uint64_t> b,
-                   std::span<VosOpResult> results);
 
   const DutNetlist& dut() const noexcept { return dut_; }
   const DutPinMap& pins() const noexcept { return pins_; }
@@ -98,7 +94,6 @@ class VosDutSim {
   DutPinMap pins_;
   std::unique_ptr<SimEngine> sim_;
   std::vector<std::uint64_t> op_buf_;    // convenience-overload operands
-  std::vector<std::uint64_t> flat_buf_;  // two-operand batch interleave
   std::vector<lanes::Word> pi_words_;    // one lane word per PI
   std::vector<StepResult> step_buf_;     // one lane word of results
 };

@@ -1,63 +1,9 @@
 #include "src/sta/slack.hpp"
 
-#include <algorithm>
-
 #include "src/sta/sta.hpp"
 #include "src/util/contracts.hpp"
 
 namespace vosim {
-
-std::vector<OutputSlack> output_slacks(const Netlist& netlist,
-                                       const CellLibrary& lib,
-                                       const OperatingTriad& op) {
-  VOSIM_EXPECTS(op.tclk_ns > 0.0);
-  const TimingAnalysis ta = analyze_timing(netlist, lib, op);
-  const double tclk_ps = op.tclk_ns * 1e3;
-  std::vector<OutputSlack> out;
-  const auto pos = netlist.primary_outputs();
-  out.reserve(pos.size());
-  for (std::size_t i = 0; i < pos.size(); ++i) {
-    out.push_back(OutputSlack{pos[i], ta.output_arrival_ps[i],
-                              tclk_ps - ta.output_arrival_ps[i]});
-  }
-  return out;
-}
-
-int failing_outputs(const Netlist& netlist, const CellLibrary& lib,
-                    const OperatingTriad& op) {
-  int n = 0;
-  for (const OutputSlack& s : output_slacks(netlist, lib, op))
-    if (s.slack_ps < 0.0) ++n;
-  return n;
-}
-
-Histogram arrival_histogram(const Netlist& netlist, const CellLibrary& lib,
-                            const OperatingTriad& op, std::size_t bins) {
-  const TimingAnalysis ta = analyze_timing(netlist, lib, op);
-  VOSIM_EXPECTS(ta.critical_path_ps > 0.0);
-  Histogram h(0.0, 1.0, bins);
-  for (const double a : ta.output_arrival_ps)
-    h.add(a / ta.critical_path_ps);
-  return h;
-}
-
-int distinct_arrival_classes(const Netlist& netlist, const CellLibrary& lib,
-                             const OperatingTriad& op,
-                             double tolerance_ps) {
-  VOSIM_EXPECTS(tolerance_ps >= 0.0);
-  TimingAnalysis ta = analyze_timing(netlist, lib, op);
-  std::vector<double> arr = ta.output_arrival_ps;
-  std::sort(arr.begin(), arr.end());
-  int classes = 0;
-  double last = -1e18;
-  for (const double a : arr) {
-    if (a - last > tolerance_ps) {
-      ++classes;
-      last = a;
-    }
-  }
-  return classes;
-}
 
 std::vector<StageSlack> stage_slacks(std::span<const Netlist* const> stages,
                                      const CellLibrary& lib,

@@ -1,8 +1,7 @@
-// Slack and path-depth analysis: how much timing margin each output has
-// at an operating triad, and how the endpoint arrival times distribute.
-// The arrival distribution explains the BER-vs-triad *shape*: few
-// distinct arrival classes → staircase (Brent-Kung), a dense spread →
-// smooth/exponential (ripple-carry) — the paper's Fig. 8 observation.
+// Per-stage slack of a pipelined datapath at an operating triad: each
+// stage's critical path against the shared clock's capture edge, and
+// how many of its outputs miss that edge. `vosim_cli synth` prints it
+// for pipelines (through seq_stage_slacks, src/seq/seq_report.hpp).
 #ifndef VOSIM_STA_SLACK_HPP
 #define VOSIM_STA_SLACK_HPP
 
@@ -11,36 +10,8 @@
 
 #include "src/netlist/netlist.hpp"
 #include "src/tech/operating_point.hpp"
-#include "src/util/stats.hpp"
 
 namespace vosim {
-
-/// Slack of one primary output at a triad.
-struct OutputSlack {
-  NetId net = invalid_net;
-  double arrival_ps = 0.0;
-  double slack_ps = 0.0;  ///< Tclk - arrival (negative = will miss)
-};
-
-/// Per-output slacks at the triad (uses the triad's Tclk).
-std::vector<OutputSlack> output_slacks(const Netlist& netlist,
-                                       const CellLibrary& lib,
-                                       const OperatingTriad& op);
-
-/// Number of outputs with negative slack at the triad.
-int failing_outputs(const Netlist& netlist, const CellLibrary& lib,
-                    const OperatingTriad& op);
-
-/// Histogram of primary-output arrival times normalized to the critical
-/// path (buckets over [0, 1]).
-Histogram arrival_histogram(const Netlist& netlist, const CellLibrary& lib,
-                            const OperatingTriad& op, std::size_t bins = 10);
-
-/// Count of *distinct* output-arrival classes (arrivals that differ by
-/// more than `tolerance_ps`). Low counts produce staircase BER curves.
-int distinct_arrival_classes(const Netlist& netlist, const CellLibrary& lib,
-                             const OperatingTriad& op,
-                             double tolerance_ps = 1.0);
 
 /// Timing of one pipeline stage at a triad (see src/seq): the stage's
 /// critical path against the shared clock's capture edge.

@@ -65,30 +65,4 @@ std::vector<double> arrival_times_ps(const Netlist& netlist,
   return arrival;
 }
 
-std::vector<double> contamination_delays_ps(const Netlist& netlist,
-                                            const CellLibrary& lib,
-                                            const OperatingTriad& op) {
-  VOSIM_EXPECTS(netlist.finalized());
-  std::vector<double> earliest(netlist.num_nets(), 0.0);
-  const std::vector<double> load = netlist.compute_net_loads(lib);
-  for (const GateId gid : netlist.topo_order()) {
-    const Gate& g = netlist.gate(gid);
-    double in_arr = 0.0;
-    bool first = true;
-    for (std::uint8_t i = 0; i < g.num_inputs; ++i) {
-      const double a = earliest[g.in[i]];
-      in_arr = first ? a : std::min(in_arr, a);
-      first = false;
-    }
-    const double d = gate_delay_ps(lib.cell(g.kind), load[g.out],
-                                   lib.transistor_model(), op);
-    earliest[g.out] = in_arr + d;
-  }
-  std::vector<double> out;
-  out.reserve(netlist.primary_outputs().size());
-  for (const NetId po : netlist.primary_outputs())
-    out.push_back(earliest[po]);
-  return out;
-}
-
 }  // namespace vosim

@@ -42,11 +42,6 @@ TimingAnalysis analyze_timing(const Netlist& netlist, const CellLibrary& lib,
 std::vector<double> arrival_times_ps(const Netlist& netlist,
                                      std::span<const double> gate_delay_ps);
 
-/// Shortest-path (contamination) delay per primary output at `op` (ps).
-std::vector<double> contamination_delays_ps(const Netlist& netlist,
-                                            const CellLibrary& lib,
-                                            const OperatingTriad& op);
-
 }  // namespace vosim
 
 #endif  // VOSIM_STA_STA_HPP

@@ -1,7 +1,5 @@
 #include "src/tech/cell.hpp"
 
-#include "src/util/contracts.hpp"
-
 namespace vosim {
 
 std::string cell_kind_name(CellKind kind) {
@@ -62,14 +60,6 @@ int cell_num_inputs(CellKind kind) {
     case CellKind::kTieHi: return 0;
   }
   return 0;
-}
-
-bool Cell::eval(std::span<const bool> inputs) const {
-  VOSIM_EXPECTS(static_cast<int>(inputs.size()) == num_inputs);
-  unsigned idx = 0;
-  for (int i = 0; i < num_inputs; ++i)
-    if (inputs[static_cast<std::size_t>(i)]) idx |= (1u << i);
-  return ((truth >> idx) & 1u) != 0;
 }
 
 }  // namespace vosim

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <span>
 #include <string>
 
 namespace vosim {
@@ -55,10 +54,6 @@ struct Cell {
   double intrinsic_delay_ps = 0.0;  ///< unloaded propagation delay
   double drive_ps_per_ff = 0.0;     ///< delay slope vs output load
   double leakage_nw = 0.0;      ///< static power at nominal corner
-
-  /// Evaluates the cell function. `inputs` holds 0/1 values, LSB-first
-  /// pin order, and must have exactly num_inputs entries.
-  bool eval(std::span<const bool> inputs) const;
 };
 
 /// Builds the truth table word for an n-input function given output bits

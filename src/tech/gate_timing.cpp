@@ -18,9 +18,4 @@ double toggle_energy_fj(double cap_ff, double vdd_v) {
   return 0.5 * cap_ff * vdd_v * vdd_v;
 }
 
-double cell_leakage_nw(const Cell& cell, const TransistorModel& model,
-                       const OperatingTriad& op) {
-  return cell.leakage_nw * model.leakage_scale(op.vdd_v, op.vbb_v);
-}
-
 }  // namespace vosim

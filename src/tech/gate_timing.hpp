@@ -17,10 +17,6 @@ double gate_delay_ps(const Cell& cell, double load_ff,
 /// `cap_ff` at supply `vdd_v`:  1/2 · C · Vdd², in femtojoules.
 double toggle_energy_fj(double cap_ff, double vdd_v);
 
-/// Static power of `cell` at the operating point, in nanowatts.
-double cell_leakage_nw(const Cell& cell, const TransistorModel& model,
-                       const OperatingTriad& op);
-
 }  // namespace vosim
 
 #endif  // VOSIM_TECH_GATE_TIMING_HPP

@@ -18,8 +18,4 @@ std::string triad_label(const OperatingTriad& t) {
   return s;
 }
 
-OperatingTriad nominal_triad(double tclk_ns) {
-  return OperatingTriad{tclk_ns, 1.0, 0.0};
-}
-
 }  // namespace vosim

@@ -23,9 +23,6 @@ struct OperatingTriad {
 /// Paper-style label, e.g. "0.28,0.5,±2" (forward bias prints as ±|v|).
 std::string triad_label(const OperatingTriad& t);
 
-/// Nominal operating point helper: (tclk, 1.0 V, no bias).
-OperatingTriad nominal_triad(double tclk_ns);
-
 }  // namespace vosim
 
 #endif  // VOSIM_TECH_OPERATING_POINT_HPP

@@ -28,30 +28,12 @@ constexpr int bit_of(std::uint64_t x, int i) {
   return static_cast<int>((x >> i) & 1ULL);
 }
 
-/// `x` with bit `i` set to `v`.
-constexpr std::uint64_t with_bit(std::uint64_t x, int i, bool v) {
-  return v ? (x | (1ULL << i)) : (x & ~(1ULL << i));
-}
-
 /// Number of set bits. Forwards to lanes::popcount (see mask_n).
 constexpr int popcount_u64(std::uint64_t x) { return lanes::popcount(x); }
 
 /// Hamming distance between two words restricted to their low `n` bits.
 constexpr int hamming_distance(std::uint64_t a, std::uint64_t b, int n) {
   return std::popcount((a ^ b) & mask_n(n));
-}
-
-/// Length of the longest run of consecutive 1-bits in the low `n` bits.
-constexpr int longest_one_run(std::uint64_t x, int n) {
-  x &= mask_n(n);
-  int len = 0;
-  // Each AND-with-shift peels one bit off every run; the number of
-  // iterations until the word dies is the longest run length.
-  while (x != 0) {
-    x &= (x << 1);
-    ++len;
-  }
-  return len;
 }
 
 /// Reference n-bit addition: returns the (n+1)-bit exact result

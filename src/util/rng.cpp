@@ -50,13 +50,6 @@ std::uint64_t Rng::below(std::uint64_t bound) {
   }
 }
 
-std::uint64_t Rng::in_range(std::uint64_t lo, std::uint64_t hi) {
-  VOSIM_EXPECTS(lo <= hi);
-  const std::uint64_t span = hi - lo;
-  if (span == ~0ULL) return (*this)();
-  return lo + below(span + 1);
-}
-
 double Rng::uniform() noexcept {
   // 53 high-quality bits into [0,1).
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
@@ -78,15 +71,6 @@ std::uint64_t Rng::bits(int nbits) {
   VOSIM_EXPECTS(nbits >= 0 && nbits <= 64);
   if (nbits == 0) return 0;
   return (*this)() >> (64 - nbits);
-}
-
-Rng Rng::split() noexcept {
-  Rng child(0);
-  child.state_ = {(*this)(), (*this)(), (*this)(), (*this)()};
-  if ((child.state_[0] | child.state_[1] | child.state_[2] |
-       child.state_[3]) == 0)
-    child.state_[0] = 1;
-  return child;
 }
 
 }  // namespace vosim

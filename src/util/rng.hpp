@@ -1,7 +1,8 @@
 // Deterministic, fast pseudo-random number generation.
 //
-// Characterization sweeps fan out one Rng per (triad, worker) derived from a
-// master seed, so multi-threaded runs are bit-reproducible (DESIGN.md §6.4).
+// Every generator is seeded from content -- a configured seed, or a hash
+// of a campaign cell's or a chip's key -- never from a worker's identity,
+// so multi-threaded runs are bit-reproducible (DESIGN.md §6.4).
 // xoshiro256** is used instead of std::mt19937_64 because pattern generation
 // sits on the hot path of million-operation sweeps.
 #ifndef VOSIM_UTIL_RNG_HPP
@@ -34,9 +35,6 @@ class Rng {
   /// Uniform integer in [0, bound). Precondition: bound > 0.
   std::uint64_t below(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Precondition: lo <= hi.
-  std::uint64_t in_range(std::uint64_t lo, std::uint64_t hi);
-
   /// Uniform double in [0, 1).
   double uniform() noexcept;
 
@@ -49,10 +47,6 @@ class Rng {
   /// A word whose low `bits` bits are uniformly random. Precondition:
   /// bits <= 64.
   std::uint64_t bits(int nbits);
-
-  /// Derives an independent child generator; used to give each worker or
-  /// triad its own stream.
-  Rng split() noexcept;
 
  private:
   std::array<std::uint64_t, 4> state_{};

@@ -32,14 +32,6 @@ void TextTable::add_row(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void TextTable::add_row_values(std::initializer_list<double> values,
-                               int prec) {
-  std::vector<std::string> row;
-  row.reserve(values.size());
-  for (double v : values) row.push_back(format_double(v, prec));
-  add_row(std::move(row));
-}
-
 void TextTable::print(std::ostream& os) const {
   std::vector<std::size_t> width(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c) width[c] = header_[c].size();

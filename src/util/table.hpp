@@ -5,7 +5,6 @@
 #ifndef VOSIM_UTIL_TABLE_HPP
 #define VOSIM_UTIL_TABLE_HPP
 
-#include <initializer_list>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -22,9 +21,6 @@ class TextTable {
 
   /// Adds a row; it must have the same arity as the header.
   void add_row(std::vector<std::string> row);
-
-  /// Convenience: formats every cell (doubles via format_double).
-  void add_row_values(std::initializer_list<double> values, int prec = 3);
 
   std::size_t row_count() const noexcept { return rows_.size(); }
 

@@ -8,7 +8,10 @@
 //   2. synthesize a report       (src/sta/synthesis_report.hpp)
 //   3. derive the triad sweep    (src/characterize/triads.hpp)
 //   4. characterize under VOS    (src/characterize/characterizer.hpp)
-//   5. train statistical models  (src/model/vos_model.hpp)
+//   5. train one statistical     (src/model/vos_model.hpp —
+//      model per triad            train_vos_model over the gate-level
+//                                 oracle sim_batch_adder_fn,
+//                                 src/apps/approx_arith.hpp)
 //   6. run applications on them  (src/apps/*.hpp)
 //   7. pipeline the operator     (src/seq/*.hpp — wrap_as_pipeline
 //                                 registers a combinational DUT)
@@ -38,7 +41,6 @@
 #include "src/fleet/fleet.hpp"
 #include "src/model/carry_chain.hpp"
 #include "src/model/distance.hpp"
-#include "src/model/energy_model.hpp"
 #include "src/model/evaluation.hpp"
 #include "src/model/prob_table.hpp"
 #include "src/model/segmented_model.hpp"

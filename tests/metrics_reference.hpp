@@ -36,9 +36,7 @@ struct ErrorAccumulator {
     const double e = static_cast<double>(actual) - r;
     sum_sq_err += e * e;
     sum_ref_sq += r * r;
-    sum_abs_err += std::abs(e);
     sum_rel_err += std::abs(e) / std::max(r, 1.0);
-    max_abs_err = std::max(max_abs_err, std::abs(e));
   }
 
   double per_op(double x) const {
@@ -65,7 +63,6 @@ struct ErrorAccumulator {
   double mean_hamming() const {
     return per_op(static_cast<double>(hamming_total));
   }
-  double mean_abs_error() const { return per_op(sum_abs_err); }
   double mred() const { return per_op(sum_rel_err); }
 
   int nbits;
@@ -75,9 +72,7 @@ struct ErrorAccumulator {
   std::vector<std::uint64_t> bit_err_count;
   double sum_sq_err = 0.0;
   double sum_ref_sq = 0.0;
-  double sum_abs_err = 0.0;
   double sum_rel_err = 0.0;
-  double max_abs_err = 0.0;
   std::uint64_t hamming_total = 0;
 };
 

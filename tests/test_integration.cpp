@@ -123,15 +123,15 @@ TEST(Integration, ModelsTrackSimulatorAcrossTriads) {
   ASSERT_GE(picks.size(), 2u);
   TrainerConfig tcfg;
   tcfg.num_patterns = 2500;
-  const ModelLibrary ml = train_model_library(p.adder, lib(), picks, tcfg);
   for (const OperatingTriad& t : picks) {
-    const VosAdderModel* m = ml.find(t);
-    ASSERT_NE(m, nullptr);
+    VosDutSim train_sim(p.dut, lib(), t);
+    const VosAdderModel m = train_vos_model(
+        p.adder.width, t, sim_batch_adder_fn(train_sim), tcfg);
     VosDutSim sim(p.dut, lib(), t);
     FidelityConfig fcfg;
     fcfg.num_patterns = 2500;
     const FidelityResult fr =
-        evaluate_fidelity(*m, sim_batch_adder_fn(sim), fcfg);
+        evaluate_fidelity(m, sim_batch_adder_fn(sim), fcfg);
     EXPECT_GT(fr.snr_db, 5.0) << triad_label(t);
     EXPECT_LT(fr.normalized_hamming, 0.3) << triad_label(t);
   }

@@ -61,8 +61,6 @@ TEST(Metrics, MseAndSnr) {
   const double snr = 10.0 * std::log10((100.0 * 100 + 200.0 * 200) /
                                        (100.0 + 400.0));
   EXPECT_NEAR(acc.snr_db(), snr, 1e-12);
-  EXPECT_DOUBLE_EQ(acc.mean_abs_error(), 15.0);
-  EXPECT_DOUBLE_EQ(acc.max_abs_error(), 20.0);
 }
 
 TEST(Metrics, MergeMatchesSequential) {
@@ -80,7 +78,6 @@ TEST(Metrics, MergeMatchesSequential) {
   EXPECT_DOUBLE_EQ(a.ber(), all.ber());
   EXPECT_DOUBLE_EQ(a.mse(), all.mse());
   EXPECT_DOUBLE_EQ(a.mean_hamming(), all.mean_hamming());
-  EXPECT_DOUBLE_EQ(a.max_abs_error(), all.max_abs_error());
 }
 
 TEST(Metrics, WidthLimitsDifferences) {
@@ -122,9 +119,6 @@ void expect_matches_reference(const ErrorAccumulator& acc,
   expect_same_bits(acc.mse(), ref.mse(), "mse");
   expect_same_bits(acc.snr_db(), ref.snr_db(), "snr_db");
   expect_same_bits(acc.mean_hamming(), ref.mean_hamming(), "mean_hamming");
-  expect_same_bits(acc.mean_abs_error(), ref.mean_abs_error(),
-                   "mean_abs_error");
-  expect_same_bits(acc.max_abs_error(), ref.max_abs_err, "max_abs_error");
   expect_same_bits(acc.mred(), ref.mred(), "mred");
 }
 

@@ -68,7 +68,10 @@ TEST_P(ProvenanceEquivalence, BitwiseBerMatchesOutputDiffBitExactly) {
       for (std::size_t b = 0; b < r.bitwise_ber.size(); ++b)
         EXPECT_DOUBLE_EQ(p.bitwise_ber[b], r.bitwise_ber[b])
             << "bit " << b;
-      EXPECT_NEAR(p.ber(), r.ber, 1e-12);
+      // Overall BER from attribution: attributed bits / (ops × width).
+      EXPECT_NEAR(static_cast<double>(p.attributed_bits) /
+                      static_cast<double>(p.ops * p.bitwise_ber.size()),
+                  r.ber, 1e-12);
 
       // Accounting: every attributed bit lives in exactly one culprit
       // bucket (top_culprits is large enough to keep them all), the

@@ -11,12 +11,11 @@ namespace vosim {
 namespace {
 
 // ----------------------------------------------------------------- monitor
-TEST(Monitor, ExactWindowBer) {
+TEST(Monitor, ExactWindowRate) {
   DoubleSamplingMonitor mon(8, 4);
   mon.observe(0b00000000, 0b00000011);  // 2 flagged bits
   mon.observe(0b11110000, 0b11110000);  // 0
   mon.observe(0b00000001, 0b00000000);  // 1
-  EXPECT_DOUBLE_EQ(mon.window_ber(), 3.0 / (3 * 8));
   EXPECT_DOUBLE_EQ(mon.window_op_error_rate(), 2.0 / 3.0);
   EXPECT_FALSE(mon.window_full());
   mon.observe(0, 0);
@@ -28,18 +27,19 @@ TEST(Monitor, SlidingWindowEvictsOldest) {
   mon.observe(0, 0xFF);  // 8 errors
   mon.observe(0, 0);     // 0
   mon.observe(0, 0);     // 0 -> the 8-error op falls out
-  EXPECT_DOUBLE_EQ(mon.window_ber(), 0.0);
+  EXPECT_DOUBLE_EQ(mon.window_op_error_rate(), 0.0);
   EXPECT_EQ(mon.total_flagged_ops(), 1u);
-  EXPECT_DOUBLE_EQ(mon.lifetime_ber(), 8.0 / (3 * 8));
+  EXPECT_EQ(mon.total_ops(), 3u);
 }
 
 TEST(Monitor, ResetWindowKeepsLifetime) {
   DoubleSamplingMonitor mon(4, 8);
   mon.observe(0, 0xF);
   mon.reset_window();
-  EXPECT_DOUBLE_EQ(mon.window_ber(), 0.0);
+  EXPECT_EQ(mon.window_fill(), 0u);
+  EXPECT_DOUBLE_EQ(mon.window_op_error_rate(), 0.0);
   EXPECT_EQ(mon.total_ops(), 1u);
-  EXPECT_GT(mon.lifetime_ber(), 0.0);
+  EXPECT_EQ(mon.total_flagged_ops(), 1u);
 }
 
 TEST(Monitor, Validation) {
@@ -135,10 +135,8 @@ TEST(Monitor, SingleOpWindow) {
   DoubleSamplingMonitor mon(8, 1);
   mon.observe(0, 0xFF);
   EXPECT_TRUE(mon.window_full());
-  EXPECT_DOUBLE_EQ(mon.window_ber(), 1.0);
   EXPECT_DOUBLE_EQ(mon.window_op_error_rate(), 1.0);
   mon.observe(0, 0);
-  EXPECT_DOUBLE_EQ(mon.window_ber(), 0.0);
   EXPECT_DOUBLE_EQ(mon.window_op_error_rate(), 0.0);
   EXPECT_EQ(mon.total_ops(), 2u);
 }
@@ -148,20 +146,16 @@ TEST(Monitor, Width63Masks) {
   // bit 63 — outside the compared word — must not.
   DoubleSamplingMonitor mon(63, 4);
   mon.observe(0, 1ULL << 62);
-  EXPECT_DOUBLE_EQ(mon.window_ber(), 1.0 / 63.0);
+  EXPECT_DOUBLE_EQ(mon.window_op_error_rate(), 1.0);
   mon.observe(0, 1ULL << 63);
   EXPECT_DOUBLE_EQ(mon.window_op_error_rate(), 0.5);
   EXPECT_EQ(mon.total_flagged_ops(), 1u);
-  // All 63 bits wrong in one op saturates that op's contribution.
-  DoubleSamplingMonitor full(63, 2);
-  full.observe(0, ~0ULL >> 1);
-  EXPECT_DOUBLE_EQ(full.window_ber(), 1.0);
 }
 
-TEST(Monitor, FlaggedOpVsFlaggedBitDivergence) {
-  // One op with three bad bits vs three ops with one bad bit each:
-  // identical BER, very different op-error rates — the two signals the
-  // closed-loop controller must not conflate.
+TEST(Monitor, CountsFlaggedOpsNotBits) {
+  // One op with three bad bits vs three ops with one bad bit each: the
+  // same bit errors, but one flagged op against three — the rate the
+  // closed-loop controller reads counts operations.
   DoubleSamplingMonitor burst(8, 8);
   burst.observe(0, 0b111);
   burst.observe(0, 0);
@@ -170,7 +164,6 @@ TEST(Monitor, FlaggedOpVsFlaggedBitDivergence) {
   spread.observe(0, 0b001);
   spread.observe(0, 0b010);
   spread.observe(0, 0b100);
-  EXPECT_DOUBLE_EQ(burst.window_ber(), spread.window_ber());
   EXPECT_DOUBLE_EQ(burst.window_op_error_rate(), 1.0 / 3.0);
   EXPECT_DOUBLE_EQ(spread.window_op_error_rate(), 1.0);
 }
@@ -184,7 +177,6 @@ TEST(Monitor, ResetBetweenCampaigns) {
   mon.reset_window();
   EXPECT_EQ(mon.window_fill(), 0u);
   EXPECT_FALSE(mon.window_full());
-  EXPECT_DOUBLE_EQ(mon.window_ber(), 0.0);
   EXPECT_DOUBLE_EQ(mon.window_op_error_rate(), 0.0);
   EXPECT_EQ(mon.total_ops(), 6u);
   EXPECT_EQ(mon.total_flagged_ops(), 6u);
@@ -193,7 +185,8 @@ TEST(Monitor, ResetBetweenCampaigns) {
   mon.observe(0, 1);
   EXPECT_EQ(mon.window_fill(), 2u);
   EXPECT_DOUBLE_EQ(mon.window_op_error_rate(), 0.5);
-  EXPECT_DOUBLE_EQ(mon.lifetime_ber(), (6.0 * 8 + 1) / (8.0 * 8));
+  EXPECT_EQ(mon.total_ops(), 8u);
+  EXPECT_EQ(mon.total_flagged_ops(), 7u);
 }
 
 }  // namespace

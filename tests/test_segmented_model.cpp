@@ -3,7 +3,6 @@
 // parallel-prefix adder it was designed for.
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "src/apps/approx_arith.hpp"
 #include "src/characterize/metrics.hpp"
@@ -217,25 +216,6 @@ TEST(SegmentedModel, TrainOnExactOracleIsExact) {
     const OperandPair pat = patterns.next();
     ASSERT_EQ(model.add(pat.a, pat.b, rng), pat.a + pat.b);
   }
-}
-
-TEST(SegmentedModel, SaveLoadRoundTrip) {
-  const BatchAdderFn trunc = reference::elementwise(
-      [](std::uint64_t a, std::uint64_t b) {
-        return windowed_add(a, b, 8, 4);
-      });
-  TrainerConfig cfg;
-  cfg.num_patterns = 1500;
-  const SegmentedVosModel model =
-      train_segmented_model(8, {0.3, 0.6, 0.0}, trunc, 2, cfg);
-  std::stringstream ss;
-  model.save(ss);
-  const SegmentedVosModel back = SegmentedVosModel::load(ss);
-  EXPECT_EQ(back.width(), 8);
-  EXPECT_EQ(back.num_segments(), 2);
-  EXPECT_EQ(back.bounds(), model.bounds());
-  EXPECT_EQ(back.triad(), model.triad());
-  for (int s = 0; s < 2; ++s) EXPECT_EQ(back.table(s), model.table(s));
 }
 
 TEST(SegmentedModel, ImprovesBrentKungFidelity) {

@@ -79,9 +79,7 @@ void expect_batch_matches_scalar(const SeqDut& seq,
     const DoubleSamplingMonitor& mb = batched.stage_monitor(k);
     EXPECT_EQ(ms.total_ops(), mb.total_ops()) << k;
     EXPECT_EQ(ms.total_flagged_ops(), mb.total_flagged_ops()) << k;
-    EXPECT_DOUBLE_EQ(ms.lifetime_ber(), mb.lifetime_ber()) << k;
     EXPECT_EQ(ms.window_fill(), mb.window_fill()) << k;
-    EXPECT_DOUBLE_EQ(ms.window_ber(), mb.window_ber()) << k;
     EXPECT_DOUBLE_EQ(ms.window_op_error_rate(),
                      mb.window_op_error_rate())
         << k;
@@ -140,7 +138,6 @@ TEST(SeqBatch, RecordWordMatchesObserve) {
     b.record_word(sampled ^ settled);
     ASSERT_EQ(a.total_ops(), b.total_ops());
     ASSERT_EQ(a.total_flagged_ops(), b.total_flagged_ops());
-    ASSERT_DOUBLE_EQ(a.window_ber(), b.window_ber());
     ASSERT_DOUBLE_EQ(a.window_op_error_rate(), b.window_op_error_rate());
     ASSERT_EQ(a.window_fill(), b.window_fill());
   }

@@ -84,7 +84,6 @@ void expect_same_monitors(const SeqSim& want, const SeqSim& got) {
     const DoubleSamplingMonitor& b = got.stage_monitor(k);
     EXPECT_EQ(a.total_ops(), b.total_ops()) << k;
     EXPECT_EQ(a.total_flagged_ops(), b.total_flagged_ops()) << k;
-    EXPECT_EQ(bits(a.lifetime_ber()), bits(b.lifetime_ber())) << k;
     EXPECT_EQ(a.window_fill(), b.window_fill()) << k;
     EXPECT_EQ(bits(a.window_op_error_rate()),
               bits(b.window_op_error_rate()))

@@ -182,17 +182,16 @@ TEST(SimEngine, LevelizedBatchMatchesStep) {
 
   constexpr std::size_t n = 200;  // exercises several 64-lane passes
   PatternStream patterns(8, 5);
-  std::vector<std::uint64_t> a(n);
-  std::vector<std::uint64_t> b(n);
+  std::vector<std::uint64_t> ops(2 * n);  // operation i: ops[2i], ops[2i+1]
   for (std::size_t i = 0; i < n; ++i) {
     const OperandPair p = patterns.next();
-    a[i] = p.a;
-    b[i] = p.b;
+    ops[2 * i] = p.a;
+    ops[2 * i + 1] = p.b;
   }
   std::vector<VosOpResult> batched(n);
-  batcher.apply_batch(a, b, batched);
+  batcher.apply_batch(ops, n, batched);
   for (std::size_t i = 0; i < n; ++i) {
-    const VosOpResult r = stepper.apply(a[i], b[i]);
+    const VosOpResult r = stepper.apply(ops[2 * i], ops[2 * i + 1]);
     EXPECT_EQ(batched[i].sampled, r.sampled) << "pattern " << i;
     EXPECT_EQ(batched[i].settled, r.settled) << "pattern " << i;
     EXPECT_DOUBLE_EQ(batched[i].energy_fj, r.energy_fj) << "pattern " << i;

@@ -73,16 +73,6 @@ TEST(Sta, BrentKungShallowerThanRca) {
   EXPECT_LT(bka_cp / rca_cp, 0.8);
 }
 
-TEST(Sta, ContaminationNoLaterThanArrival) {
-  const AdderNetlist bka = build_brent_kung(8);
-  const OperatingTriad op{1, 1.0, 0.0};
-  const TimingAnalysis ta = analyze_timing(bka.netlist, lib(), op);
-  const auto cont = contamination_delays_ps(bka.netlist, lib(), op);
-  ASSERT_EQ(cont.size(), ta.output_arrival_ps.size());
-  for (std::size_t i = 0; i < cont.size(); ++i)
-    EXPECT_LE(cont[i], ta.output_arrival_ps[i] + 1e-9);
-}
-
 TEST(Sta, CriticalPathIsConnected) {
   const AdderNetlist rca = build_rca(8);
   const TimingAnalysis ta = analyze_timing(rca.netlist, lib(), {1, 1.0, 0.0});

@@ -26,13 +26,6 @@ TEST(OperatingTriadTest, LabelMatchesPaperStyle) {
   EXPECT_EQ(triad_label({0.13, 0.4, -2.0}), "0.13,0.4,-2");
 }
 
-TEST(OperatingTriadTest, NominalHelper) {
-  const OperatingTriad t = nominal_triad(0.31);
-  EXPECT_DOUBLE_EQ(t.tclk_ns, 0.31);
-  EXPECT_DOUBLE_EQ(t.vdd_v, 1.0);
-  EXPECT_DOUBLE_EQ(t.vbb_v, 0.0);
-}
-
 // -------------------------------------------------------- transistor model
 TEST(TransistorModelTest, NominalScaleIsUnity) {
   EXPECT_NEAR(model().delay_scale(1.0, 0.0), 1.0, 1e-12);
@@ -151,15 +144,6 @@ TEST(CellTest, TruthTablesMatchSemantics) {
   }
 }
 
-TEST(CellTest, EvalAgreesWithTruth) {
-  const CellLibrary& lib = make_fdsoi28_lvt();
-  const Cell& maj = lib.cell(CellKind::kMaj3);
-  const bool in[3] = {true, false, true};
-  EXPECT_TRUE(maj.eval({in, 3}));
-  const bool in2[3] = {true, false, false};
-  EXPECT_FALSE(maj.eval({in2, 3}));
-}
-
 TEST(CellTest, NamesAreUnique) {
   std::vector<std::string> names;
   for (int k = 0; k < cell_kind_count; ++k)
@@ -222,17 +206,6 @@ TEST(GateTiming, ToggleEnergyQuadraticInVdd) {
   EXPECT_DOUBLE_EQ(toggle_energy_fj(2.0, 1.0), 1.0);
   EXPECT_DOUBLE_EQ(toggle_energy_fj(2.0, 0.5), 0.25);
   EXPECT_THROW(toggle_energy_fj(-1.0, 1.0), ContractViolation);
-}
-
-TEST(GateTiming, LeakagePowerTracksModel) {
-  const CellLibrary& lib = make_fdsoi28_lvt();
-  const Cell& inv = lib.cell(CellKind::kInv);
-  const double nom =
-      cell_leakage_nw(inv, lib.transistor_model(), {1.0, 1.0, 0.0});
-  const double fbb =
-      cell_leakage_nw(inv, lib.transistor_model(), {1.0, 1.0, 2.0});
-  EXPECT_NEAR(nom, inv.leakage_nw, 1e-9);
-  EXPECT_GT(fbb, nom);
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ TEST(VosModel, TrainedModelTracksSimulatorClosely) {
   cfg.num_patterns = 6000;
   const VosAdderModel model = train_vos_model(
       8, stressed_triad(), sim_batch_adder_fn(train_sim), cfg);
-  EXPECT_FALSE(model.is_exact());
+  EXPECT_NE(model.table(), CarryChainProbTable(8));  // not an exact adder
 
   VosDutSim eval_sim(rca, lib(), stressed_triad());
   FidelityConfig fcfg;
@@ -96,55 +96,22 @@ TEST(VosModel, SaveLoadRoundTrip) {
   counts[8][8] = 3;
   counts[8][5] = 1;
   counts[4][4] = 1;
-  const VosAdderModel model(8, {0.28, 0.5, 2.0},
-                            DistanceMetric::kWeightedHamming,
-                            CarryChainProbTable::from_counts(8, counts));
-  std::stringstream ss;
-  model.save(ss);
-  const VosAdderModel back = VosAdderModel::load(ss);
-  EXPECT_EQ(back.width(), 8);
-  EXPECT_EQ(back.triad(), model.triad());
-  EXPECT_EQ(back.metric(), DistanceMetric::kWeightedHamming);
-  EXPECT_EQ(back.table(), model.table());
-}
-
-TEST(ModelLibraryTest, TrainFindSaveLoad) {
-  const AdderNetlist rca = build_rca(8);
-  const std::vector<OperatingTriad> triads{
-      {rca8_cp_ns() * 2.0, 1.0, 0.0},
-      stressed_triad(),
-  };
-  TrainerConfig cfg;
-  cfg.num_patterns = 1500;
-  const ModelLibrary ml = train_model_library(rca, lib(), triads, cfg);
-  EXPECT_EQ(ml.size(), 2u);
-  ASSERT_NE(ml.find(stressed_triad()), nullptr);
-  EXPECT_EQ(ml.find({9.9, 9.9, 9.9}), nullptr);
-  EXPECT_TRUE(ml.find(triads[0])->is_exact());
-  EXPECT_FALSE(ml.find(triads[1])->is_exact());
-
-  std::stringstream ss;
-  ml.save(ss);
-  const ModelLibrary back = ModelLibrary::load(ss);
-  EXPECT_EQ(back.size(), 2u);
-  EXPECT_EQ(back.find(stressed_triad())->table(),
-            ml.find(stressed_triad())->table());
-}
-
-TEST(ModelLibraryTest, TrainingIsDeterministicAcrossThreadCounts) {
-  const AdderNetlist rca = build_rca(8);
-  const std::vector<OperatingTriad> triads{
-      stressed_triad(), {rca8_cp_ns(), 0.6, 0.0}};
-  TrainerConfig cfg;
-  cfg.num_patterns = 1000;
-  const ModelLibrary serial =
-      train_model_library(rca, lib(), triads, cfg, {}, 1);
-  const ModelLibrary parallel =
-      train_model_library(rca, lib(), triads, cfg, {}, 0);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < triads.size(); ++i)
-    EXPECT_EQ(serial.find(triads[i])->table(),
-              parallel.find(triads[i])->table());
+  // The second triad must come back bit for bit: 0.6099405 ns reads
+  // back as 0.60994 at a stream's default 6 digits, and a 0.1 + 0.2 V
+  // bias (0.30000000000000004) needs all 17 significant digits.
+  for (const OperatingTriad triad : {OperatingTriad{0.28, 0.5, 2.0},
+                                     OperatingTriad{0.6099405, 0.7,
+                                                    0.1 + 0.2}}) {
+    const VosAdderModel model(8, triad, DistanceMetric::kWeightedHamming,
+                              CarryChainProbTable::from_counts(8, counts));
+    std::stringstream ss;
+    model.save(ss);
+    const VosAdderModel back = VosAdderModel::load(ss);
+    EXPECT_EQ(back.width(), 8);
+    EXPECT_EQ(back.triad(), triad) << triad_label(triad);
+    EXPECT_EQ(back.metric(), DistanceMetric::kWeightedHamming);
+    EXPECT_EQ(back.table(), model.table());
+  }
 }
 
 TEST(FidelitySummaryTest, ExcludesErrorFreeTriads) {
