@@ -1,8 +1,5 @@
 #include "src/characterize/triads.hpp"
 
-#include <cctype>
-#include <string>
-
 #include "src/netlist/dut.hpp"
 #include "src/util/contracts.hpp"
 
@@ -61,24 +58,8 @@ std::vector<OperatingTriad> make_dut_triads(double synthesis_cp_ns) {
 
 std::vector<OperatingTriad> make_circuit_triads(const DutNetlist& dut,
                                                 double synthesis_cp_ns) {
-  const struct {
-    const char* tok;
-    AdderArch arch;
-  } adders[] = {
-      {"rca", AdderArch::kRipple},       {"bka", AdderArch::kBrentKung},
-      {"ksa", AdderArch::kKoggeStone},   {"skl", AdderArch::kSklansky},
-      {"csel", AdderArch::kCarrySelect}, {"cska", AdderArch::kCarrySkip},
-      {"hca", AdderArch::kHanCarlson},
-  };
-  for (const auto& entry : adders) {
-    const std::string tok = entry.tok;
-    if (dut.kind.size() > tok.size() &&
-        dut.kind.compare(0, tok.size(), tok) == 0 &&
-        std::isdigit(static_cast<unsigned char>(dut.kind[tok.size()]))) {
-      const int width = std::stoi(dut.kind.substr(tok.size()));
-      return make_paper_triads(entry.arch, width, synthesis_cp_ns);
-    }
-  }
+  if (const auto adder = exact_adder_of(dut.kind))
+    return make_paper_triads(adder->first, adder->second, synthesis_cp_ns);
   return make_dut_triads(synthesis_cp_ns);
 }
 

@@ -17,22 +17,49 @@ namespace {
 
 constexpr bool is_pow2(int n) { return n >= 1 && (n & (n - 1)) == 0; }
 
-/// Registry token for an adder architecture (lowercase CLI spelling).
+/// The registry's adder families, one row per AdderArch: the spec
+/// token (lowercase CLI spelling) and whether the family takes an
+/// approximation parameter after its width (width[-k]).
+struct AdderFamily {
+  const char* token;
+  AdderArch arch;
+  bool approx;
+};
+constexpr AdderFamily kAdderFamilies[] = {
+    {"rca", AdderArch::kRipple, false},
+    {"bka", AdderArch::kBrentKung, false},
+    {"ksa", AdderArch::kKoggeStone, false},
+    {"skl", AdderArch::kSklansky, false},
+    {"csel", AdderArch::kCarrySelect, false},
+    {"cska", AdderArch::kCarrySkip, false},
+    {"hca", AdderArch::kHanCarlson, false},
+    {"loa", AdderArch::kLowerOr, true},
+    {"trunc", AdderArch::kTruncated, true},
+    {"cut", AdderArch::kCarryCut, true},
+    {"specw", AdderArch::kSpeculativeWindow, true},
+};
+
+/// The family whose token is `token`, or nullptr.
+const AdderFamily* adder_family(const std::string& token) {
+  for (const AdderFamily& f : kAdderFamilies)
+    if (token == f.token) return &f;
+  return nullptr;
+}
+
+/// Registry token for an adder architecture.
 std::string adder_arch_token(AdderArch arch) {
-  switch (arch) {
-    case AdderArch::kRipple: return "rca";
-    case AdderArch::kBrentKung: return "bka";
-    case AdderArch::kKoggeStone: return "ksa";
-    case AdderArch::kSklansky: return "skl";
-    case AdderArch::kCarrySelect: return "csel";
-    case AdderArch::kCarrySkip: return "cska";
-    case AdderArch::kHanCarlson: return "hca";
-    case AdderArch::kLowerOr: return "loa";
-    case AdderArch::kTruncated: return "trunc";
-    case AdderArch::kCarryCut: return "cut";
-    case AdderArch::kSpeculativeWindow: return "specw";
-  }
+  for (const AdderFamily& f : kAdderFamilies)
+    if (f.arch == arch) return f.token;
   return "?";
+}
+
+/// Length of the spec's leading family token (its letters).
+std::size_t token_length(const std::string& spec) {
+  std::size_t pos = 0;
+  while (pos < spec.size() &&
+         std::isalpha(static_cast<unsigned char>(spec[pos])))
+    ++pos;
+  return pos;
 }
 
 std::size_t net_slot(std::span<const NetId> nets, NetId net,
@@ -268,12 +295,8 @@ int parse_num(const std::string& spec, std::size_t& pos) {
 }  // namespace
 
 DutNetlist build_circuit(const std::string& spec) {
-  std::size_t pos = 0;
-  while (pos < spec.size() &&
-         std::isalpha(static_cast<unsigned char>(spec[pos])))
-    ++pos;
+  std::size_t pos = token_length(spec);
   const std::string token = spec.substr(0, pos);
-  if (token.empty()) bad_spec(spec);
 
   if (token == "mul") {
     const int width = parse_num(spec, pos);
@@ -295,47 +318,36 @@ DutNetlist build_circuit(const std::string& spec) {
 
   // Adder families: exact archs take just a width; approximate archs
   // take width[-k] with k defaulting to width/2.
-  const struct {
-    const char* tok;
-    AdderArch arch;
-    bool approx;
-  } adders[] = {
-      {"rca", AdderArch::kRipple, false},
-      {"bka", AdderArch::kBrentKung, false},
-      {"ksa", AdderArch::kKoggeStone, false},
-      {"skl", AdderArch::kSklansky, false},
-      {"csel", AdderArch::kCarrySelect, false},
-      {"cska", AdderArch::kCarrySkip, false},
-      {"hca", AdderArch::kHanCarlson, false},
-      {"loa", AdderArch::kLowerOr, true},
-      {"trunc", AdderArch::kTruncated, true},
-      {"cut", AdderArch::kCarryCut, true},
-      {"specw", AdderArch::kSpeculativeWindow, true},
-  };
-  for (const auto& entry : adders) {
-    if (token != entry.tok) continue;
-    const int width = parse_num(spec, pos);
-    if (!entry.approx) {
-      if (pos != spec.size()) bad_spec(spec);
-      return to_dut(build_adder(entry.arch, width));
-    }
-    int k = width / 2;
-    if (pos < spec.size()) {
-      if (spec[pos] != '-') bad_spec(spec);
-      ++pos;
-      k = parse_num(spec, pos);
-      if (pos != spec.size()) bad_spec(spec);
-    }
-    switch (entry.arch) {
-      case AdderArch::kLowerOr: return to_dut(build_lower_or(width, k));
-      case AdderArch::kTruncated:
-        return to_dut(build_truncated(width, k));
-      case AdderArch::kCarryCut:
-        return to_dut(build_carry_cut(width, k));
-      default: return to_dut(build_speculative_window(width, k));
-    }
+  const AdderFamily* family = adder_family(token);
+  if (family == nullptr) bad_spec(spec);
+  const int width = parse_num(spec, pos);
+  if (!family->approx) {
+    if (pos != spec.size()) bad_spec(spec);
+    return to_dut(build_adder(family->arch, width));
   }
-  bad_spec(spec);
+  int k = width / 2;
+  if (pos < spec.size()) {
+    if (spec[pos] != '-') bad_spec(spec);
+    ++pos;
+    k = parse_num(spec, pos);
+    if (pos != spec.size()) bad_spec(spec);
+  }
+  switch (family->arch) {
+    case AdderArch::kLowerOr: return to_dut(build_lower_or(width, k));
+    case AdderArch::kTruncated: return to_dut(build_truncated(width, k));
+    case AdderArch::kCarryCut: return to_dut(build_carry_cut(width, k));
+    default: return to_dut(build_speculative_window(width, k));
+  }
+}
+
+std::optional<std::pair<AdderArch, int>> exact_adder_of(
+    const std::string& kind) {
+  std::size_t pos = token_length(kind);
+  const AdderFamily* family = adder_family(kind.substr(0, pos));
+  if (family == nullptr || family->approx || pos == kind.size() ||
+      !std::isdigit(static_cast<unsigned char>(kind[pos])))
+    return std::nullopt;
+  return std::pair{family->arch, parse_num(kind, pos)};
 }
 
 std::string known_circuits_help() {

@@ -11,8 +11,10 @@
 #define VOSIM_NETLIST_DUT_HPP
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/netlist/adder_tree.hpp"
@@ -142,6 +144,12 @@ DutNetlist build_mac_dut(int terms, int width);
 /// Throws std::invalid_argument with the supported grammar on a
 /// malformed spec.
 DutNetlist build_circuit(const std::string& spec);
+
+/// The exact adder a DUT kind names ("rca8" -> {kRipple, 8}): an exact
+/// adder's kind is its registry spec, read by build_circuit's table.
+/// nullopt for approximate adders and every other circuit.
+std::optional<std::pair<AdderArch, int>> exact_adder_of(
+    const std::string& kind);
 
 /// One-line list of supported circuit spec forms (for CLI usage text).
 std::string known_circuits_help();

@@ -3,14 +3,79 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <ostream>
 
 #include "src/obs/metrics.hpp"
-#include "src/sim/vcd.hpp"
 #include "src/util/contracts.hpp"
 
 namespace vosim {
 
 // ------------------------------------------------------- TraceRecorder
+
+namespace {
+
+/// VCD identifier for a net: printable-ASCII base-94 code.
+std::string vcd_id(NetId net) {
+  std::string id;
+  std::uint32_t v = net;
+  do {
+    id.push_back(static_cast<char>('!' + (v % 94)));
+    v /= 94;
+  } while (v != 0);
+  return id;
+}
+
+constexpr const char* clk_id = "~~";  // reserved marker identifier
+
+/// Writes one recorded step as a VCD file: all of `netlist`'s nets are
+/// declared, `initial` (one value per net, the pre-step baseline) is
+/// dumped at #0 and every transition in `events` follows with 1 ps
+/// resolution. A `clk_sample` marker pulses at `tclk_ps` so the capture
+/// edge is visible.
+void write_vcd(const Netlist& netlist, double tclk_ps,
+               std::span<const std::uint8_t> initial,
+               std::span<const TraceEvent> events, std::ostream& os) {
+  VOSIM_EXPECTS(initial.size() == netlist.num_nets());
+  const Netlist& nl = netlist;
+
+  os << "$timescale 1ps $end\n";
+  os << "$scope module " << nl.name() << " $end\n";
+  for (NetId n = 0; n < nl.num_nets(); ++n)
+    os << "$var wire 1 " << vcd_id(n) << " " << nl.net_name(n) << " $end\n";
+  os << "$var wire 1 " << clk_id << " clk_sample $end\n";
+  os << "$upscope $end\n$enddefinitions $end\n";
+
+  os << "#0\n$dumpvars\n";
+  for (NetId n = 0; n < nl.num_nets(); ++n)
+    os << static_cast<int>(initial[n]) << vcd_id(n) << "\n";
+  os << "0" << clk_id << "\n$end\n";
+
+  // Merge the transition trace with the sampling-edge marker.
+  bool clk_emitted = false;
+  long last_time = -1;
+  auto emit_time = [&](double t_ps) {
+    const long t = std::lround(t_ps);
+    if (t != last_time) {
+      os << "#" << t << "\n";
+      last_time = t;
+    }
+  };
+  for (const TraceEvent& e : events) {
+    if (!clk_emitted && e.time_ps >= tclk_ps) {
+      emit_time(tclk_ps);
+      os << "1" << clk_id << "\n";
+      clk_emitted = true;
+    }
+    emit_time(e.time_ps);
+    os << static_cast<int>(e.value) << vcd_id(e.net) << "\n";
+  }
+  if (!clk_emitted) {
+    emit_time(tclk_ps);
+    os << "1" << clk_id << "\n";
+  }
+}
+
+}  // namespace
 
 void TraceRecorder::on_step_begin(const SimEngine& engine,
                                   std::span<const std::uint8_t> initial) {

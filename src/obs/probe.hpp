@@ -97,10 +97,10 @@ class TraceRecorder final : public SimObserver {
     return initial_;
   }
 
-  /// Writes the last observed step as a VCD dump (write_vcd: all nets
-  /// declared, baseline at #0, every transition at 1 ps resolution, a
-  /// clk_sample marker at Tclk). Throws ContractViolation when no step
-  /// has been observed yet.
+  /// Writes the last observed step as a VCD dump: all nets declared,
+  /// baseline at #0, every transition at 1 ps resolution, a clk_sample
+  /// marker at Tclk. Throws ContractViolation when no step has been
+  /// observed yet.
   void write(std::ostream& os) const;
 
  private:

@@ -172,10 +172,10 @@ class SeqSim {
   }
   std::uint64_t cycles() const noexcept { return cycles_; }
 
-  /// Stage k's engine — for attaching per-stage SimObservers (e.g. an
-  /// ErrorProvenance per stage, or a SeqVcdRecorder's stage recorders).
-  /// Observers see every cycle through the engine's own dispatch sites,
-  /// stage by stage within each lane-word chunk.
+  /// Stage k's engine — for attaching per-stage SimObservers (an
+  /// ErrorProvenance per stage in provenance sweeps). Observers see
+  /// every cycle through the engine's own dispatch sites, stage by
+  /// stage within each lane-word chunk.
   SimEngine& stage_engine(std::size_t k) { return *engines_.at(k); }
   const SimEngine& stage_engine(std::size_t k) const {
     return *engines_.at(k);
@@ -192,8 +192,7 @@ class SeqSim {
   /// The period the stage engines actually propagate and rebase on:
   /// Tclk − t_setup (ps). Launch and capture edges coincide there —
   /// the setup window is borrowed from the next cycle's propagation,
-  /// a deliberate simplification (DESIGN.md §10); the multi-cycle VCD
-  /// spaces cycles by this period so event times stay aligned.
+  /// a deliberate simplification (DESIGN.md §10).
   double capture_period_ps() const noexcept { return capture_tclk_ps_; }
 
   /// Moves every stage engine's capture threshold to `capture_ps` on

@@ -32,11 +32,6 @@ void SimEngine::attach_observer(SimObserver* obs) {
     observers_.push_back(obs);
 }
 
-void SimEngine::detach_observer(SimObserver* obs) {
-  observers_.erase(std::remove(observers_.begin(), observers_.end(), obs),
-                   observers_.end());
-}
-
 std::unique_ptr<SimEngine> make_engine(const Netlist& netlist,
                                        const CellLibrary& lib,
                                        const OperatingTriad& op,

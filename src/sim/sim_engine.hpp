@@ -69,8 +69,8 @@ struct TimingSimConfig {
   EngineKind engine = EngineKind::kEvent;
 };
 
-/// One committed transition (for waveform dumps: TraceRecorder in
-/// src/obs/probe.hpp, SeqVcdRecorder in src/seq/seq_vcd.hpp).
+/// One committed transition (for TraceRecorder's waveform dump,
+/// src/obs/probe.hpp).
 struct TraceEvent {
   double time_ps = 0.0;
   NetId net = invalid_net;
@@ -208,8 +208,8 @@ class SimEngine {
   virtual std::span<const std::uint8_t> settled_values() const noexcept = 0;
 
   /// Registers an observer for simulation callbacks (src/obs/probe.hpp;
-  /// DESIGN.md §13). Observers are borrowed, never owned — they must
-  /// outlive the engine or be detached first — and are invoked
+  /// DESIGN.md §13). Observers are borrowed, never owned: an attached
+  /// observer stays alive while the engine steps. They are invoked
   /// synchronously on the simulating thread in attach order. Default
   /// off: with no observers attached every hot-path dispatch site pays
   /// exactly one !observers_.empty() branch. Attaching twice is a
@@ -217,8 +217,6 @@ class SimEngine {
   /// (step_batch_sweep) does not dispatch — observer consumers must
   /// route through step_batch/step_cycle_batch.
   void attach_observer(SimObserver* obs);
-  /// Unregisters a previously attached observer (no-op when absent).
-  void detach_observer(SimObserver* obs);
 
  protected:
   SimEngine() = default;

@@ -1,10 +1,24 @@
 #include "src/util/args.hpp"
 
+#include <charconv>
 #include <stdexcept>
 
 #include "src/util/contracts.hpp"
 
 namespace vosim {
+
+std::uint64_t parse_uint(const std::string& text, const std::string& option) {
+  // from_chars takes no sign or leading space for an unsigned type, so
+  // "-1" cannot wrap to 2^64 - 1 the way strtoul would.
+  std::uint64_t out = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec != std::errc() || ptr != end)
+    throw std::invalid_argument(option +
+                                " takes a non-negative integer, not '" +
+                                text + "'");
+  return out;
+}
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   VOSIM_EXPECTS(argc >= 1);
@@ -78,14 +92,10 @@ std::string ArgParser::get(const std::string& name,
   return v.has_value() ? *v : fallback;
 }
 
-long ArgParser::get_int(const std::string& name, long fallback) const {
+std::uint64_t ArgParser::get_uint(const std::string& name,
+                                  std::uint64_t fallback) const {
   const auto v = required_value(name);
-  if (!v.has_value()) return fallback;
-  std::size_t used = 0;
-  const long out = std::stol(*v, &used);
-  if (used != v->size())
-    throw std::invalid_argument("not an integer: --" + name + "=" + *v);
-  return out;
+  return v.has_value() ? parse_uint(*v, "--" + name) : fallback;
 }
 
 std::vector<std::string> ArgParser::get_list(

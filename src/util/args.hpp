@@ -4,11 +4,17 @@
 #ifndef VOSIM_UTIL_ARGS_HPP
 #define VOSIM_UTIL_ARGS_HPP
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace vosim {
+
+/// Reads `text` as a non-negative decimal integer: digits only (no
+/// sign, space or trailing junk) and within 64 bits. Throws
+/// std::invalid_argument naming `option` otherwise.
+std::uint64_t parse_uint(const std::string& text, const std::string& option);
 
 /// Parsed argv. Options may appear anywhere; everything else is
 /// positional in order.
@@ -32,10 +38,12 @@ class ArgParser {
   /// Typed getters with defaults. Throw std::invalid_argument on
   /// malformed numbers, and when the option is present but has no value
   /// (e.g. "--patterns --csv=x" — the value-taking key must not be
-  /// silently demoted to a flag).
+  /// silently demoted to a flag). Every integer option is a count, a
+  /// size or a seed, so get_uint reads it by parse_uint's rule.
   std::string get(const std::string& name,
                   const std::string& fallback) const;
-  long get_int(const std::string& name, long fallback) const;
+  std::uint64_t get_uint(const std::string& name,
+                         std::uint64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
 
   /// List-valued option: every occurrence of --name contributes its

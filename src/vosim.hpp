@@ -67,11 +67,9 @@
 #include "src/seq/seq_dut.hpp"
 #include "src/seq/seq_report.hpp"
 #include "src/seq/seq_sim.hpp"
-#include "src/seq/seq_vcd.hpp"
 #include "src/sim/event_sim.hpp"
 #include "src/sim/levelized_sim.hpp"
 #include "src/sim/sim_engine.hpp"
-#include "src/sim/vcd.hpp"
 #include "src/sim/vos_dut.hpp"
 #include "src/sta/slack.hpp"
 #include "src/sta/sta.hpp"

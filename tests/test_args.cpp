@@ -1,6 +1,9 @@
 // Argument-parser tests.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "src/util/args.hpp"
 
 namespace vosim {
@@ -15,7 +18,7 @@ TEST(Args, PositionalOrderPreserved) {
 
 TEST(Args, KeyEqualsValue) {
   const ArgParser p({"--patterns=500", "--csv=out.csv"});
-  EXPECT_EQ(p.get_int("patterns", 0), 500);
+  EXPECT_EQ(p.get_uint("patterns", 0), 500);
   EXPECT_EQ(p.get("csv", ""), "out.csv");
 }
 
@@ -36,16 +39,31 @@ TEST(Args, BareFlagBeforeOption) {
 TEST(Args, MissingOptionFallsBack) {
   const ArgParser p({"cmd"});
   EXPECT_FALSE(p.has("patterns"));
-  EXPECT_EQ(p.get_int("patterns", 123), 123);
+  EXPECT_EQ(p.get_uint("patterns", 123), 123);
   EXPECT_DOUBLE_EQ(p.get_double("vdd", 0.5), 0.5);
   EXPECT_EQ(p.get("csv", "default.csv"), "default.csv");
   EXPECT_FALSE(p.value("csv").has_value());
 }
 
 TEST(Args, MalformedNumbersThrow) {
-  const ArgParser p({"--patterns=12x", "--vdd=zero"});
-  EXPECT_THROW(p.get_int("patterns", 0), std::invalid_argument);
+  // Integer options are counts, sizes and seeds: a sign, a space, junk
+  // or a value past 64 bits is refused with an error naming the option
+  // (a signed parse would wrap "-1" to 2^64 - 1 once cast to a count).
+  for (const char* bad : {"-1", "+3", "12x", "abc", "", " 5",
+                          "18446744073709551616"}) {
+    const ArgParser p({"--patterns", bad});
+    try {
+      p.get_uint("patterns", 0);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "--patterns takes a non-negative integer, not '" +
+                    std::string(bad) + "'");
+    }
+  }
+  const ArgParser p({"--vdd=zero", "--seed=18446744073709551615"});
   EXPECT_THROW(p.get_double("vdd", 0.0), std::invalid_argument);
+  EXPECT_EQ(p.get_uint("seed", 1), 18446744073709551615ULL);
 }
 
 TEST(Args, ArgcArgvConstructor) {
@@ -53,7 +71,7 @@ TEST(Args, ArgcArgvConstructor) {
   const ArgParser p(5, argv);
   EXPECT_EQ(p.program(), "vosim_cli");
   EXPECT_EQ(p.positional().size(), 2u);
-  EXPECT_EQ(p.get_int("patterns", 0), 99);
+  EXPECT_EQ(p.get_uint("patterns", 0), 99);
 }
 
 TEST(Args, NegativeNumbersAsValues) {
@@ -76,7 +94,7 @@ TEST(Args, MissingValueForValueTakingKeyThrows) {
   const ArgParser p({"--patterns", "--csv=x"});
   EXPECT_TRUE(p.has("patterns"));
   EXPECT_EQ(p.value("patterns").value(), "");
-  EXPECT_THROW(p.get_int("patterns", 5), std::invalid_argument);
+  EXPECT_THROW(p.get_uint("patterns", 5), std::invalid_argument);
   EXPECT_THROW(p.get("patterns", "d"), std::invalid_argument);
   EXPECT_THROW(p.get_double("patterns", 1.0), std::invalid_argument);
   EXPECT_EQ(p.get("csv", ""), "x");

@@ -259,6 +259,26 @@ TEST(CircuitRegistry, ParsesKnownSpecs) {
   EXPECT_EQ(build_circuit("specw8-3").kind, "specw8");
 }
 
+TEST(CircuitRegistry, ExactAdderKindsReadBack) {
+  // One table serves spec -> arch, arch -> kind and kind -> arch: every
+  // exact adder's kind reads back as its arch and width, and builds
+  // the same adder again.
+  for (const AdderArch arch :
+       {AdderArch::kRipple, AdderArch::kBrentKung, AdderArch::kKoggeStone,
+        AdderArch::kSklansky, AdderArch::kCarrySelect,
+        AdderArch::kCarrySkip, AdderArch::kHanCarlson}) {
+    const DutNetlist dut = to_dut(build_adder(arch, 8));
+    const auto adder = exact_adder_of(dut.kind);
+    ASSERT_TRUE(adder.has_value()) << dut.kind;
+    EXPECT_EQ(adder->first, arch) << dut.kind;
+    EXPECT_EQ(adder->second, 8) << dut.kind;
+    EXPECT_EQ(build_circuit(dut.kind).display_name, dut.display_name);
+  }
+  for (const char* other : {"loa8", "specw8", "mul8-array", "tree8x8",
+                            "mac4x8", "seq(rca8)", "rca", "dut", ""})
+    EXPECT_FALSE(exact_adder_of(other).has_value()) << other;
+}
+
 TEST(CircuitRegistry, RejectsMalformedSpecs) {
   for (const char* bad : {"", "rca", "rca8x", "mul8", "mul8-booth",
                           "tree8", "mac4", "frobnicate9", "8rca"}) {

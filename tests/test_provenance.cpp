@@ -152,29 +152,36 @@ TEST(Provenance, OffByDefaultLeavesSummaryEmpty) {
 
 // Sequential sweeps attribute per stage: culprit names carry the
 // "s<k>:" stage prefix, totals still balance, and the per-op error
-// accounting covers every cycle observed.
+// accounting covers every cycle observed. Both engines: the event
+// engine (vosim_cli characterize's default for a pipeline) sends each
+// batch through the per-stage observers cycle by cycle.
 TEST(Provenance, SeqSweepLabelsCulpritsPerStage) {
   const SeqDut seq = build_seq_circuit("pipe2-mul8");
   const double cp = seq_critical_path_ns(seq, lib());
-  CharacterizeConfig cfg = provenance_config(EngineKind::kLevelized);
-  cfg.num_patterns = 600;
   const std::vector<OperatingTriad> triads{{0.55 * cp, 0.8, 0.0}};
-  const auto res = characterize_seq_dut(seq, lib(), triads, cfg);
-  ASSERT_EQ(res.size(), 1u);
-  const ProvenanceSummary& p = res[0].provenance;
-  EXPECT_GT(p.ops, 0u);
-  EXPECT_GT(p.attributed_bits, 0u);
-  ASSERT_FALSE(p.culprits.empty());
-  std::uint64_t culprit_total = 0;
-  for (const CulpritCount& c : p.culprits) {
-    culprit_total += c.bits;
-    EXPECT_EQ(c.name.rfind("s", 0), 0u) << c.name;
-    EXPECT_NE(c.name.find(':'), std::string::npos) << c.name;
+  for (const EngineKind engine :
+       {EngineKind::kEvent, EngineKind::kLevelized}) {
+    SCOPED_TRACE(engine_kind_name(engine));
+    CharacterizeConfig cfg = provenance_config(engine);
+    cfg.num_patterns = 600;
+    const auto res = characterize_seq_dut(seq, lib(), triads, cfg);
+    ASSERT_EQ(res.size(), 1u);
+    const ProvenanceSummary& p = res[0].provenance;
+    EXPECT_GT(p.ops, 0u);
+    EXPECT_GT(p.attributed_bits, 0u);
+    ASSERT_FALSE(p.culprits.empty());
+    std::uint64_t culprit_total = 0;
+    for (const CulpritCount& c : p.culprits) {
+      culprit_total += c.bits;
+      EXPECT_EQ(c.name.rfind("s", 0), 0u) << c.name;
+      EXPECT_NE(c.name.find(':'), std::string::npos) << c.name;
+    }
+    EXPECT_EQ(culprit_total, p.attributed_bits);
+    // The output stage's local per-bit profile is present and sized to
+    // the output register.
+    EXPECT_EQ(p.bitwise_ber.size(),
+              static_cast<std::size_t>(seq.output_width()));
   }
-  EXPECT_EQ(culprit_total, p.attributed_bits);
-  // The output stage's local per-bit profile is present and sized to
-  // the output register.
-  EXPECT_FALSE(p.bitwise_ber.empty());
 }
 
 }  // namespace

@@ -29,7 +29,6 @@ kept_lines=(
   "one-call forms tests drive: SeqSim::step_cycle(; VosDutSim::reset(unsigned long, unsigned long); DoubleSamplingMonitor::observe("
   "builders and accessors tests drive: make_dut(; to_verilog[abi:cxx11](; TransistorModel::at_temperature(; ArgParser::ArgParser(std::vector<; ArgParser::value(; CampaignStore::find(vosim::CampaignCellKey const&); CampaignStore::manifest_line[abi:cxx11](; PreparedCircuits::size(; obs::trace_event_count("
   "readers of files a program writes: VosAdderModel::load(; CarryChainProbTable::load(; obs::RunManifest::parse("
-  "the multi-cycle VCD, to be wired to a program or deleted on its own: VcdWriter::; (anonymous namespace)::writer_id(; SeqVcdRecorder::; SimEngine::detach_observer("
 )
 
 usage() {

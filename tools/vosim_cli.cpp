@@ -43,10 +43,9 @@
 // paths never dispatch observers), so expect the sweep itself to slow
 // down — observers-off runs are unaffected.
 //
-// <circuit> is either a registry spec — rca8, bka16, mul8-array,
+// <circuit> is a registry spec — rca8, bka16, mul8-array,
 // mul8-wallace, tree8x8, mac4x8, loa8-4, … (also accepted via
-// --circuit SPEC) — or the legacy "<arch> <width>" positional pair
-// with <arch> ∈ {rca, bka, ksa, skl, csel, cska, hca}.
+// --circuit SPEC).
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -63,8 +62,7 @@ using namespace vosim;
 int usage(const std::string& program) {
   std::cerr
       << "usage: " << program
-      << " <command> (<circuit> | <arch> <width> | --circuit SPEC)"
-         " [options]\n"
+      << " <command> (<circuit> | --circuit SPEC) [options]\n"
       << "commands:\n"
       << "  synth         area / power / critical-path report\n"
       << "                (pipelines: per-stage report + slack)\n"
@@ -208,12 +206,10 @@ int run_seq(const ArgParser& args, const std::string& command,
 
   if (command == "characterize") {
     CharacterizeConfig cfg;
-    cfg.num_patterns =
-        static_cast<std::size_t>(args.get_int("patterns", 20000));
+    cfg.num_patterns = args.get_uint("patterns", 20000);
     cfg.engine = engine;
     cfg.provenance = args.has("provenance");
-    cfg.top_culprits = static_cast<std::size_t>(
-        args.get_int("top-culprits", static_cast<long>(cfg.top_culprits)));
+    cfg.top_culprits = args.get_uint("top-culprits", cfg.top_culprits);
     std::cerr << "pipeline: " << seq.display_name
               << ", engine: " << engine_kind_name(engine) << "\n";
     const auto results = characterize_seq_dut(seq, lib, triads, cfg);
@@ -233,12 +229,9 @@ int run_seq(const ArgParser& args, const std::string& command,
       "pipelines support synth | triads | characterize");
 }
 
-/// The circuit spec from --circuit, one positional ("rca8") or the
-/// legacy positional pair ("rca 8").
+/// The circuit spec from --circuit or the one positional ("rca8").
 std::string circuit_spec(const ArgParser& args) {
   if (args.has("circuit")) return args.get("circuit", "");
-  if (args.positional().size() >= 3)
-    return args.positional()[1] + args.positional()[2];
   if (args.positional().size() >= 2) return args.positional()[1];
   throw std::invalid_argument("missing circuit spec");
 }
@@ -257,10 +250,8 @@ void parse_shard(const ArgParser& args, CampaignConfig& cfg) {
   const std::size_t slash = spec.find('/');
   if (slash == std::string::npos)
     throw std::invalid_argument("bad --shard (expected i/N)");
-  cfg.shard_index =
-      static_cast<std::size_t>(std::stoul(spec.substr(0, slash)));
-  cfg.shard_count =
-      static_cast<std::size_t>(std::stoul(spec.substr(slash + 1)));
+  cfg.shard_index = parse_uint(spec.substr(0, slash), "--shard index");
+  cfg.shard_count = parse_uint(spec.substr(slash + 1), "--shard count");
 }
 
 /// The run manifest stamped into campaign stores and --metrics-json
@@ -289,25 +280,19 @@ int run_campaign_command(const ArgParser& args) {
   cfg.backends.clear();
   for (const std::string& name : args.get_list("backends", {"model"}))
     cfg.backends.push_back(parse_arith_backend(name));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  cfg.characterize_patterns =
-      static_cast<std::size_t>(args.get_int("patterns", 2000));
-  cfg.train_patterns =
-      static_cast<std::size_t>(args.get_int("train-patterns", 4000));
-  cfg.max_triads =
-      static_cast<std::size_t>(args.get_int("max-triads", 0));
-  cfg.jobs = static_cast<unsigned>(args.get_int("jobs", 0));
-  cfg.fleet.num_chips =
-      static_cast<std::size_t>(args.get_int("chips", 0));
-  cfg.fleet.seed =
-      static_cast<std::uint64_t>(args.get_int("fleet-seed", 7));
+  cfg.seed = args.get_uint("seed", 1);
+  cfg.characterize_patterns = args.get_uint("patterns", 2000);
+  cfg.train_patterns = args.get_uint("train-patterns", 4000);
+  cfg.max_triads = args.get_uint("max-triads", 0);
+  cfg.jobs = static_cast<unsigned>(args.get_uint("jobs", 0));
+  cfg.fleet.num_chips = args.get_uint("chips", 0);
+  cfg.fleet.seed = args.get_uint("fleet-seed", 7);
   cfg.fleet.speed_sigma =
       args.get_double("chip-speed-sigma", cfg.fleet.speed_sigma);
   cfg.fleet.leakage_sigma =
       args.get_double("chip-leakage-sigma", cfg.fleet.leakage_sigma);
   cfg.provenance = args.has("provenance");
-  cfg.top_culprits = static_cast<std::size_t>(
-      args.get_int("top-culprits", static_cast<long>(cfg.top_culprits)));
+  cfg.top_culprits = args.get_uint("top-culprits", cfg.top_culprits);
   parse_shard(args, cfg);
   cfg.progress = &std::cerr;
   const double floor = args.get_double("quality-floor", 0.9);
@@ -402,20 +387,17 @@ int run_fleet_command(const ArgParser& args) {
   FleetStudyConfig cfg;
   if (args.has("circuit")) cfg.circuit = args.get("circuit", cfg.circuit);
   else if (args.positional().size() >= 2) cfg.circuit = args.positional()[1];
-  cfg.fleet.num_chips =
-      static_cast<std::size_t>(args.get_int("chips", 25));
-  cfg.fleet.seed =
-      static_cast<std::uint64_t>(args.get_int("fleet-seed", 7));
+  cfg.fleet.num_chips = args.get_uint("chips", 25);
+  cfg.fleet.seed = args.get_uint("fleet-seed", 7);
   cfg.fleet.speed_sigma =
       args.get_double("speed-sigma", cfg.fleet.speed_sigma);
   cfg.fleet.leakage_sigma =
       args.get_double("leakage-sigma", cfg.fleet.leakage_sigma);
   cfg.fleet.within_die_sigma =
       args.get_double("within-sigma", cfg.fleet.within_die_sigma);
-  cfg.ladder_patterns =
-      static_cast<std::size_t>(args.get_int("patterns", 2000));
-  cfg.cycles = static_cast<std::size_t>(args.get_int("cycles", 4096));
-  cfg.jobs = static_cast<unsigned>(args.get_int("jobs", 0));
+  cfg.ladder_patterns = args.get_uint("patterns", 2000);
+  cfg.cycles = args.get_uint("cycles", 4096);
+  cfg.jobs = static_cast<unsigned>(args.get_uint("jobs", 0));
 
   const FleetOutcome out = run_fleet_study(make_fdsoi28_lvt(), cfg);
   std::cout << "fleet: " << cfg.circuit << ", "
@@ -454,7 +436,7 @@ int run_serve_command(const ArgParser& args) {
   if (cfg.socket_path.empty())
     throw std::invalid_argument("serve needs --socket PATH");
   cfg.store_path = args.get("store", "");
-  cfg.jobs = static_cast<unsigned>(args.get_int("jobs", 0));
+  cfg.jobs = static_cast<unsigned>(args.get_uint("jobs", 0));
   CampaignServer server(make_fdsoi28_lvt(), cfg);
   server.start();
   std::cout << "serving on " << server.socket_path()
@@ -538,11 +520,10 @@ int run_command(const ArgParser& args) {
 
   if (command == "variability") {
     VariabilityConfig vcfg;
-    vcfg.num_dies = static_cast<int>(args.get_int("dies", 25));
+    vcfg.num_dies = static_cast<int>(args.get_uint("dies", 25));
     vcfg.variation_sigma = args.get_double("sigma", 0.05);
-    vcfg.num_patterns = static_cast<std::size_t>(
-        args.get_int("patterns", 3000));
-    vcfg.jobs = static_cast<unsigned>(args.get_int("jobs", 0));
+    vcfg.num_patterns = args.get_uint("patterns", 3000);
+    vcfg.jobs = static_cast<unsigned>(args.get_uint("jobs", 0));
     vcfg.engine = engine;
     const OperatingTriad triad{
         args.get_double("tclk", rep.critical_path_ns),
@@ -573,12 +554,10 @@ int run_command(const ArgParser& args) {
 
   if (command == "characterize") {
     CharacterizeConfig cfg;
-    cfg.num_patterns = static_cast<std::size_t>(
-        args.get_int("patterns", 20000));
+    cfg.num_patterns = args.get_uint("patterns", 20000);
     cfg.engine = engine;
     cfg.provenance = args.has("provenance");
-    cfg.top_culprits = static_cast<std::size_t>(
-        args.get_int("top-culprits", static_cast<long>(cfg.top_culprits)));
+    cfg.top_culprits = args.get_uint("top-culprits", cfg.top_culprits);
     std::cerr << "circuit: " << dut.display_name
               << ", engine: " << engine_kind_name(engine) << "\n";
     const auto results = characterize_dut(dut, lib, triads, cfg);
@@ -607,8 +586,7 @@ int run_command(const ArgParser& args) {
         args.get_double("tclk", rep.critical_path_ns),
         args.get_double("vdd", 0.7), args.get_double("vbb", 0.0)};
     TrainerConfig cfg;
-    cfg.num_patterns = static_cast<std::size_t>(
-        args.get_int("patterns", 20000));
+    cfg.num_patterns = args.get_uint("patterns", 20000);
     cfg.metric = parse_metric(args.get("metric", "mse"));
     TimingSimConfig sim_cfg;
     sim_cfg.engine = engine;
